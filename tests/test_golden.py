@@ -1,0 +1,44 @@
+"""Golden bytes: small fixed CLI runs whose stdout must not change.
+
+Each case runs ``treated.cli.main`` on the committed inputs in
+``tests/golden`` and compares its standard output with the committed
+``<case>.json`` byte for byte. A change that moves any bit of an
+``estimate``, ``simulate`` or ``oracle`` report fails here and must say why
+it moved when it re-records the file.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from treated.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CONTINUOUS_CSV = str(GOLDEN / "continuous.csv")
+BINARY_CSV = str(GOLDEN / "binary.csv")
+CONTINUOUS_SPEC = str(GOLDEN / "continuous_spec.json")
+BINARY_SPEC = str(GOLDEN / "binary_spec.json")
+
+CASES = {
+    "estimate_continuous_folds1": ["estimate", "--input", CONTINUOUS_CSV],
+    "estimate_continuous_folds5": ["estimate", "--input", CONTINUOUS_CSV,
+                                   "--folds", "5", "--seed", "7"],
+    "estimate_binary": ["estimate", "--input", BINARY_CSV, "--binary-outcome"],
+    "simulate_oracle": ["simulate", "--spec", CONTINUOUS_SPEC, "--n", "400",
+                        "--reps", "20", "--seed", "5", "--oracle-nuisances",
+                        "--patt-draws", "40000"],
+    "simulate_fitted": ["simulate", "--spec", BINARY_SPEC, "--n", "300",
+                        "--reps", "10", "--seed", "2", "--folds", "2",
+                        "--patt-draws", "40000"],
+    "oracle_continuous": ["oracle", "--spec", CONTINUOUS_SPEC, "--draws", "64000",
+                          "--seed", "3"],
+    "oracle_binary": ["oracle", "--spec", BINARY_SPEC, "--draws", "64000",
+                      "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_bytes(case, capsys):
+    assert main(CASES[case]) == 0
+    expected = (GOLDEN / f"{case}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
