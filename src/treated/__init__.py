@@ -29,15 +29,15 @@ from .errors import (
     MissingSigmaError,
     NonBinaryOutcomeError,
     NonFiniteError,
+    NonFiniteEstimateError,
     NotBinaryOutcomeError,
     NumericError,
+    SingularSystemError,
     TreatedError,
     ValidationError,
 )
 from .estimator import (
     SwattConservative,
-    VarianceBundle,
-    compute_variance_bundle,
     confidence_interval,
     estimate_all,
     estimate_psi_hat,

@@ -60,3 +60,11 @@ class NumericError(TreatedError):
 
 class IrlsDivergedError(NumericError):
     """IRLS produced non-finite quantities or failed to converge."""
+
+
+class SingularSystemError(NumericError):
+    """A least-squares system has no unique solution (singular normal equations)."""
+
+
+class NonFiniteEstimateError(NumericError):
+    """The point estimate or a variance came out NaN or infinite."""

@@ -44,6 +44,7 @@ from .errors import (
     LengthMismatchError,
     MissingMu1Error,
     MissingSigmaError,
+    NonFiniteEstimateError,
     NotBinaryOutcomeError,
 )
 from .mathutil import norm_quantile
@@ -62,9 +63,7 @@ __all__ = [
     "var_swatt_conservative",
     "confidence_interval",
     "estimate_all",
-    "compute_variance_bundle",
     "SwattConservative",
-    "VarianceBundle",
 ]
 
 
@@ -82,9 +81,10 @@ def _require_mu1(nuis: NuisanceValues) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Kernels on raw arrays. Exposed for direct unit testing of algebraic edge
-# cases (e.g. the all-treated reduction) that the validated Dataset type
-# rejects by construction.
+# Kernels on raw arrays. The brute-force oracle evaluates them with true
+# nuisances and population constants; they are also exposed for direct unit
+# testing of algebraic edge cases (e.g. the all-treated reduction) that the
+# validated Dataset type rejects by construction.
 
 def _psi_terms(y, a, pi, mu0, a_bar):
     return (a - pi) * (y - mu0) / (a_bar * (1.0 - pi))
@@ -107,6 +107,16 @@ def _psi_dot_raw(y, a, pi, mu0, psi_hat, a_bar):
 
 def _tau_y_raw(y, a, pi, mu0, a_bar):
     return (y - mu0) * (1.0 - a) * pi / (a_bar * (1.0 - pi))
+
+
+def _score_components(y, a, pi, mu0, mu1, psi, a_bar):
+    """Per-unit outcome, assignment, covariate and control-residual score terms
+    ``(psi_y, psi_a, psi_x, tau_y)``; ``a`` is the float treatment indicator."""
+    contrast = mu1 - mu0 - psi
+    psi_y = (y - np.where(a == 1, mu1, mu0)) * (a - (1.0 - a) * pi / (1.0 - pi)) / a_bar
+    psi_a = (a - pi) * contrast / a_bar
+    psi_x = pi * contrast / a_bar
+    return psi_y, psi_a, psi_x, _tau_y_raw(y, a, pi, mu0, a_bar)
 
 
 def _var_satt_raw(y, a, pi, mu0, a_bar) -> float:
@@ -140,16 +150,9 @@ def if_components(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> IfC
     """
     _check_lengths(dataset, nuis)
     mu1 = _require_mu1(nuis)
-    y = dataset.y
     a = dataset.a.astype(float)
-    pi, mu0 = nuis.pi_hat, nuis.mu0_hat
-    a_bar = a.mean()
-    mu_own = np.where(dataset.a == 1, mu1, mu0)
-    contrast = mu1 - mu0 - psi_hat
-    psi_y = (y - mu_own) * (a - (1.0 - a) * pi / (1.0 - pi)) / a_bar
-    psi_a = (a - pi) * contrast / a_bar
-    psi_x = pi * contrast / a_bar
-    tau_y = _tau_y_raw(y, a, pi, mu0, a_bar)
+    psi_y, psi_a, psi_x, tau_y = _score_components(
+        dataset.y, a, nuis.pi_hat, nuis.mu0_hat, mu1, psi_hat, a.mean())
     return IfComponents(psi_y=psi_y, psi_a=psi_a, psi_x=psi_x, tau_y=tau_y)
 
 
@@ -220,8 +223,7 @@ def var_fh_binary(dataset: Dataset, nuis: NuisanceValues) -> float:
 class SwattConservative:
     """Conservative swatt variances; differences are floored at zero.
 
-    ``fh`` subtracts Pn(a)^-2 * V_FH; ``fh_pn_inv_variant`` is the alternative
-    Pn(a)^-1 scaling, reported for diagnostics only.
+    ``fh`` subtracts Pn(a)^-2 * V_FH.
     """
 
     simple: float
@@ -229,7 +231,6 @@ class SwattConservative:
     fh: Optional[float] = None
     sigma_floored: bool = False
     fh_floored: bool = False
-    fh_pn_inv_variant: Optional[float] = None
 
     def smallest(self) -> float:
         candidates = [self.simple]
@@ -244,7 +245,7 @@ def var_swatt_conservative(v_actt: float, v_sigma: Optional[float] = None,
                            v_fh: Optional[float] = None,
                            p_n_a: Optional[float] = None) -> SwattConservative:
     """Assemble the conservative swatt variance family from its ingredients."""
-    sigma = fh = fh_alt = None
+    sigma = fh = None
     sigma_floored = fh_floored = False
     if v_sigma is not None:
         raw = v_actt - v_sigma
@@ -256,56 +257,8 @@ def var_swatt_conservative(v_actt: float, v_sigma: Optional[float] = None,
         raw = v_actt - v_fh / p_n_a ** 2
         fh_floored = raw < 0
         fh = max(0.0, raw)
-        fh_alt = max(0.0, v_actt - v_fh / p_n_a)
     return SwattConservative(simple=v_actt, sigma=sigma, fh=fh,
-                             sigma_floored=sigma_floored, fh_floored=fh_floored,
-                             fh_pn_inv_variant=fh_alt)
-
-
-@dataclass(frozen=True)
-class VarianceBundle:
-    """Every variance estimator computed on one dataset."""
-
-    v_patt: float
-    v_actt: float
-    v_catt: float
-    v_matt: float
-    v_satt: float
-    swatt_conservative_simple: float
-    v_sigma_bound: Optional[float] = None
-    v_fh_bound: Optional[float] = None
-    swatt_conservative_sigma: Optional[float] = None
-    swatt_conservative_fh: Optional[float] = None
-
-
-def compute_variance_bundle(dataset: Dataset, nuis: NuisanceValues,
-                            psi_hat: float) -> VarianceBundle:
-    """All applicable variance estimators for one dataset in one pass.
-
-    The sigma and FH pieces are included exactly when the nuisance values and
-    the outcome kind support them.
-    """
-    comp = if_components(dataset, nuis, psi_hat)
-    v_actt_val = var_actt(dataset, nuis, psi_hat, comp)
-    v_sigma = None
-    if nuis.sigma0_hat is not None and nuis.sigma1_hat is not None:
-        v_sigma = var_sigma_bound(dataset, nuis)
-    v_fh = None
-    if dataset.outcome_kind is OutcomeKind.BINARY:
-        v_fh = var_fh_binary(dataset, nuis)
-    cons = var_swatt_conservative(v_actt_val, v_sigma, v_fh, float(dataset.a.mean()))
-    return VarianceBundle(
-        v_patt=var_patt(dataset, nuis, psi_hat),
-        v_actt=v_actt_val,
-        v_catt=var_catt(dataset, nuis, psi_hat, comp),
-        v_matt=var_matt(dataset, nuis),
-        v_satt=var_satt(dataset, nuis),
-        swatt_conservative_simple=cons.simple,
-        v_sigma_bound=v_sigma,
-        v_fh_bound=v_fh,
-        swatt_conservative_sigma=cons.sigma,
-        swatt_conservative_fh=cons.fh,
-    )
+                             sigma_floored=sigma_floored, fh_floored=fh_floored)
 
 
 def confidence_interval(psi_hat: float, variance: float, n: int, level: float):
@@ -367,35 +320,30 @@ def estimate_all(dataset: Dataset, config: Optional[NuisanceConfig] = None,
     }
     for kind in kinds:
         if kind is EstimandKind.SWATT:
-            v_actt_val = var_actt(dataset, nuis, psi, comp)
             v_sigma = None
             if nuis.sigma0_hat is not None and nuis.sigma1_hat is not None:
                 v_sigma = var_sigma_bound(dataset, nuis)
             v_fh = None
             if dataset.outcome_kind is OutcomeKind.BINARY:
                 v_fh = var_fh_binary(dataset, nuis)
-            cons = var_swatt_conservative(v_actt_val, v_sigma, v_fh, a_bar)
+            cons = var_swatt_conservative(var_actt(dataset, nuis, psi, comp), v_sigma, v_fh, a_bar)
             used = cons.smallest()
-            lo, hi = confidence_interval(psi, used, n, ci_level)
-            per_kind[kind] = KindInference(
-                ci_lower=lo, ci_upper=hi,
-                conservative_simple=cons.simple,
-                conservative_sigma=cons.sigma,
-                conservative_fh=cons.fh,
-                variance_used=used,
-            )
+            fields = {"conservative_simple": cons.simple, "conservative_sigma": cons.sigma,
+                      "conservative_fh": cons.fh, "variance_used": used}
+            bounds = {"v_sigma_bound": v_sigma, "v_fh_bound": v_fh}
             diagnostics["swatt_sigma_floored"] = cons.sigma_floored
             diagnostics["swatt_fh_floored"] = cons.fh_floored
-            if cons.fh_pn_inv_variant is not None:
-                diagnostics["swatt_conservative_fh_pn_inv"] = cons.fh_pn_inv_variant
-            if v_sigma is not None:
-                diagnostics["v_sigma_bound"] = v_sigma
-            if v_fh is not None:
-                diagnostics["v_fh_bound"] = v_fh
+            diagnostics.update((k, v) for k, v in bounds.items() if v is not None)
         else:
-            v = plain[kind]()
-            lo, hi = confidence_interval(psi, v, n, ci_level)
-            per_kind[kind] = KindInference(ci_lower=lo, ci_upper=hi, variance=v)
+            used = plain[kind]()
+            fields = {"variance": used}
+            bounds = {}
+        checked = {"psi_hat": psi, **fields, **bounds}
+        bad = [f"{k}={v}" for k, v in checked.items() if v is not None and not np.isfinite(v)]
+        if bad:
+            raise NonFiniteEstimateError(f"{kind.value}: non-finite {', '.join(bad)}")
+        lo, hi = confidence_interval(psi, used, n, ci_level)
+        per_kind[kind] = KindInference(ci_lower=lo, ci_upper=hi, **fields)
 
     return EstimateReport(psi_hat=psi, n=n, p_n_a=a_bar, per_kind=per_kind,
                           ci_level=ci_level, diagnostics=diagnostics)

@@ -22,6 +22,7 @@ from .errors import (
     InsufficientArmDataError,
     IrlsDivergedError,
     MissingOracleError,
+    SingularSystemError,
     ValidationError,
 )
 from .mathutil import bernoulli_loglik, expit
@@ -128,7 +129,10 @@ def _ridge_solve(design: np.ndarray, target: np.ndarray, lam: float) -> np.ndarr
     d = design.shape[1] - 1
     if d > 0:
         gram[np.arange(1, d + 1), np.arange(1, d + 1)] += lam
-    return np.linalg.solve(gram, design.T @ target)
+    try:
+        return np.linalg.solve(gram, design.T @ target)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"singular least-squares system: {exc}") from exc
 
 
 def _fit_linear(x: np.ndarray, target: np.ndarray, lam: float) -> _AffineModel:
@@ -254,9 +258,17 @@ def fit_conditional_sd(dataset: Dataset, arm: int, mean_model: MeanModel,
 
 
 def _fold_blocks(n: int, folds: int, seed: int):
-    """Seeded shuffle, then contiguous blocks with sizes differing by <= 1."""
+    """Seeded shuffle, then contiguous blocks with sizes differing by <= 1.
+
+    Yields ``(block, train)``: the block's row indices and the boolean mask of
+    the rows its models are fitted on, which is every row when there is a
+    single fold and the block's complement otherwise.
+    """
     perm = np.random.default_rng(seed).permutation(n)
-    return np.array_split(perm, folds)
+    for block in np.array_split(perm, folds):
+        train = np.ones(n, dtype=bool)
+        train[block] = folds == 1
+        yield block, train
 
 
 def _residual_diagnostic(y, rows, mu_at_rows) -> bool:
@@ -320,62 +332,40 @@ def compute_nuisances(dataset: Dataset, config: NuisanceConfig,
     y, a, x = dataset.y, dataset.a, dataset.x
 
     if fit_pi or fit_mu or fit_sigma:
-        if config.folds == 1:
+        n_treated = int(a.sum())
+        if config.folds > min(n_treated, n - n_treated):
+            raise FoldTooSmallError(
+                f"{config.folds} folds exceed the smaller arm "
+                f"({n_treated} treated, {n - n_treated} controls)"
+            )
+        if fit_pi:
+            pi = np.empty(n)
+        if fit_mu:
+            mu0 = np.empty(n)
+            mu1 = np.empty(n) if need_mu1 else None
+        if fit_sigma:
+            sd0, sd1 = np.empty(n), np.empty(n)
+        for block, train in _fold_blocks(n, config.folds, config.seed):
+            a_c, y_c, x_c = a[train], y[train], x[train]
+            if a_c.sum() == 0 or a_c.sum() == a_c.size:
+                raise FoldTooSmallError("a fold complement lacks one treatment arm")
+            x_b = x[block]
             if fit_pi:
-                pi = _fit_logistic(a, x, config).predict(x)
-            mu0_fit = _fit_mean_arm(y, a, x, 0, config) if (fit_mu or fit_sigma) else None
+                pi[block] = _fit_logistic(a_c, x_c, config).predict(x_b)
+            mu0_fit = _fit_mean_arm(y_c, a_c, x_c, 0, config) if (fit_mu or fit_sigma) else None
             mu1_fit = None
             if (fit_mu and need_mu1) or fit_sigma:
-                mu1_fit = _fit_mean_arm(y, a, x, 1, config)
+                mu1_fit = _fit_mean_arm(y_c, a_c, x_c, 1, config)
             if fit_mu:
-                mu0 = mu0_fit.predict(x)
-                mu1 = mu1_fit.predict(x) if need_mu1 else None
+                mu0[block] = mu0_fit.predict(x_b)
+                if need_mu1:
+                    mu1[block] = mu1_fit.predict(x_b)
             if fit_sigma:
-                rows0, rows1 = _arm_rows(a, 0), _arm_rows(a, 1)
-                mu0_tr = mu0_fit.predict(x[rows0]) if fit_mu else mu0[rows0]
-                mu1_tr = mu1_fit.predict(x[rows1]) if fit_mu else mu1[rows1]
-                sd0 = _fit_sd_arm(y, a, x, 0, mu0_tr, config).predict(x)
-                sd1 = _fit_sd_arm(y, a, x, 1, mu1_tr, config).predict(x)
-        else:
-            n_treated = int(a.sum())
-            n_control = n - n_treated
-            if config.folds > min(n_treated, n_control):
-                raise FoldTooSmallError(
-                    f"{config.folds} folds exceed the smaller arm "
-                    f"({n_treated} treated, {n_control} controls)"
-                )
-            pi_out = np.empty(n) if fit_pi else None
-            mu0_out = np.empty(n) if fit_mu else None
-            mu1_out = np.empty(n) if (fit_mu and need_mu1) else None
-            sd0_out = np.empty(n) if fit_sigma else None
-            sd1_out = np.empty(n) if fit_sigma else None
-            for block in _fold_blocks(n, config.folds, config.seed):
-                comp = np.setdiff1d(np.arange(n), block)
-                a_c, y_c, x_c = a[comp], y[comp], x[comp]
-                if a_c.sum() == 0 or a_c.sum() == a_c.size:
-                    raise FoldTooSmallError("a fold complement lacks one treatment arm")
-                if fit_pi:
-                    pi_out[block] = _fit_logistic(a_c, x_c, config).predict(x[block])
-                mu0_fit = _fit_mean_arm(y_c, a_c, x_c, 0, config) if (fit_mu or fit_sigma) else None
-                mu1_fit = None
-                if (fit_mu and need_mu1) or fit_sigma:
-                    mu1_fit = _fit_mean_arm(y_c, a_c, x_c, 1, config)
-                if fit_mu:
-                    mu0_out[block] = mu0_fit.predict(x[block])
-                    if need_mu1:
-                        mu1_out[block] = mu1_fit.predict(x[block])
-                if fit_sigma:
-                    r0, r1 = _arm_rows(a_c, 0), _arm_rows(a_c, 1)
-                    m0 = mu0_fit.predict(x_c[r0]) if fit_mu else mu0[comp][r0]
-                    m1 = mu1_fit.predict(x_c[r1]) if fit_mu else mu1[comp][r1]
-                    sd0_out[block] = _fit_sd_arm(y_c, a_c, x_c, 0, m0, config).predict(x[block])
-                    sd1_out[block] = _fit_sd_arm(y_c, a_c, x_c, 1, m1, config).predict(x[block])
-            if fit_pi:
-                pi = pi_out
-            if fit_mu:
-                mu0, mu1 = mu0_out, mu1_out
-            if fit_sigma:
-                sd0, sd1 = sd0_out, sd1_out
+                r0, r1 = _arm_rows(a_c, 0), _arm_rows(a_c, 1)
+                m0 = mu0_fit.predict(x_c[r0]) if fit_mu else mu0[train][r0]
+                m1 = mu1_fit.predict(x_c[r1]) if fit_mu else mu1[train][r1]
+                sd0[block] = _fit_sd_arm(y_c, a_c, x_c, 0, m0, config).predict(x_b)
+                sd1[block] = _fit_sd_arm(y_c, a_c, x_c, 1, m1, config).predict(x_b)
 
     if fit_mu:
         _residual_diagnostic(y, _arm_rows(a, 0), mu0[_arm_rows(a, 0)])

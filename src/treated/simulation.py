@@ -25,7 +25,7 @@ import numpy as np
 
 from .data_model import Dataset, EstimandKind, NuisanceValues, OutcomeKind, KIND_ORDER
 from .errors import DegenerateTreatmentError, TreatedError, ValidationError
-from .estimator import estimate_all
+from .estimator import _score_components, _var_fh_raw, _var_sigma_bound_raw, estimate_all
 from .mathutil import expit
 from .nuisance import NuisanceConfig, OutcomeMethod, PropensityMethod, SdMethod
 
@@ -288,8 +288,10 @@ def fh_sharpness_oracle(p: float, q: float, grid: int = 4001) -> float:
 # Brute-force oracles for the population constants and asymptotic variances.
 
 def _batch_sizes(draws: int, batch_size: int):
+    """Batch lengths covering ``draws``; at least 16 batches when draws allow."""
     if draws < 1:
         raise ValidationError("draws must be >= 1")
+    batch_size = min(batch_size, max(1, draws // 16))
     sizes = [batch_size] * (draws // batch_size)
     if draws % batch_size:
         sizes.append(draws % batch_size)
@@ -312,25 +314,40 @@ def _child_seed(seed, *tail):
     return base + [int(t) for t in tail]
 
 
-def psi_patt_true(spec: DgpSpec, draws: int = 10_000_000, seed=0,
-                  batch_size: int = 1_000_000) -> McValue:
-    """Brute-force Monte Carlo of E[pi (mu1 - mu0)] / E[pi] over x draws."""
-    batch_size = min(batch_size, max(1, draws // 16))
+class _XConstants(NamedTuple):
+    p_a: float  # E[pi]
+    psi: McValue  # E[pi (mu1 - mu0)] / E[pi]
+    tau: McValue  # E[pi mu0] / E[pi]
+
+
+def _x_constants(spec: DgpSpec, draws: int, seed, batch_size: int) -> _XConstants:
+    """Population constants from x-only draws, with batch-means errors."""
     rng = np.random.default_rng(_child_seed(seed, 1))
-    sum_num = 0.0
-    sum_den = 0.0
-    batch_vals = []
+    s_pi = s_pidelta = s_pimu0 = 0.0
+    psi_batches, tau_batches = [], []
     for m in _batch_sizes(draws, batch_size):
         x = _draw_x(spec, m, rng)
         pi = spec.propensity(x)
-        num = float((pi * (spec.mu(1, x) - spec.mu(0, x))).sum())
-        den = float(pi.sum())
-        sum_num += num
-        sum_den += den
-        batch_vals.append(num / den)
-    value = sum_num / sum_den
-    se = _mc_value(batch_vals).se if len(batch_vals) > 1 else float("nan")
-    return McValue(float(value), se)
+        mu0 = spec.mu(0, x)
+        b_pi = float(pi.sum())
+        b_pidelta = float((pi * (spec.mu(1, x) - mu0)).sum())
+        b_pimu0 = float((pi * mu0).sum())
+        s_pi += b_pi
+        s_pidelta += b_pidelta
+        s_pimu0 += b_pimu0
+        psi_batches.append(b_pidelta / b_pi)
+        tau_batches.append(b_pimu0 / b_pi)
+    return _XConstants(
+        p_a=s_pi / draws,
+        psi=McValue(s_pidelta / s_pi, _mc_value(psi_batches).se),
+        tau=McValue(s_pimu0 / s_pi, _mc_value(tau_batches).se),
+    )
+
+
+def psi_patt_true(spec: DgpSpec, draws: int = 10_000_000, seed=0,
+                  batch_size: int = 1_000_000) -> McValue:
+    """Brute-force Monte Carlo of E[pi (mu1 - mu0)] / E[pi] over x draws."""
+    return _x_constants(spec, draws, seed, batch_size).psi
 
 
 @dataclass(frozen=True)
@@ -376,24 +393,8 @@ def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
     conditional-variance terms, and aggregates per batch; values are batch
     means and the attached standard errors are batch-means errors.
     """
-    batch_size = min(batch_size, max(1, draws // 16))
-    # Pass 1: constants from x-only draws.
-    rng1 = np.random.default_rng(_child_seed(seed, 1))
-    s_pi = s_pidelta = s_pimu0 = 0.0
-    total = 0
-    psi_batches = []
-    for m in _batch_sizes(draws, batch_size):
-        x = _draw_x(spec, m, rng1)
-        pi = spec.propensity(x)
-        pidelta = pi * (spec.mu(1, x) - spec.mu(0, x))
-        s_pi += float(pi.sum())
-        s_pidelta += float(pidelta.sum())
-        s_pimu0 += float((pi * spec.mu(0, x)).sum())
-        total += m
-        psi_batches.append(float(pidelta.sum() / pi.sum()))
-    p_a = s_pi / total
-    psi = s_pidelta / s_pi
-    tau = s_pimu0 / s_pi
+    consts = _x_constants(spec, draws, seed, batch_size)
+    p_a, psi = consts.p_a, consts.psi.value
 
     # Pass 2: joint draws, per-batch functionals.
     rng2 = np.random.default_rng(_child_seed(seed, 2))
@@ -407,16 +408,9 @@ def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
         y0, y1 = _draw_potentials(spec, x, rng2)
         y = np.where(a == 1.0, y1, y0)
         mu0, mu1 = spec.mu(0, x), spec.mu(1, x)
-        sd0, sd1 = spec.sigma(0, x), spec.sigma(1, x)
-        delta = mu1 - mu0
-        contrast = delta - psi
-        resid0 = y - mu0
-        psi_y = (y - np.where(a == 1.0, mu1, mu0)) * (a - (1.0 - a) * pi / (1.0 - pi)) / p_a
-        psi_a = (a - pi) * contrast / p_a
-        psi_x = pi * contrast / p_a
-        tau_y = resid0 * (1.0 - a) * pi / (p_a * (1.0 - pi))
-        swatt_sub = (pi ** 2 * (y1 - y0 - delta) ** 2) / p_a ** 2
-        satt_add = (pi * (1.0 - a) / (1.0 - pi) * resid0 ** 2) / p_a ** 2
+        psi_y, psi_a, psi_x, tau_y = _score_components(y, a, pi, mu0, mu1, psi, p_a)
+        swatt_sub = (pi ** 2 * (y1 - y0 - (mu1 - mu0)) ** 2) / p_a ** 2
+        satt_add = (pi * (1.0 - a) / (1.0 - pi) * (y - mu0) ** 2) / p_a ** 2
         batches["patt"].append(np.var(psi_y + psi_a + psi_x))
         v_actt = np.var(psi_y + psi_a)
         batches["actt"].append(v_actt)
@@ -425,9 +419,9 @@ def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
         batches["matt"].append(v_matt)
         batches["satt"].append(v_matt + satt_add.mean())
         batches["swatt"].append(v_actt - swatt_sub.mean())
-        batches["sigma"].append(np.mean(pi ** 2 * (sd1 - sd0) ** 2) / p_a ** 2)
+        batches["sigma"].append(_var_sigma_bound_raw(pi, spec.sigma(0, x), spec.sigma(1, x), p_a))
         if binary:
-            batches["fh"].append(np.mean(pi ** 2 * (np.abs(delta) - delta ** 2)))
+            batches["fh"].append(_var_fh_raw(pi, mu0, mu1))
 
     return OracleVariances(
         patt=_mc_value(batches["patt"]),
@@ -438,8 +432,8 @@ def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
         matt=_mc_value(batches["matt"]),
         sigma_bound=_mc_value(batches["sigma"]),
         fh_bound=_mc_value(batches["fh"]) if binary else None,
-        psi_patt=McValue(psi, _mc_value(psi_batches).se),
-        tau=tau,
+        psi_patt=consts.psi,
+        tau=consts.tau.value,
         p_a=p_a,
         draws=draws,
     )
@@ -456,19 +450,8 @@ class TauStudy:
 def psi_tau_true_and_var(spec: DgpSpec, draws: int = 2_000_000, seed=0,
                          batch_size: int = 500_000) -> TauStudy:
     """Monte Carlo of tau = E[pi mu0]/E[pi] and the variance of its score."""
-    batch_size = min(batch_size, max(1, draws // 16))
-    rng1 = np.random.default_rng(_child_seed(seed, 1))
-    s_pi = s_pimu0 = 0.0
-    tau_batches = []
-    for m in _batch_sizes(draws, batch_size):
-        x = _draw_x(spec, m, rng1)
-        pi = spec.propensity(x)
-        pimu0 = pi * spec.mu(0, x)
-        s_pi += float(pi.sum())
-        s_pimu0 += float(pimu0.sum())
-        tau_batches.append(float(pimu0.sum() / pi.sum()))
-    tau = s_pimu0 / s_pi
-    p_a = s_pi / draws
+    consts = _x_constants(spec, draws, seed, batch_size)
+    tau, p_a = consts.tau.value, consts.p_a
 
     rng2 = np.random.default_rng(_child_seed(seed, 2))
     var_batches = []
@@ -483,8 +466,7 @@ def psi_tau_true_and_var(spec: DgpSpec, draws: int = 2_000_000, seed=0,
         tau_dot = ((y - mu0) * (1.0 - a) * pi / (1.0 - pi)
                    + (a - pi) * centered + pi * centered) / p_a
         var_batches.append(np.var(tau_dot))
-    tau_mc = McValue(float(tau), _mc_value(tau_batches).se)
-    return TauStudy(tau=tau_mc, var_tau_dot=_mc_value(var_batches))
+    return TauStudy(tau=consts.tau, var_tau_dot=_mc_value(var_batches))
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,25 @@ def test_estimate_numeric_error_exit3(tmp_path, capsys, monkeypatch):
     assert payload["error_code"] == "IrlsDiverged"
 
 
+@pytest.mark.parametrize("estimands", ["patt", "matt", "all"])
+def test_estimate_overflowing_scores_exit3(tmp_path, capsys, estimands):
+    # Finite outcomes near 1e200 overflow every squared score to inf/nan;
+    # that is a numeric failure, never a success report with nulls.
+    rng = np.random.default_rng(1)
+    n = 400
+    x = rng.standard_normal(n)
+    a = (rng.random(n) < 0.5).astype(int)
+    y = (1 + x + a + rng.standard_normal(n)) * 1e200
+    rows = "\n".join(f"{float(y[i])!r},{a[i]},{float(x[i])!r}" for i in range(n))
+    csv_path = _write(tmp_path, "huge.csv", "y,a,x1\n" + rows + "\n")
+    with np.errstate(all="ignore"):
+        code = main(["estimate", "--input", csv_path, "--estimands", estimands])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err.strip().splitlines()[-1])["error_code"] == "NonFiniteEstimate"
+
+
 def test_estimate_estimand_subset(tmp_path, capsys):
     csv_path = _write(tmp_path, "data.csv", WORKED_CSV)
     assert main(["estimate", "--input", csv_path, "--estimands", "patt,matt"]) == 0

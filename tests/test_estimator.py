@@ -19,7 +19,6 @@ from treated import (
     OutcomeMethod,
     PropensityMethod,
     SdMethod,
-    compute_variance_bundle,
     confidence_interval,
     estimate_all,
     estimate_psi_hat,
@@ -251,7 +250,6 @@ def test_var_swatt_conservative_combinations():
     assert cons.simple == 2.0
     assert cons.sigma == pytest.approx(1.5, rel=1e-12)
     assert cons.fh == pytest.approx(2.0 - 0.3 / 0.25, rel=1e-12)
-    assert cons.fh_pn_inv_variant == pytest.approx(2.0 - 0.3 / 0.5, rel=1e-12)
     assert not cons.sigma_floored and not cons.fh_floored
     assert cons.smallest() == pytest.approx(0.8, rel=1e-12)
     # sigma bound of zero: conservative sigma equals simple
@@ -353,15 +351,20 @@ def test_translation_invariance(seed, shift):
 def test_variance_nonnegativity(seed, binary):
     ds, nu = random_dataset_with_nuisances(seed, binary=binary)
     psi = estimate_psi_hat(ds, nu)
-    bundle = compute_variance_bundle(ds, nu, psi)
-    for name in ("v_patt", "v_actt", "v_catt", "v_matt", "v_satt",
-                 "swatt_conservative_simple", "v_sigma_bound",
-                 "swatt_conservative_sigma"):
-        value = getattr(bundle, name)
-        assert value is not None and value >= 0.0, name
+    v_actt = var_actt(ds, nu, psi)
+    v_sigma = var_sigma_bound(ds, nu)
+    v_fh = var_fh_binary(ds, nu) if binary else None
+    cons = var_swatt_conservative(v_actt, v_sigma, v_fh, float(ds.a.mean()))
+    values = {
+        "v_patt": var_patt(ds, nu, psi), "v_actt": v_actt,
+        "v_catt": var_catt(ds, nu, psi), "v_matt": var_matt(ds, nu),
+        "v_satt": var_satt(ds, nu), "v_sigma_bound": v_sigma,
+        "swatt_conservative_simple": cons.simple, "swatt_conservative_sigma": cons.sigma,
+    }
     if binary:
-        assert bundle.v_fh_bound >= 0.0
-        assert bundle.swatt_conservative_fh >= 0.0
+        values.update(v_fh_bound=v_fh, swatt_conservative_fh=cons.fh)
+    for name, value in values.items():
+        assert value is not None and value >= 0.0, name
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +425,8 @@ def test_estimate_all_binary_reports_fh():
     report = estimate_all(ds)
     sw = report.per_kind[EstimandKind.SWATT]
     assert sw.conservative_fh is not None
-    assert "swatt_conservative_fh_pn_inv" in report.diagnostics
+    assert report.diagnostics["v_fh_bound"] >= 0.0
+    assert "swatt_conservative_fh_pn_inv" not in report.diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +436,10 @@ def test_estimate_all_binary_reports_fh():
 @pytest.fixture(scope="module")
 def big_run(std_oracle):
     pd = generate(STD_SPEC, 20_000, seed=111)
-    psi = estimate_psi_hat(pd.dataset, pd.true_nuisances)
-    bundle = compute_variance_bundle(pd.dataset, pd.true_nuisances, psi)
-    return bundle, std_oracle
+    report = estimate_all(pd.dataset, ORACLE_CONFIG, oracle=pd.true_nuisances)
+    estimates = {f"v_{kind.value}": inf.variance for kind, inf in report.per_kind.items()}
+    estimates["v_sigma_bound"] = report.diagnostics["v_sigma_bound"]
+    return estimates, std_oracle
 
 
 @pytest.mark.parametrize("attr,kind", [
@@ -445,14 +450,14 @@ def big_run(std_oracle):
     ("v_satt", "satt"),
 ])
 def test_variance_estimators_consistent(big_run, attr, kind):
-    bundle, oracle = big_run
+    estimates, oracle = big_run
     true_value = getattr(oracle, kind).value
-    assert getattr(bundle, attr) == pytest.approx(true_value, rel=0.02)
+    assert estimates[attr] == pytest.approx(true_value, rel=0.02)
 
 
 def test_sigma_bound_consistent(big_run):
-    bundle, oracle = big_run
-    assert bundle.v_sigma_bound == pytest.approx(oracle.sigma_bound.value, rel=0.02)
+    estimates, oracle = big_run
+    assert estimates["v_sigma_bound"] == pytest.approx(oracle.sigma_bound.value, rel=0.02)
 
 
 def test_orthogonality_of_components_at_truth(std_oracle):

@@ -13,7 +13,9 @@ from treated import (
     OutcomeMethod,
     PropensityMethod,
     SdMethod,
+    SingularSystemError,
     compute_nuisances,
+    estimate_all,
     fit_conditional_sd,
     fit_outcome_mean,
     fit_propensity,
@@ -256,6 +258,15 @@ def test_fold_too_small():
     ds = Dataset(y=np.arange(8.0), a=[1, 1, 1, 0, 0, 0, 0, 0], x=np.empty((8, 0)))
     with pytest.raises(FoldTooSmallError):
         compute_nuisances(ds, NuisanceConfig(folds=5))
+
+
+def test_singular_least_squares_is_a_numeric_error():
+    # Without the ridge term a duplicated covariate makes the normal
+    # equations exactly singular; numpy's LinAlgError must not escape.
+    base = _dataset(n=80, d=1, seed=5)
+    ds = Dataset(y=base.y, a=base.a, x=np.column_stack([base.x, base.x]))
+    with pytest.raises(SingularSystemError):
+        estimate_all(ds, NuisanceConfig(ridge_lambda=0.0))
 
 
 def test_clipping_invariant_fitted():
