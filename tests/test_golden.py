@@ -16,6 +16,8 @@ from treated.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CONTINUOUS_CSV = str(GOLDEN / "continuous.csv")
 BINARY_CSV = str(GOLDEN / "binary.csv")
+ORACLE_CSV = str(GOLDEN / "oracle_columns.csv")
+PI_MU0_CSV = str(GOLDEN / "oracle_pi_mu0.csv")
 CONTINUOUS_SPEC = str(GOLDEN / "continuous_spec.json")
 BINARY_SPEC = str(GOLDEN / "binary_spec.json")
 
@@ -24,6 +26,11 @@ CASES = {
     "estimate_continuous_folds5": ["estimate", "--input", CONTINUOUS_CSV,
                                    "--folds", "5", "--seed", "7"],
     "estimate_binary": ["estimate", "--input", BINARY_CSV, "--binary-outcome"],
+    "estimate_oracle_columns": ["estimate", "--input", ORACLE_CSV],
+    "estimate_oracle_columns_fitted": ["estimate", "--input", ORACLE_CSV,
+                                       "--nuisance", "fitted"],
+    "estimate_oracle_pi_mu0": ["estimate", "--input", PI_MU0_CSV,
+                               "--estimands", "patt,satt,matt"],
     "simulate_oracle": ["simulate", "--spec", CONTINUOUS_SPEC, "--n", "400",
                         "--reps", "20", "--seed", "5", "--oracle-nuisances",
                         "--patt-draws", "40000"],
