@@ -53,9 +53,6 @@ from .estimator import (
 )
 from .nuisance import (
     NuisanceConfig,
-    OutcomeMethod,
-    PropensityMethod,
-    SdMethod,
     compute_nuisances,
     fit_conditional_sd,
     fit_outcome_mean,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data_model import Dataset, EstimandKind, EstimateReport, NuisanceValues, OutcomeKind, KIND_ORDER
 from .errors import NumericError, TreatedError, ValidationError
-from .nuisance import NuisanceConfig, OutcomeMethod, PropensityMethod, SdMethod
+from .nuisance import NuisanceConfig
 from .estimator import estimate_all
 from .simulation import (
     DgpSpec,
@@ -318,27 +318,11 @@ def cmd_estimate(args) -> int:
     dataset, oracle_cols = read_csv_dataset(args.input, outcome_kind)
     estimands = _parse_estimands(args.estimands)
     oracle = None
-    if args.nuisance == "fitted":
-        methods = dict(propensity_method=PropensityMethod.LOGISTIC_IRLS,
-                       outcome_method=OutcomeMethod.LEAST_SQUARES,
-                       sd_method=SdMethod.SQUARED_RESIDUAL_REGRESSION)
-    else:
-        if args.nuisance == "auto" and not oracle_cols:
-            methods = dict(propensity_method=PropensityMethod.LOGISTIC_IRLS,
-                           outcome_method=OutcomeMethod.LEAST_SQUARES,
-                           sd_method=SdMethod.SQUARED_RESIDUAL_REGRESSION)
-        else:
-            oracle = _oracle_values(dataset, oracle_cols, args.clip_eps)
-            if oracle is None:
-                raise ValidationError(
-                    "--nuisance oracle requires 'pi' and 'mu0' CSV columns"
-                )
-            has_sigma = oracle.sigma0_hat is not None
-            methods = dict(propensity_method=PropensityMethod.ORACLE,
-                           outcome_method=OutcomeMethod.ORACLE,
-                           sd_method=SdMethod.ORACLE if has_sigma else SdMethod.SKIP)
-    config = NuisanceConfig(folds=args.folds, clip_eps=args.clip_eps,
-                            seed=args.seed, **methods)
+    if args.nuisance == "oracle" or (args.nuisance == "auto" and oracle_cols):
+        oracle = _oracle_values(dataset, oracle_cols, args.clip_eps)
+        if oracle is None:
+            raise ValidationError("--nuisance oracle requires 'pi' and 'mu0' CSV columns")
+    config = NuisanceConfig(folds=args.folds, clip_eps=args.clip_eps, seed=args.seed)
     report = estimate_all(dataset, config, oracle=oracle,
                           estimands=estimands, ci_level=args.ci_level)
     _write_output(dumps_canonical(report_to_dict(report)), args.output)

@@ -181,8 +181,10 @@ class NuisanceValues:
                     raise LengthMismatchError(f"{name} has length {v.shape[0]}, expected {n}")
         if mu0.shape[0] != n:
             raise LengthMismatchError(f"mu0_hat has length {mu0.shape[0]}, expected {n}")
-        if not np.isfinite(pi).all() or not np.isfinite(mu0).all():
-            raise NonFiniteError("nuisance values must be finite")
+        for name in ("pi_hat", "mu0_hat", "mu1_hat", "sigma0_hat", "sigma1_hat"):
+            v = getattr(self, name)
+            if v is not None and not np.isfinite(v).all():
+                raise NonFiniteError(f"{name} must be finite")
         lo, hi = self.clip_eps, 1.0 - self.clip_eps
         if pi.size and (pi.min() < lo or pi.max() > hi):
             raise ValidationError(

@@ -43,7 +43,7 @@ class MissingSigmaError(ValidationError):
 
 
 class MissingOracleError(ValidationError):
-    """A nuisance family is configured as oracle-supplied but no values were given."""
+    """Oracle nuisance values lack a vector the requested estimands need."""
 
 
 class InsufficientArmDataError(ValidationError):
@@ -67,4 +67,4 @@ class SingularSystemError(NumericError):
 
 
 class NonFiniteEstimateError(NumericError):
-    """The point estimate or a variance came out NaN or infinite."""
+    """A fitted nuisance, the point estimate or a variance came out NaN or infinite."""

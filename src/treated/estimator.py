@@ -48,7 +48,7 @@ from .errors import (
     NotBinaryOutcomeError,
 )
 from .mathutil import norm_quantile
-from .nuisance import NuisanceConfig, SdMethod, compute_nuisances
+from .nuisance import NuisanceConfig, compute_nuisances
 
 __all__ = [
     "estimate_psi_hat",
@@ -273,15 +273,25 @@ def confidence_interval(psi_hat: float, variance: float, n: int, level: float):
 _MU1_KINDS = frozenset({EstimandKind.ACTT, EstimandKind.CATT, EstimandKind.SWATT})
 
 
+def _nuisance_method(oracle: Optional[NuisanceValues]) -> str:
+    """Report label of where the nuisances came from."""
+    if oracle is None:
+        return "propensity=logistic_irls,outcome=least_squares,sd=squared_residual_regression"
+    has_sigma = oracle.sigma0_hat is not None and oracle.sigma1_hat is not None
+    return f"propensity=oracle,outcome=oracle,sd={'oracle' if has_sigma else 'skip'}"
+
+
 def estimate_all(dataset: Dataset, config: Optional[NuisanceConfig] = None,
                  oracle: Optional[NuisanceValues] = None,
                  estimands=None, ci_level: float = 0.95) -> EstimateReport:
     """Run nuisance estimation, the point estimate, and per-kind inference.
 
-    ``estimands`` restricts the report (default: all six). mu1 is fitted only
-    when a requesting kind is present; conditional sds only when swatt is
-    requested and the config does not skip them. The swatt interval uses the
-    smallest available conservative variance.
+    ``oracle`` supplies known nuisances in place of fitted ones (see
+    ``compute_nuisances``). ``estimands`` restricts the report (default: all
+    six). mu1 is needed only when a requesting kind is present; conditional
+    sds only when swatt is requested, and oracle values without sds skip the
+    sigma variant. The swatt interval uses the smallest available
+    conservative variance.
     """
     if config is None:
         config = NuisanceConfig()
@@ -291,7 +301,7 @@ def estimate_all(dataset: Dataset, config: Optional[NuisanceConfig] = None,
     if not kinds:
         raise ValueError("no estimands requested")
     need_mu1 = any(k in _MU1_KINDS for k in kinds)
-    need_sigma = EstimandKind.SWATT in kinds and config.sd_method is not SdMethod.SKIP
+    need_sigma = EstimandKind.SWATT in kinds
 
     nuis = compute_nuisances(dataset, config, oracle=oracle,
                              need_mu1=need_mu1, need_sigma=need_sigma)
@@ -302,10 +312,7 @@ def estimate_all(dataset: Dataset, config: Optional[NuisanceConfig] = None,
 
     per_kind: dict = {}
     diagnostics: dict = {
-        "nuisance_method": (
-            f"propensity={config.propensity_method.value},"
-            f"outcome={config.outcome_method.value},sd={config.sd_method.value}"
-        ),
+        "nuisance_method": _nuisance_method(oracle),
         "folds": config.folds,
         "clip_eps": config.clip_eps,
         "seed": config.seed,

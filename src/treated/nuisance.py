@@ -9,39 +9,28 @@ degrade gracefully instead of erroring. Fitting is a pure function of
 
 from __future__ import annotations
 
-import enum
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .data_model import Dataset, NuisanceValues
+from .data_model import Dataset, NuisanceValues, OutcomeKind
 from .errors import (
     FoldTooSmallError,
     InsufficientArmDataError,
     IrlsDivergedError,
     MissingOracleError,
+    NonFiniteEstimateError,
     SingularSystemError,
     ValidationError,
 )
 from .mathutil import bernoulli_loglik, expit
 
-
-class PropensityMethod(enum.Enum):
-    LOGISTIC_IRLS = "logistic_irls"
-    ORACLE = "oracle"
-
-
-class OutcomeMethod(enum.Enum):
-    LEAST_SQUARES = "least_squares"
-    ORACLE = "oracle"
-
-
-class SdMethod(enum.Enum):
-    SQUARED_RESIDUAL_REGRESSION = "squared_residual_regression"
-    ORACLE = "oracle"
-    SKIP = "skip"
+# IRLS stopping rule: at most this many Newton steps; stop early once the
+# step or the log-likelihood gain falls below this relative tolerance.
+_MAX_IRLS_ITER = 100
+_IRLS_RTOL = 1e-8
 
 
 class HeavyResidualWarning(UserWarning):
@@ -50,13 +39,10 @@ class HeavyResidualWarning(UserWarning):
 
 @dataclass(frozen=True)
 class NuisanceConfig:
-    propensity_method: PropensityMethod = PropensityMethod.LOGISTIC_IRLS
-    outcome_method: OutcomeMethod = OutcomeMethod.LEAST_SQUARES
-    sd_method: SdMethod = SdMethod.SQUARED_RESIDUAL_REGRESSION
+    """Settings of the fitted nuisances; oracle values only use ``clip_eps``."""
+
     folds: int = 1
     clip_eps: float = 0.01
-    irls_max_iter: int = 100
-    irls_tol: float = 1e-8
     ridge_lambda: float = 1e-8
     seed: int = 0
 
@@ -162,7 +148,7 @@ def _fit_logistic(a: np.ndarray, x: np.ndarray, config: NuisanceConfig) -> Prope
     ll = penalized_ll(beta)
     trace = [ll]
     converged = False
-    for _ in range(config.irls_max_iter):
+    for _ in range(_MAX_IRLS_ITER):
         eta = design @ beta
         p = expit(eta)
         w = p * (1.0 - p)
@@ -198,15 +184,15 @@ def _fit_logistic(a: np.ndarray, x: np.ndarray, config: NuisanceConfig) -> Prope
         trace.append(new_ll)
         gain = new_ll - ll
         ll = new_ll
-        if (step * np.abs(delta)).max() <= config.irls_tol * (1.0 + np.abs(beta).max()):
+        if (step * np.abs(delta)).max() <= _IRLS_RTOL * (1.0 + np.abs(beta).max()):
             converged = True
             break
-        if gain <= config.irls_tol * (1.0 + abs(ll)):
+        if gain <= _IRLS_RTOL * (1.0 + abs(ll)):
             converged = True
             break
     if not converged:
         raise IrlsDivergedError(
-            f"IRLS did not converge in {config.irls_max_iter} iterations"
+            f"IRLS did not converge in {_MAX_IRLS_ITER} iterations"
         )
     return PropensityModel(_AffineModel(mean, scale, beta), config.clip_eps, tuple(trace))
 
@@ -291,92 +277,70 @@ def _residual_diagnostic(y, rows, mu_at_rows) -> bool:
 def compute_nuisances(dataset: Dataset, config: NuisanceConfig,
                       oracle: Optional[NuisanceValues] = None,
                       need_mu1: bool = True,
-                      need_sigma: Optional[bool] = None) -> NuisanceValues:
-    """Produce per-unit NuisanceValues, in-sample (folds=1) or cross-fitted.
+                      need_sigma: bool = True) -> NuisanceValues:
+    """Produce per-unit NuisanceValues: known (``oracle``) or fitted.
 
-    With K >= 2 folds the indices are partitioned by a seeded shuffle and each
-    unit's predictions come from models fitted on its fold's complement, so a
-    fold's predictions depend only on rows outside that fold (plus its own
-    covariates). Oracle vectors pass through unchanged except for pi clipping.
+    Oracle values pass through unchanged except for pi clipping to
+    ``config.clip_eps``; their sds are used when present. Without an oracle
+    every nuisance is fitted, in-sample (folds=1) or cross-fitted: with K >= 2
+    folds the indices are partitioned by a seeded shuffle and each unit's
+    predictions come from models fitted on its fold's complement, so a fold's
+    predictions depend only on rows outside that fold (plus its own
+    covariates).
     """
     n = dataset.n
-    if need_sigma is None:
-        need_sigma = config.sd_method is not SdMethod.SKIP
-
-    use_oracle_pi = config.propensity_method is PropensityMethod.ORACLE
-    use_oracle_mu = config.outcome_method is OutcomeMethod.ORACLE
-    use_oracle_sd = config.sd_method is SdMethod.ORACLE
-    fit_sigma = need_sigma and config.sd_method is SdMethod.SQUARED_RESIDUAL_REGRESSION
-
-    if use_oracle_pi or use_oracle_mu or use_oracle_sd:
-        if oracle is None:
-            raise MissingOracleError("oracle nuisance values required but not supplied")
+    eps = config.clip_eps
+    if oracle is not None:
         if oracle.n != n:
             raise ValidationError(f"oracle has {oracle.n} rows, dataset has {n}")
-
-    pi = mu0 = mu1 = sd0 = sd1 = None
-    if use_oracle_pi:
-        pi = np.clip(oracle.pi_hat, config.clip_eps, 1.0 - config.clip_eps)
-    if use_oracle_mu:
-        mu0 = oracle.mu0_hat
-        mu1 = oracle.mu1_hat
-        if need_mu1 and mu1 is None:
+        if need_mu1 and oracle.mu1_hat is None:
             raise MissingOracleError("oracle mu1_hat required but not supplied")
-    if use_oracle_sd and need_sigma:
-        if oracle.sigma0_hat is None or oracle.sigma1_hat is None:
-            raise MissingOracleError("oracle sigma values required but not supplied")
-        sd0, sd1 = oracle.sigma0_hat, oracle.sigma1_hat
+        use_sigma = (need_sigma and oracle.sigma0_hat is not None
+                     and oracle.sigma1_hat is not None)
+        return NuisanceValues(
+            pi_hat=np.clip(oracle.pi_hat, eps, 1.0 - eps),
+            mu0_hat=oracle.mu0_hat,
+            mu1_hat=oracle.mu1_hat,
+            sigma0_hat=oracle.sigma0_hat if use_sigma else None,
+            sigma1_hat=oracle.sigma1_hat if use_sigma else None,
+            clip_eps=eps,
+        )
 
-    fit_pi = not use_oracle_pi
-    fit_mu = not use_oracle_mu
     y, a, x = dataset.y, dataset.a, dataset.x
+    n_treated = int(a.sum())
+    if config.folds > min(n_treated, n - n_treated):
+        raise FoldTooSmallError(
+            f"{config.folds} folds exceed the smaller arm "
+            f"({n_treated} treated, {n - n_treated} controls)"
+        )
+    fitted = {"pi_hat": np.empty(n), "mu0_hat": np.empty(n)}
+    if need_mu1:
+        fitted["mu1_hat"] = np.empty(n)
+    if need_sigma:
+        fitted["sigma0_hat"], fitted["sigma1_hat"] = np.empty(n), np.empty(n)
+    for block, train in _fold_blocks(n, config.folds, config.seed):
+        a_c, y_c, x_c = a[train], y[train], x[train]
+        if a_c.sum() == 0 or a_c.sum() == a_c.size:
+            raise FoldTooSmallError("a fold complement lacks one treatment arm")
+        x_b = x[block]
+        fitted["pi_hat"][block] = _fit_logistic(a_c, x_c, config).predict(x_b)
+        mean_fits = [_fit_mean_arm(y_c, a_c, x_c, arm, config)
+                     for arm in ((0, 1) if need_mu1 or need_sigma else (0,))]
+        fitted["mu0_hat"][block] = mean_fits[0].predict(x_b)
+        if need_mu1:
+            fitted["mu1_hat"][block] = mean_fits[1].predict(x_b)
+        if need_sigma:
+            for arm, mean_fit in enumerate(mean_fits):
+                mu_c = mean_fit.predict(x_c[_arm_rows(a_c, arm)])
+                sd_fit = _fit_sd_arm(y_c, a_c, x_c, arm, mu_c, config)
+                fitted[f"sigma{arm}_hat"][block] = sd_fit.predict(x_b)
 
-    if fit_pi or fit_mu or fit_sigma:
-        n_treated = int(a.sum())
-        if config.folds > min(n_treated, n - n_treated):
-            raise FoldTooSmallError(
-                f"{config.folds} folds exceed the smaller arm "
-                f"({n_treated} treated, {n - n_treated} controls)"
-            )
-        if fit_pi:
-            pi = np.empty(n)
-        if fit_mu:
-            mu0 = np.empty(n)
-            mu1 = np.empty(n) if need_mu1 else None
-        if fit_sigma:
-            sd0, sd1 = np.empty(n), np.empty(n)
-        for block, train in _fold_blocks(n, config.folds, config.seed):
-            a_c, y_c, x_c = a[train], y[train], x[train]
-            if a_c.sum() == 0 or a_c.sum() == a_c.size:
-                raise FoldTooSmallError("a fold complement lacks one treatment arm")
-            x_b = x[block]
-            if fit_pi:
-                pi[block] = _fit_logistic(a_c, x_c, config).predict(x_b)
-            mu0_fit = _fit_mean_arm(y_c, a_c, x_c, 0, config) if (fit_mu or fit_sigma) else None
-            mu1_fit = None
-            if (fit_mu and need_mu1) or fit_sigma:
-                mu1_fit = _fit_mean_arm(y_c, a_c, x_c, 1, config)
-            if fit_mu:
-                mu0[block] = mu0_fit.predict(x_b)
-                if need_mu1:
-                    mu1[block] = mu1_fit.predict(x_b)
-            if fit_sigma:
-                r0, r1 = _arm_rows(a_c, 0), _arm_rows(a_c, 1)
-                m0 = mu0_fit.predict(x_c[r0]) if fit_mu else mu0[train][r0]
-                m1 = mu1_fit.predict(x_c[r1]) if fit_mu else mu1[train][r1]
-                sd0[block] = _fit_sd_arm(y_c, a_c, x_c, 0, m0, config).predict(x_b)
-                sd1[block] = _fit_sd_arm(y_c, a_c, x_c, 1, m1, config).predict(x_b)
-
-    if fit_mu:
-        _residual_diagnostic(y, _arm_rows(a, 0), mu0[_arm_rows(a, 0)])
-        if need_mu1 and mu1 is not None:
-            _residual_diagnostic(y, _arm_rows(a, 1), mu1[_arm_rows(a, 1)])
-
-    return NuisanceValues(
-        pi_hat=pi,
-        mu0_hat=mu0,
-        mu1_hat=mu1,
-        sigma0_hat=sd0 if need_sigma else None,
-        sigma1_hat=sd1 if need_sigma else None,
-        clip_eps=config.clip_eps,
-    )
+    for name, values in fitted.items():
+        if not np.isfinite(values).all():
+            raise NonFiniteEstimateError(f"fitted {name} has non-finite values")
+    if dataset.outcome_kind is not OutcomeKind.BINARY:
+        # |y - mu| <= 1 for 0/1 outcomes, so the tail rule says nothing there.
+        for arm in (0, 1) if need_mu1 else (0,):
+            rows = _arm_rows(a, arm)
+            _residual_diagnostic(y, rows, fitted[f"mu{arm}_hat"][rows])
+    return NuisanceValues(**fitted, clip_eps=eps)

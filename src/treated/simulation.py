@@ -27,7 +27,7 @@ from .data_model import Dataset, EstimandKind, NuisanceValues, OutcomeKind, KIND
 from .errors import DegenerateTreatmentError, TreatedError, ValidationError
 from .estimator import _score_components, _var_fh_raw, _var_sigma_bound_raw, estimate_all
 from .mathutil import expit
-from .nuisance import NuisanceConfig, OutcomeMethod, PropensityMethod, SdMethod
+from .nuisance import NuisanceConfig
 
 SCHEMA_VERSION = 1
 PI_CLIP = (0.02, 0.98)
@@ -526,13 +526,6 @@ def _paired_verdict(errors, k_small, k_large, n) -> OrderingVerdict:
     )
 
 
-ORACLE_CONFIG = NuisanceConfig(
-    propensity_method=PropensityMethod.ORACLE,
-    outcome_method=OutcomeMethod.ORACLE,
-    sd_method=SdMethod.ORACLE,
-)
-
-
 def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
                     nuisance_config: Optional[NuisanceConfig] = None,
                     oracle_nuisances: bool = True,
@@ -552,7 +545,9 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
         raise ValidationError("reps must be >= 1")
     if psi_patt is None:
         psi_patt = psi_patt_true(spec, draws=patt_draws, seed=_child_seed(seed, 2 ** 31))
-    config = ORACLE_CONFIG if oracle_nuisances else (nuisance_config or NuisanceConfig())
+    # Oracle replications ignore nuisance_config and clip at the default eps.
+    if oracle_nuisances or nuisance_config is None:
+        nuisance_config = NuisanceConfig()
 
     kinds = KIND_ORDER
     errors = {k: [] for k in kinds}
@@ -570,7 +565,7 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
             pd = generate(spec, n, seed=_child_seed(seed, r))
             truths = true_sample_estimands(pd, psi_patt.value)
             report = estimate_all(
-                pd.dataset, config,
+                pd.dataset, nuisance_config,
                 oracle=pd.true_nuisances if oracle_nuisances else None,
                 ci_level=ci_level,
             )

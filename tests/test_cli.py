@@ -7,7 +7,6 @@ import pytest
 
 from treated.cli import dumps_canonical, main, report_to_dict
 from treated import IrlsDivergedError, estimate_all
-from treated.nuisance import NuisanceConfig
 
 from conftest import make_worked_example
 
@@ -60,11 +59,7 @@ def test_estimate_worked_example(tmp_path, capsys):
 
 def test_estimate_json_roundtrips_bit_exactly(tmp_path):
     ds, nu = make_worked_example()
-    from treated.nuisance import OutcomeMethod, PropensityMethod, SdMethod
-    config = NuisanceConfig(propensity_method=PropensityMethod.ORACLE,
-                            outcome_method=OutcomeMethod.ORACLE,
-                            sd_method=SdMethod.ORACLE)
-    report = estimate_all(ds, config, oracle=nu)
+    report = estimate_all(ds, oracle=nu)
     emitted = dumps_canonical(report_to_dict(report))
     parsed = json.loads(emitted)
     assert parsed["psi_hat"] == report.psi_hat

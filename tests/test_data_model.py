@@ -49,6 +49,16 @@ def test_non_finite_covariate_rejected():
         Dataset(y=[1.0, 2.0], a=[1, 0], x=[[np.inf], [0.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["pi_hat", "mu0_hat", "mu1_hat", "sigma0_hat", "sigma1_hat"])
+def test_non_finite_nuisance_rejected(name, bad):
+    values = {k: np.full(3, 0.5) for k in
+              ("pi_hat", "mu0_hat", "mu1_hat", "sigma0_hat", "sigma1_hat")}
+    values[name][1] = bad
+    with pytest.raises(NonFiniteError, match=name):
+        NuisanceValues(**values)
+
+
 def test_length_mismatch_rejected():
     with pytest.raises(LengthMismatchError):
         Dataset(y=[1.0, 2.0, 3.0], a=[1, 0], x=np.zeros((3, 1)))

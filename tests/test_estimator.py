@@ -13,12 +13,8 @@ from treated import (
     MissingMu1Error,
     MissingSigmaError,
     NotBinaryOutcomeError,
-    NuisanceConfig,
     NuisanceValues,
     OutcomeKind,
-    OutcomeMethod,
-    PropensityMethod,
-    SdMethod,
     confidence_interval,
     estimate_all,
     estimate_psi_hat,
@@ -37,13 +33,6 @@ from treated.estimator import _psi_hat_raw, _tau_y_raw
 from treated.mathutil import norm_quantile
 
 from conftest import STD_SPEC, make_worked_example, random_dataset_with_nuisances
-
-ORACLE_CONFIG = NuisanceConfig(
-    propensity_method=PropensityMethod.ORACLE,
-    outcome_method=OutcomeMethod.ORACLE,
-    sd_method=SdMethod.ORACLE,
-)
-
 
 # ---------------------------------------------------------------------------
 # Exact-fraction oracle for the 4-row worked example. Recomputes everything
@@ -372,7 +361,7 @@ def test_variance_nonnegativity(seed, binary):
 
 def test_estimate_all_worked_example():
     ds, nu = make_worked_example()
-    report = estimate_all(ds, ORACLE_CONFIG, oracle=nu)
+    report = estimate_all(ds, oracle=nu)
     assert report.psi_hat == pytest.approx(float(ORACLE["psi"]), rel=1e-12)
     assert report.p_n_a == 0.5
     assert report.per_kind[EstimandKind.PATT].variance == pytest.approx(
@@ -397,7 +386,7 @@ def test_estimate_all_zero_noise_oracle_dgp():
         STD_SPEC, noise0_sd_coeffs=[0.0, 0.0, 0.0], noise1_sd_coeffs=[0.0, 0.0, 0.0],
         exact_noise=True)
     pd = generate(spec, 500, seed=4)
-    report = estimate_all(pd.dataset, ORACLE_CONFIG, oracle=pd.true_nuisances)
+    report = estimate_all(pd.dataset, oracle=pd.true_nuisances)
     assert report.per_kind[EstimandKind.CATT].variance == pytest.approx(0.0, abs=1e-20)
     assert report.per_kind[EstimandKind.MATT].variance == pytest.approx(0.0, abs=1e-20)
     assert report.per_kind[EstimandKind.SATT].variance == pytest.approx(0.0, abs=1e-20)
@@ -430,13 +419,101 @@ def test_estimate_all_binary_reports_fh():
 
 
 # ---------------------------------------------------------------------------
+# End-to-end properties of estimate_all with fitted nuisances (folds=1).
+
+_VARIANCE_FIELDS = ("variance", "conservative_simple", "conservative_sigma",
+                    "conservative_fh", "variance_used")
+
+
+def _fitted_dataset(seed, n, d):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    lin = 0.5 * x.sum(axis=1)
+    a = (rng.random(n) < 1.0 / (1.0 + np.exp(-lin))).astype(int)
+    a[:5], a[5:10] = 1, 0
+    noise_sd = 1.0 + 0.2 * np.abs(x[:, 0]) if d else 1.0
+    y = 1.0 + x.sum(axis=1) + a * (1.0 + lin) + noise_sd * rng.standard_normal(n)
+    return Dataset(y=y, a=a, x=x)
+
+
+def _outputs(report):
+    """Every reported number, as (value, power of the outcome scale it carries)."""
+    out = {"psi_hat": (report.psi_hat, 1),
+           "v_sigma_bound": (report.diagnostics["v_sigma_bound"], 2)}
+    for kind, inf in report.per_kind.items():
+        out[f"{kind.value}.half_width"] = (0.5 * (inf.ci_upper - inf.ci_lower), 1)
+        for name in _VARIANCE_FIELDS:
+            if getattr(inf, name) is not None:
+                out[f"{kind.value}.{name}"] = (getattr(inf, name), 2)
+    return out
+
+
+def _assert_outputs_match(got, want, y_scale, rel):
+    assert got.keys() == want.keys()
+    for key, (value, power) in want.items():
+        assert got[key][0] == pytest.approx(
+            value, rel=rel, abs=rel * y_scale ** power), key
+
+
+# Maps of y leave the propensity fit untouched, so outputs agree to rounding.
+# Maps of rows or x change the IRLS path at the rounding level, and its
+# line search (accept when the log-likelihood does not drop) resolves the
+# coefficients only to about sqrt(machine epsilon): 2.6e-8 relative at worst
+# over 400 random datasets.
+_REL_Y_MAP = 1e-9
+_REL_IRLS = 1e-6
+
+
+_PROBLEMS = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(60, 400),
+                 d=st.integers(0, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_PROBLEMS, c=st.floats(0.1, 10.0), negate=st.booleans(),
+       b=st.floats(-10.0, 10.0))
+def test_fitted_estimate_equivariant_under_outcome_affine_map(seed, n, d, c, negate, b):
+    # y -> c*y + b: psi scales by c, variances by c^2, half-widths by |c|.
+    c = -c if negate else c
+    ds = _fitted_dataset(seed, n, d)
+    moved = estimate_all(Dataset(y=c * ds.y + b, a=ds.a, x=ds.x))
+    expected = {
+        key: (value * (c if key == "psi_hat" else abs(c)) ** power, power)
+        for key, (value, power) in _outputs(estimate_all(ds)).items()
+    }
+    _assert_outputs_match(_outputs(moved), expected, abs(c) * ds.y.std(), _REL_Y_MAP)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_PROBLEMS, perm_seed=st.integers(0, 2**32 - 1))
+def test_fitted_estimate_invariant_to_row_order(seed, n, d, perm_seed):
+    ds = _fitted_dataset(seed, n, d)
+    perm = np.random.default_rng(perm_seed).permutation(n)
+    shuffled = estimate_all(Dataset(y=ds.y[perm], a=ds.a[perm], x=ds.x[perm]))
+    _assert_outputs_match(_outputs(shuffled), _outputs(estimate_all(ds)), ds.y.std(),
+                          _REL_IRLS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_PROBLEMS, affine_seed=st.integers(0, 2**32 - 1))
+def test_fitted_estimate_invariant_to_covariate_affine_maps(seed, n, d, affine_seed):
+    # x_j -> s_j*x_j + t_j with s_j != 0, column by column.
+    ds = _fitted_dataset(seed, n, d)
+    rng = np.random.default_rng(affine_seed)
+    s = rng.uniform(0.1, 10.0, d) * rng.choice([-1.0, 1.0], d)
+    t = rng.uniform(-10.0, 10.0, d)
+    moved = estimate_all(Dataset(y=ds.y, a=ds.a, x=ds.x * s + t))
+    _assert_outputs_match(_outputs(moved), _outputs(estimate_all(ds)), ds.y.std(),
+                          _REL_IRLS)
+
+
+# ---------------------------------------------------------------------------
 # Large-sample consistency of each estimator against the brute-force oracle
 # (single dataset at n = 20000, tolerance 2%).
 
 @pytest.fixture(scope="module")
 def big_run(std_oracle):
     pd = generate(STD_SPEC, 20_000, seed=111)
-    report = estimate_all(pd.dataset, ORACLE_CONFIG, oracle=pd.true_nuisances)
+    report = estimate_all(pd.dataset, oracle=pd.true_nuisances)
     estimates = {f"v_{kind.value}": inf.variance for kind, inf in report.per_kind.items()}
     estimates["v_sigma_bound"] = report.diagnostics["v_sigma_bound"]
     return estimates, std_oracle

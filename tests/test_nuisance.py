@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,14 +7,14 @@ from hypothesis import strategies as st
 
 from treated import (
     Dataset,
+    EstimandKind,
     FoldTooSmallError,
     InsufficientArmDataError,
     MissingOracleError,
+    NonFiniteEstimateError,
     NuisanceConfig,
     NuisanceValues,
-    OutcomeMethod,
-    PropensityMethod,
-    SdMethod,
+    OutcomeKind,
     SingularSystemError,
     compute_nuisances,
     estimate_all,
@@ -21,13 +23,6 @@ from treated import (
     fit_propensity,
 )
 from treated.mathutil import expit
-
-ORACLE_EVERYTHING = NuisanceConfig(
-    propensity_method=PropensityMethod.ORACLE,
-    outcome_method=OutcomeMethod.ORACLE,
-    sd_method=SdMethod.ORACLE,
-)
-
 
 def _dataset(n=100, d=1, seed=0, slope=0.5, noise=1.0):
     rng = np.random.default_rng(seed)
@@ -189,17 +184,31 @@ def test_oracle_passthrough_with_clipping():
         pi_hat=np.full(20, 0.005), mu0_hat=np.arange(20.0), mu1_hat=np.arange(20.0) + 1,
         sigma0_hat=np.ones(20), sigma1_hat=np.ones(20), clip_eps=0.001,
     )
-    out = compute_nuisances(ds, ORACLE_EVERYTHING, oracle=oracle)
+    out = compute_nuisances(ds, NuisanceConfig(), oracle=oracle)
     assert np.all(out.pi_hat == 0.01)  # clipped up to the config's eps
     assert np.array_equal(out.mu0_hat, oracle.mu0_hat)
     assert np.array_equal(out.mu1_hat, oracle.mu1_hat)
     assert np.array_equal(out.sigma0_hat, oracle.sigma0_hat)
 
 
-def test_oracle_required_but_missing():
+def test_oracle_mu1_required_only_when_needed():
     ds = _dataset(n=20, seed=1)
+    oracle = NuisanceValues(pi_hat=np.full(20, 0.5), mu0_hat=np.zeros(20))
     with pytest.raises(MissingOracleError):
-        compute_nuisances(ds, ORACLE_EVERYTHING, oracle=None)
+        compute_nuisances(ds, NuisanceConfig(), oracle=oracle)
+    out = compute_nuisances(ds, NuisanceConfig(), oracle=oracle, need_mu1=False)
+    assert out.mu1_hat is None and out.sigma0_hat is None
+
+
+def test_oracle_without_sigmas_skips_the_sigma_variant():
+    ds = _dataset(n=40, seed=2)
+    oracle = NuisanceValues(pi_hat=np.full(40, 0.5), mu0_hat=np.zeros(40),
+                            mu1_hat=np.ones(40))
+    report = estimate_all(ds, oracle=oracle)
+    assert report.per_kind[EstimandKind.SWATT].conservative_sigma is None
+    assert "v_sigma_bound" not in report.diagnostics
+    assert report.diagnostics["nuisance_method"] == \
+        "propensity=oracle,outcome=oracle,sd=skip"
 
 
 def test_two_fold_handtrace_matches_per_half_refits():
@@ -213,8 +222,8 @@ def test_two_fold_handtrace_matches_per_half_refits():
         if all(b.size == 2 and a[b].sum() == 1
                for b in np.array_split(np.random.default_rng(s).permutation(4), 2))
     )
-    config = NuisanceConfig(folds=2, seed=seed, sd_method=SdMethod.SKIP)
-    out = compute_nuisances(ds, config)
+    config = NuisanceConfig(folds=2, seed=seed)
+    out = compute_nuisances(ds, config, need_sigma=False)
     blocks = np.array_split(np.random.default_rng(seed).permutation(4), 2)
     for j, block in enumerate(blocks):
         comp = np.setdiff1d(np.arange(4), block)
@@ -269,6 +278,15 @@ def test_singular_least_squares_is_a_numeric_error():
         estimate_all(ds, NuisanceConfig(ridge_lambda=0.0))
 
 
+def test_overflowing_fitted_sd_is_a_numeric_error():
+    # Outcomes near 1e200 are finite, but their squared residuals overflow,
+    # so the fitted conditional sds come out NaN.
+    base = _dataset(n=400, d=1, seed=6)
+    ds = Dataset(y=base.y * 1e200, a=base.a, x=base.x)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteEstimateError, match="sigma0_hat"):
+        compute_nuisances(ds, NuisanceConfig())
+
+
 def test_clipping_invariant_fitted():
     ds = _dataset(n=200, d=1, seed=3, slope=4.0)
     out = compute_nuisances(ds, NuisanceConfig(clip_eps=0.05))
@@ -277,7 +295,7 @@ def test_clipping_invariant_fitted():
 
 def test_mu1_skipped_when_not_needed():
     ds = _dataset(n=50, seed=21)
-    out = compute_nuisances(ds, NuisanceConfig(sd_method=SdMethod.SKIP), need_mu1=False)
+    out = compute_nuisances(ds, NuisanceConfig(), need_mu1=False, need_sigma=False)
     assert out.mu1_hat is None and out.sigma0_hat is None
 
 
@@ -293,7 +311,21 @@ def test_heavy_residual_warning():
     y[-1] += 500.0  # one extreme control residual
     ds = Dataset(y=y, a=a, x=x)
     with pytest.warns(HeavyResidualWarning):
-        compute_nuisances(ds, NuisanceConfig(sd_method=SdMethod.SKIP), need_mu1=False)
+        compute_nuisances(ds, NuisanceConfig(), need_mu1=False, need_sigma=False)
+
+
+def test_binary_outcome_raises_no_heavy_residual_warning():
+    # With 10% prevalence the 0/1 residuals have a zero or tiny IQR, which the
+    # 10x-IQR rule used to flag on every fit.
+    rng = np.random.default_rng(8)
+    n = 300
+    x = rng.standard_normal((n, 1))
+    a = (rng.random(n) < 0.5).astype(int)
+    y = (rng.random(n) < 0.1).astype(float)
+    ds = Dataset(y=y, a=a, x=x, outcome_kind=OutcomeKind.BINARY)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compute_nuisances(ds, NuisanceConfig())
 
 
 @settings(max_examples=20, deadline=None)

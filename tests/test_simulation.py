@@ -24,7 +24,7 @@ from treated import (
     run_monte_carlo,
     true_sample_estimands,
 )
-from treated.simulation import McValue, PotentialDataset, _child_seed, ORACLE_CONFIG
+from treated.simulation import McValue, PotentialDataset, _child_seed
 
 from conftest import STD_SPEC
 
@@ -349,7 +349,7 @@ def test_single_rep_reproduces_estimate_all():
     rep = run_monte_carlo(spec, n=400, reps=1, seed=5, oracle_nuisances=True,
                           psi_patt=patt)
     pd = generate(spec, 400, seed=_child_seed(5, 0))
-    direct = estimate_all(pd.dataset, ORACLE_CONFIG, oracle=pd.true_nuisances)
+    direct = estimate_all(pd.dataset, oracle=pd.true_nuisances)
     assert rep.extras["mean_psi_hat"] == direct.psi_hat
     assert rep.per_kind[EstimandKind.PATT].mean_variance_estimate == \
         direct.per_kind[EstimandKind.PATT].variance
