@@ -281,11 +281,11 @@ def compute_nuisances(dataset: Dataset, config: NuisanceConfig,
     """Produce per-unit NuisanceValues: known (``oracle``) or fitted.
 
     Oracle values pass through unchanged except for pi clipping to
-    ``config.clip_eps``; their sds are used when present. Without an oracle
-    every nuisance is fitted, in-sample (folds=1) or cross-fitted: with K >= 2
-    folds the indices are partitioned by a seeded shuffle and each unit's
-    predictions come from models fitted on its fold's complement, so a fold's
-    predictions depend only on rows outside that fold (plus its own
+    ``config.clip_eps``; their sds are used when needed and present. Without
+    an oracle every nuisance is fitted, in-sample (folds=1) or cross-fitted:
+    with K >= 2 folds the indices are partitioned by a seeded shuffle and each
+    unit's predictions come from models fitted on its fold's complement, so a
+    fold's predictions depend only on rows outside that fold (plus its own
     covariates).
     """
     n = dataset.n
