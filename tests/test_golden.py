@@ -20,6 +20,8 @@ ORACLE_CSV = str(GOLDEN / "oracle_columns.csv")
 PI_MU0_CSV = str(GOLDEN / "oracle_pi_mu0.csv")
 CONTINUOUS_SPEC = str(GOLDEN / "continuous_spec.json")
 BINARY_SPEC = str(GOLDEN / "binary_spec.json")
+ANTITONE_SPEC = str(GOLDEN / "antitone_spec.json")
+EXACT_NOISE_SPEC = str(GOLDEN / "exact_noise_spec.json")
 
 CASES = {
     "estimate_continuous_folds1": ["estimate", "--input", CONTINUOUS_CSV],
@@ -34,6 +36,12 @@ CASES = {
     "simulate_oracle": ["simulate", "--spec", CONTINUOUS_SPEC, "--n", "400",
                         "--reps", "20", "--seed", "5", "--oracle-nuisances",
                         "--patt-draws", "40000"],
+    "simulate_oracle_binary": ["simulate", "--spec", BINARY_SPEC, "--n", "400",
+                               "--reps", "20", "--seed", "5", "--oracle-nuisances",
+                               "--patt-draws", "40000"],
+    "simulate_oracle_antitone": ["simulate", "--spec", ANTITONE_SPEC, "--n", "400",
+                                 "--reps", "20", "--seed", "5", "--oracle-nuisances",
+                                 "--patt-draws", "40000"],
     "simulate_fitted": ["simulate", "--spec", BINARY_SPEC, "--n", "300",
                         "--reps", "10", "--seed", "2", "--folds", "2",
                         "--patt-draws", "40000"],
@@ -41,6 +49,8 @@ CASES = {
                           "--seed", "3"],
     "oracle_binary": ["oracle", "--spec", BINARY_SPEC, "--draws", "64000",
                       "--seed", "3"],
+    "oracle_exact_noise": ["oracle", "--spec", EXACT_NOISE_SPEC, "--draws", "64000",
+                           "--seed", "3"],
 }
 
 
