@@ -25,6 +25,7 @@ concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -100,23 +101,18 @@ def _psi_hat_raw(y, a, pi, mu0, a_bar=None) -> float:
                                     np.asarray(mu0, float), a_bar)))
 
 
-def _psi_dot_raw(y, a, pi, mu0, psi_hat, a_bar):
-    """Closed-form per-unit plug-in score; needs no treated-arm outcome model."""
-    return _psi_terms(y, a, pi, mu0, a_bar) - a * psi_hat / a_bar
-
-
 def _tau_y_raw(y, a, pi, mu0, a_bar):
     return (y - mu0) * (1.0 - a) * pi / (a_bar * (1.0 - pi))
 
 
 def _score_components(y, a, pi, mu0, mu1, psi, a_bar):
-    """Per-unit outcome, assignment, covariate and control-residual score terms
-    ``(psi_y, psi_a, psi_x, tau_y)``; ``a`` is the float treatment indicator."""
+    """Per-unit outcome, assignment and covariate score terms
+    ``(psi_y, psi_a, psi_x)``; ``a`` is the float treatment indicator."""
     contrast = mu1 - mu0 - psi
     psi_y = (y - np.where(a == 1, mu1, mu0)) * (a - (1.0 - a) * pi / (1.0 - pi)) / a_bar
     psi_a = (a - pi) * contrast / a_bar
     psi_x = pi * contrast / a_bar
-    return psi_y, psi_a, psi_x, _tau_y_raw(y, a, pi, mu0, a_bar)
+    return psi_y, psi_a, psi_x
 
 
 def _var_satt_raw(y, a, pi, mu0, a_bar) -> float:
@@ -131,6 +127,55 @@ def _var_sigma_bound_raw(pi, sigma0, sigma1, a_bar) -> float:
 def _var_fh_raw(pi, mu0, mu1) -> float:
     delta = np.abs(np.clip(mu1, 0.0, 1.0) - np.clip(mu0, 0.0, 1.0))
     return float(np.mean(pi ** 2 * (delta - delta ** 2)))
+
+
+class _Columns:
+    """Per-unit columns of one (dataset, nuisances) pair and the plain-kind
+    variances read off them; each is built on first use and only once."""
+
+    def __init__(self, dataset: Dataset, nuis: NuisanceValues, psi=None, components=None):
+        _check_lengths(dataset, nuis)
+        self.nuis, self.y, self.pi, self.mu0 = nuis, dataset.y, nuis.pi_hat, nuis.mu0_hat
+        self.a = dataset.a.astype(float)
+        self.a_bar = self.a.mean()
+        if psi is not None:
+            self.psi = psi
+        if components is not None:
+            self.comp = (components.psi_y, components.psi_a, components.psi_x)
+
+    @cached_property
+    def terms(self):
+        return _psi_terms(self.y, self.a, self.pi, self.mu0, self.a_bar)
+
+    @cached_property
+    def psi(self) -> float:
+        return float(np.mean(self.terms))
+
+    @cached_property
+    def comp(self):
+        return _score_components(self.y, self.a, self.pi, self.mu0, _require_mu1(self.nuis),
+                                 self.psi, self.a_bar)
+
+    @cached_property
+    def v_patt(self) -> float:
+        """Closed-form per-unit score; needs no treated-arm outcome model."""
+        return float(np.var(self.terms - self.a * self.psi / self.a_bar))
+
+    @cached_property
+    def v_actt(self) -> float:
+        return float(np.var(self.comp[0] + self.comp[1]))
+
+    @cached_property
+    def v_catt(self) -> float:
+        return float(np.var(self.comp[0]))
+
+    @cached_property
+    def v_matt(self) -> float:
+        return float(np.var(_tau_y_raw(self.y, self.a, self.pi, self.mu0, self.a_bar)))
+
+    @cached_property
+    def v_satt(self) -> float:
+        return _var_satt_raw(self.y, self.a, self.pi, self.mu0, self.a_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +193,8 @@ def if_components(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> IfC
     Requires ``mu1_hat``: the assignment and covariate components carry the
     fitted effect contrast mu1 - mu0.
     """
-    _check_lengths(dataset, nuis)
-    mu1 = _require_mu1(nuis)
-    a = dataset.a.astype(float)
-    psi_y, psi_a, psi_x, tau_y = _score_components(
-        dataset.y, a, nuis.pi_hat, nuis.mu0_hat, mu1, psi_hat, a.mean())
-    return IfComponents(psi_y=psi_y, psi_a=psi_a, psi_x=psi_x, tau_y=tau_y)
+    c = _Columns(dataset, nuis, psi_hat)
+    return IfComponents(*c.comp, tau_y=_tau_y_raw(c.y, c.a, c.pi, c.mu0, c.a_bar))
 
 
 def var_patt(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> float:
@@ -162,39 +203,29 @@ def var_patt(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> float:
     Deliberately computed without mu1 so that population-effect inference
     never requires a treated-arm outcome model.
     """
-    _check_lengths(dataset, nuis)
-    a = dataset.a.astype(float)
-    psi_dot = _psi_dot_raw(dataset.y, a, nuis.pi_hat, nuis.mu0_hat, psi_hat, a.mean())
-    return float(np.var(psi_dot))
+    return _Columns(dataset, nuis, psi_hat).v_patt
 
 
 def var_actt(dataset: Dataset, nuis: NuisanceValues, psi_hat: float,
              components: Optional[IfComponents] = None) -> float:
     """Sample variance of the outcome + assignment score components."""
-    comp = components if components is not None else if_components(dataset, nuis, psi_hat)
-    return float(np.var(comp.psi_y + comp.psi_a))
+    return _Columns(dataset, nuis, psi_hat, components).v_actt
 
 
 def var_catt(dataset: Dataset, nuis: NuisanceValues, psi_hat: float,
              components: Optional[IfComponents] = None) -> float:
     """Sample variance of the outcome score component."""
-    comp = components if components is not None else if_components(dataset, nuis, psi_hat)
-    return float(np.var(comp.psi_y))
+    return _Columns(dataset, nuis, psi_hat, components).v_catt
 
 
 def var_matt(dataset: Dataset, nuis: NuisanceValues) -> float:
     """Sample variance of the control-residual component; needs only pi and mu0."""
-    _check_lengths(dataset, nuis)
-    a = dataset.a.astype(float)
-    tau_y = _tau_y_raw(dataset.y, a, nuis.pi_hat, nuis.mu0_hat, a.mean())
-    return float(np.var(tau_y))
+    return _Columns(dataset, nuis).v_matt
 
 
 def var_satt(dataset: Dataset, nuis: NuisanceValues) -> float:
     """Plug-in mean Pn[ pi (1-a) / (1-pi)^2 * ((y - mu0) / Pn(a))^2 ]."""
-    _check_lengths(dataset, nuis)
-    a = dataset.a.astype(float)
-    return _var_satt_raw(dataset.y, a, nuis.pi_hat, nuis.mu0_hat, a.mean())
+    return _Columns(dataset, nuis).v_satt
 
 
 def var_sigma_bound(dataset: Dataset, nuis: NuisanceValues) -> float:
@@ -305,10 +336,8 @@ def estimate_all(dataset: Dataset, config: Optional[NuisanceConfig] = None,
 
     nuis = compute_nuisances(dataset, config, oracle=oracle,
                              need_mu1=need_mu1, need_sigma=need_sigma)
-    psi = estimate_psi_hat(dataset, nuis)
-    n = dataset.n
-    a_bar = float(dataset.a.mean())
-    comp = if_components(dataset, nuis, psi) if need_mu1 else None
+    cols = _Columns(dataset, nuis)
+    psi, n, a_bar = cols.psi, dataset.n, float(cols.a_bar)
 
     per_kind: dict = {}
     diagnostics: dict = {
@@ -318,22 +347,16 @@ def estimate_all(dataset: Dataset, config: Optional[NuisanceConfig] = None,
         "seed": config.seed,
     }
 
-    plain = {
-        EstimandKind.PATT: lambda: var_patt(dataset, nuis, psi),
-        EstimandKind.ACTT: lambda: var_actt(dataset, nuis, psi, comp),
-        EstimandKind.CATT: lambda: var_catt(dataset, nuis, psi, comp),
-        EstimandKind.SATT: lambda: var_satt(dataset, nuis),
-        EstimandKind.MATT: lambda: var_matt(dataset, nuis),
-    }
     for kind in kinds:
         if kind is EstimandKind.SWATT:
             v_sigma = None
             if nuis.sigma0_hat is not None and nuis.sigma1_hat is not None:
-                v_sigma = var_sigma_bound(dataset, nuis)
+                v_sigma = _var_sigma_bound_raw(nuis.pi_hat, nuis.sigma0_hat, nuis.sigma1_hat,
+                                               a_bar)
             v_fh = None
             if dataset.outcome_kind is OutcomeKind.BINARY:
-                v_fh = var_fh_binary(dataset, nuis)
-            cons = var_swatt_conservative(var_actt(dataset, nuis, psi, comp), v_sigma, v_fh, a_bar)
+                v_fh = _var_fh_raw(nuis.pi_hat, nuis.mu0_hat, nuis.mu1_hat)
+            cons = var_swatt_conservative(cols.v_actt, v_sigma, v_fh, a_bar)
             used = cons.smallest()
             fields = {"conservative_simple": cons.simple, "conservative_sigma": cons.sigma,
                       "conservative_fh": cons.fh, "variance_used": used}
@@ -342,7 +365,7 @@ def estimate_all(dataset: Dataset, config: Optional[NuisanceConfig] = None,
             diagnostics["swatt_fh_floored"] = cons.fh_floored
             diagnostics.update((k, v) for k, v in bounds.items() if v is not None)
         else:
-            used = plain[kind]()
+            used = getattr(cols, "v_" + kind.value)
             fields = {"variance": used}
             bounds = {}
         checked = {"psi_hat": psi, **fields, **bounds}

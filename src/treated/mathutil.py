@@ -12,11 +12,10 @@ _STD_NORMAL = NormalDist()
 def expit(t):
     """Numerically stable logistic function 1 / (1 + exp(-t))."""
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
+    e = np.exp(-np.abs(t))
+    out = np.where(t >= 0, 1.0, e)  # 1 / (1 + e) for t >= 0, e / (1 + e) below
+    e += 1.0
+    out /= e
     return out
 
 

@@ -25,7 +25,8 @@ import numpy as np
 
 from .data_model import Dataset, EstimandKind, NuisanceValues, OutcomeKind, KIND_ORDER
 from .errors import DegenerateTreatmentError, TreatedError, ValidationError
-from .estimator import _score_components, _var_fh_raw, _var_sigma_bound_raw, estimate_all
+from .estimator import (_score_components, _tau_y_raw, _var_fh_raw, _var_sigma_bound_raw,
+                        estimate_all)
 from .mathutil import expit
 from .nuisance import NuisanceConfig
 
@@ -93,17 +94,13 @@ class DgpSpec:
             return np.clip(raw, *BINARY_MEAN_CLAMP)
         return raw
 
-    def noise_sd(self, arm: int, x) -> np.ndarray:
-        raw = self._affine(self.noise1_sd_coeffs if arm == 1 else self.noise0_sd_coeffs, x)
-        floor = 0.0 if self.exact_noise else NOISE_SD_FLOOR
-        return np.maximum(floor, raw)
-
-    def sigma(self, arm: int, x) -> np.ndarray:
-        """True conditional sd of the potential outcome."""
+    def sigma(self, arm: int, x, mu=None) -> np.ndarray:
+        """True conditional sd of the potential outcome (``mu``: this arm's mean, if known)."""
         if self.outcome_kind is OutcomeKind.BINARY:
-            p = self.mu(arm, x)
+            p = self.mu(arm, x) if mu is None else mu
             return np.sqrt(p * (1.0 - p))
-        return self.noise_sd(arm, x)
+        raw = self._affine(self.noise1_sd_coeffs if arm == 1 else self.noise0_sd_coeffs, x)
+        return np.maximum(0.0 if self.exact_noise else NOISE_SD_FLOOR, raw)
 
     def to_dict(self) -> dict:
         return {
@@ -177,11 +174,16 @@ def _draw_x(spec: DgpSpec, n: int, rng) -> np.ndarray:
     return rng.random((n, spec.d))
 
 
-def _draw_potentials(spec: DgpSpec, x: np.ndarray, rng):
-    """Draw (y0, y1) given x under the spec's dependence regime."""
-    n = x.shape[0]
+def _true_arrays(spec: DgpSpec, x: np.ndarray):
+    """True (pi, mu0, mu1, sigma0, sigma1) at each row of x, each evaluated once."""
+    mu0, mu1 = spec.mu(0, x), spec.mu(1, x)
+    return spec.propensity(x), mu0, mu1, spec.sigma(0, x, mu0), spec.sigma(1, x, mu1)
+
+
+def _draw_potentials(spec: DgpSpec, rng, mu0, mu1, sigma0, sigma1):
+    """Draw (y0, y1) from the arm means and sds under the spec's dependence regime."""
+    n = mu0.shape[0]
     if spec.outcome_kind is OutcomeKind.BINARY:
-        p0, p1 = spec.mu(0, x), spec.mu(1, x)
         u1 = rng.random(n)
         if spec.dependence is Dependence.COMONOTONE:
             u0 = u1
@@ -189,7 +191,7 @@ def _draw_potentials(spec: DgpSpec, x: np.ndarray, rng):
             u0 = 1.0 - u1
         else:
             u0 = rng.random(n)
-        return (u0 < p0).astype(float), (u1 < p1).astype(float)
+        return (u0 < mu0).astype(float), (u1 < mu1).astype(float)
     z1 = rng.standard_normal(n)
     if spec.dependence is Dependence.COMONOTONE:
         z0 = z1
@@ -197,21 +199,12 @@ def _draw_potentials(spec: DgpSpec, x: np.ndarray, rng):
         z0 = -z1
     else:
         z0 = rng.standard_normal(n)
-    y0 = spec.mu(0, x) + spec.noise_sd(0, x) * z0
-    y1 = spec.mu(1, x) + spec.noise_sd(1, x) * z1
-    return y0, y1
+    return mu0 + sigma0 * z0, mu1 + sigma1 * z1
 
 
 def true_nuisance_values(spec: DgpSpec, x: np.ndarray) -> NuisanceValues:
     """Exact nuisance evaluations at each row of x (clip_eps matches PI_CLIP)."""
-    return NuisanceValues(
-        pi_hat=spec.propensity(x),
-        mu0_hat=spec.mu(0, x),
-        mu1_hat=spec.mu(1, x),
-        sigma0_hat=spec.sigma(0, x),
-        sigma1_hat=spec.sigma(1, x),
-        clip_eps=PI_CLIP[0],
-    )
+    return NuisanceValues(*_true_arrays(spec, x), clip_eps=PI_CLIP[0])
 
 
 def generate(spec: DgpSpec, n: int, seed) -> PotentialDataset:
@@ -223,13 +216,12 @@ def generate(spec: DgpSpec, n: int, seed) -> PotentialDataset:
     """
     rng = np.random.default_rng(seed)
     x = _draw_x(spec, n, rng)
-    pi = spec.propensity(x)
-    a = (rng.random(n) < pi).astype(np.int64)
-    y0, y1 = _draw_potentials(spec, x, rng)
+    nu = true_nuisance_values(spec, x)
+    a = (rng.random(n) < nu.pi_hat).astype(np.int64)
+    y0, y1 = _draw_potentials(spec, rng, nu.mu0_hat, nu.mu1_hat, nu.sigma0_hat, nu.sigma1_hat)
     y = np.where(a == 1, y1, y0)
     dataset = Dataset(y=y, a=a, x=x, outcome_kind=spec.outcome_kind)
-    return PotentialDataset(dataset=dataset, y0=y0.copy(), y1=y1.copy(),
-                            true_nuisances=true_nuisance_values(spec, x))
+    return PotentialDataset(dataset=dataset, y0=y0, y1=y1, true_nuisances=nu)
 
 
 def true_sample_estimands(pd: PotentialDataset, psi_patt_true: float) -> dict:
@@ -314,6 +306,14 @@ def _child_seed(seed, *tail):
     return base + [int(t) for t in tail]
 
 
+def _joint_draw(spec: DgpSpec, m: int, rng):
+    """m complete draws: true (pi, mu0, mu1, sigma0, sigma1), float a, y0, y1, y."""
+    pi, mu0, mu1, sigma0, sigma1 = _true_arrays(spec, _draw_x(spec, m, rng))
+    a = (rng.random(m) < pi).astype(float)
+    y0, y1 = _draw_potentials(spec, rng, mu0, mu1, sigma0, sigma1)
+    return pi, mu0, mu1, sigma0, sigma1, a, y0, y1, np.where(a == 1.0, y1, y0)
+
+
 class _XConstants(NamedTuple):
     p_a: float  # E[pi]
     psi: McValue  # E[pi (mu1 - mu0)] / E[pi]
@@ -383,6 +383,23 @@ class OracleVariances:
         }
 
 
+def _oracle_batch(spec: DgpSpec, m: int, rng, psi: float, p_a: float) -> dict:
+    """Pass-2 functionals of m draws; its arrays are freed before the next batch."""
+    pi, mu0, mu1, sigma0, sigma1, a, y0, y1, y = _joint_draw(spec, m, rng)
+    psi_y, psi_a, psi_x = _score_components(y, a, pi, mu0, mu1, psi, p_a)
+    v_actt, v_matt = np.var(psi_y + psi_a), np.var(_tau_y_raw(y, a, pi, mu0, p_a))
+    out = {
+        "patt": np.var(psi_y + psi_a + psi_x), "actt": v_actt, "catt": np.var(psi_y),
+        "matt": v_matt,
+        "satt": v_matt + ((pi * (1.0 - a) / (1.0 - pi) * (y - mu0) ** 2) / p_a ** 2).mean(),
+        "swatt": v_actt - ((pi ** 2 * (y1 - y0 - (mu1 - mu0)) ** 2) / p_a ** 2).mean(),
+        "sigma": _var_sigma_bound_raw(pi, sigma0, sigma1, p_a),
+    }
+    if spec.outcome_kind is OutcomeKind.BINARY:
+        out["fh"] = _var_fh_raw(pi, mu0, mu1)
+    return out
+
+
 def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
                                 batch_size: int = 500_000) -> OracleVariances:
     """Monte Carlo over complete draws with TRUE nuisances.
@@ -400,28 +417,9 @@ def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
     rng2 = np.random.default_rng(_child_seed(seed, 2))
     batches = {k: [] for k in ("patt", "actt", "catt", "matt", "satt", "swatt",
                                "sigma", "fh")}
-    binary = spec.outcome_kind is OutcomeKind.BINARY
     for m in _batch_sizes(draws, batch_size):
-        x = _draw_x(spec, m, rng2)
-        pi = spec.propensity(x)
-        a = (rng2.random(m) < pi).astype(float)
-        y0, y1 = _draw_potentials(spec, x, rng2)
-        y = np.where(a == 1.0, y1, y0)
-        mu0, mu1 = spec.mu(0, x), spec.mu(1, x)
-        psi_y, psi_a, psi_x, tau_y = _score_components(y, a, pi, mu0, mu1, psi, p_a)
-        swatt_sub = (pi ** 2 * (y1 - y0 - (mu1 - mu0)) ** 2) / p_a ** 2
-        satt_add = (pi * (1.0 - a) / (1.0 - pi) * (y - mu0) ** 2) / p_a ** 2
-        batches["patt"].append(np.var(psi_y + psi_a + psi_x))
-        v_actt = np.var(psi_y + psi_a)
-        batches["actt"].append(v_actt)
-        batches["catt"].append(np.var(psi_y))
-        v_matt = np.var(tau_y)
-        batches["matt"].append(v_matt)
-        batches["satt"].append(v_matt + satt_add.mean())
-        batches["swatt"].append(v_actt - swatt_sub.mean())
-        batches["sigma"].append(_var_sigma_bound_raw(pi, spec.sigma(0, x), spec.sigma(1, x), p_a))
-        if binary:
-            batches["fh"].append(_var_fh_raw(pi, mu0, mu1))
+        for key, value in _oracle_batch(spec, m, rng2, psi, p_a).items():
+            batches[key].append(value)
 
     return OracleVariances(
         patt=_mc_value(batches["patt"]),
@@ -431,7 +429,7 @@ def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
         satt=_mc_value(batches["satt"]),
         matt=_mc_value(batches["matt"]),
         sigma_bound=_mc_value(batches["sigma"]),
-        fh_bound=_mc_value(batches["fh"]) if binary else None,
+        fh_bound=_mc_value(batches["fh"]) if batches["fh"] else None,
         psi_patt=consts.psi,
         tau=consts.tau.value,
         p_a=p_a,
@@ -456,12 +454,7 @@ def psi_tau_true_and_var(spec: DgpSpec, draws: int = 2_000_000, seed=0,
     rng2 = np.random.default_rng(_child_seed(seed, 2))
     var_batches = []
     for m in _batch_sizes(draws, batch_size):
-        x = _draw_x(spec, m, rng2)
-        pi = spec.propensity(x)
-        a = (rng2.random(m) < pi).astype(float)
-        y0, y1 = _draw_potentials(spec, x, rng2)
-        y = np.where(a == 1.0, y1, y0)
-        mu0 = spec.mu(0, x)
+        pi, mu0, _, _, _, a, _, _, y = _joint_draw(spec, m, rng2)
         centered = mu0 - tau
         tau_dot = ((y - mu0) * (1.0 - a) * pi / (1.0 - pi)
                    + (a - pi) * centered + pi * centered) / p_a
