@@ -17,13 +17,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import Optional
 
 import numpy as np
 
 from .data_model import Dataset, EstimandKind, EstimateReport, NuisanceValues, OutcomeKind, KIND_ORDER
-from .errors import NumericError, TreatedError, ValidationError
+from .errors import NonFiniteEstimateError, NumericError, TreatedError, ValidationError
 from .nuisance import NuisanceConfig
 from .estimator import estimate_all
 from .simulation import (
@@ -46,8 +47,8 @@ class CliParseError(Exception):
 # Canonical JSON: insertion-ordered keys, 17-significant-digit floats.
 
 def _format_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        return "null"
+    if not math.isfinite(x):
+        raise NonFiniteEstimateError(f"cannot serialize the non-finite float {x}")
     s = format(x, ".17g")
     # Normalize bare integers so the token stays a JSON number with float type.
     if "e" not in s and "E" not in s and "." not in s:
@@ -178,6 +179,11 @@ def _oracle_values(dataset: Dataset, cols: dict, clip_eps: float) -> Optional[Nu
 # ---------------------------------------------------------------------------
 # Report serialization.
 
+def _se(value: float) -> Optional[float]:
+    """A Monte Carlo standard error; NaN (one batch or one replication) is null."""
+    return None if math.isnan(value) else value
+
+
 def report_to_dict(report: EstimateReport) -> dict:
     per_kind = {}
     for kind in KIND_ORDER:
@@ -222,7 +228,7 @@ def mc_report_to_dict(report: McReport) -> dict:
         st = report.per_kind[kind]
         per_kind[kind.value] = {
             "empirical_var_scaled": st.empirical_var_scaled,
-            "empirical_var_scaled_se": st.empirical_var_scaled_se,
+            "empirical_var_scaled_se": _se(st.empirical_var_scaled_se),
             "mean_variance_estimate": st.mean_variance_estimate,
             "coverage": st.coverage,
             "ci_level": st.ci_level,
@@ -233,6 +239,8 @@ def mc_report_to_dict(report: McReport) -> dict:
             extras[key] = [_verdict_to_dict(v) for v in value]
         elif key == "satt_vs_patt":
             extras[key] = _verdict_to_dict(value) if value is not None else None
+        elif key == "psi_patt_se":
+            extras[key] = _se(value)
         else:
             extras[key] = value
     return {
@@ -250,7 +258,7 @@ def mc_report_to_dict(report: McReport) -> dict:
 
 def oracle_to_dict(oracle: OracleVariances, seed: int) -> dict:
     def mc(v):
-        return None if v is None else {"value": v.value, "se": v.se}
+        return None if v is None else {"value": v.value, "se": _se(v.se)}
 
     return {
         "schema_version": REPORT_SCHEMA_VERSION,

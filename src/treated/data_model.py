@@ -255,6 +255,12 @@ class KindInference:
             raise ValidationError("ci_lower must not exceed ci_upper")
 
 
+def check_ci_level(level: float) -> None:
+    """Raise ``ValidationError`` unless the interval level lies in (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise ValidationError(f"ci_level must be in (0, 1), got {level}")
+
+
 @dataclass(frozen=True)
 class EstimateReport:
     """Full output of an estimation run: one point estimate, per-kind inference."""
@@ -267,8 +273,7 @@ class EstimateReport:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0.0 < self.ci_level < 1.0:
-            raise ValidationError(f"ci_level must be in (0, 1), got {self.ci_level}")
+        check_ci_level(self.ci_level)
         for kind, inf in self.per_kind.items():
             if not (inf.ci_lower <= self.psi_hat <= inf.ci_upper):
                 raise ValidationError(f"psi_hat outside the {kind} interval")

@@ -39,6 +39,7 @@ from .data_model import (
     NuisanceValues,
     OutcomeKind,
     KIND_ORDER,
+    check_ci_level,
 )
 from .errors import (
     DegenerateTreatmentError,
@@ -324,6 +325,7 @@ def estimate_all(dataset: Dataset, config: Optional[NuisanceConfig] = None,
     sigma variant. The swatt interval uses the smallest available
     conservative variance.
     """
+    check_ci_level(ci_level)
     if config is None:
         config = NuisanceConfig()
     kinds = tuple(KIND_ORDER) if estimands is None else tuple(

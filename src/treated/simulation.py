@@ -23,7 +23,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .data_model import Dataset, EstimandKind, NuisanceValues, OutcomeKind, KIND_ORDER
+from .data_model import (Dataset, EstimandKind, NuisanceValues, OutcomeKind, KIND_ORDER,
+                         check_ci_level)
 from .errors import DegenerateTreatmentError, TreatedError, ValidationError
 from .estimator import (_score_components, _tau_y_raw, _var_fh_raw, _var_sigma_bound_raw,
                         estimate_all)
@@ -536,6 +537,7 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
+    check_ci_level(ci_level)
     if psi_patt is None:
         psi_patt = psi_patt_true(spec, draws=patt_draws, seed=_child_seed(seed, 2 ** 31))
     # Oracle replications ignore nuisance_config and clip at the default eps.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from treated.cli import dumps_canonical, main, report_to_dict
-from treated import IrlsDivergedError, estimate_all
+from treated import IrlsDivergedError, NonFiniteEstimateError, estimate_all
 
 from conftest import make_worked_example
 
@@ -157,6 +158,22 @@ def test_estimate_fitted_nuisances(tmp_path, capsys):
     assert abs(out["psi_hat"] - 1.0) < 0.2
 
 
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+@pytest.mark.parametrize("level", ["1.5", "1.0", "0.0", "nan"])
+def test_out_of_range_ci_level_exit2(tmp_path, capsys, command, level):
+    if command == "estimate":
+        args = ["estimate", "--input", _write(tmp_path, "data.csv", WORKED_CSV)]
+    else:
+        spec_path = _write(tmp_path, "spec.json", json.dumps(_spec_json()))
+        args = ["simulate", "--spec", spec_path, "--n", "200", "--reps", "3",
+                "--patt-draws", "50000"]
+    code = main(args + ["--ci-level", level])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error_code"] == "Validation"
+
+
 # ---------------------------------------------------------------------------
 # simulate.
 
@@ -182,6 +199,8 @@ def test_simulate_single_rep(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["reps"] == 1
     assert out["extras"]["ordering"] == []
+    # One replication has no Monte Carlo error: the se is null, not NaN.
+    assert all(row["empirical_var_scaled_se"] is None for row in out["per_kind"].values())
 
 
 def test_simulate_prints_ordering_verdict_line(tmp_path, capsys):
@@ -229,6 +248,33 @@ def test_oracle_zero_draws_exit1(tmp_path, capsys):
     assert payload["error_code"] == "ParseError"
 
 
+def test_oracle_single_draw_prints_null_se(tmp_path, capsys):
+    spec_path = _write(tmp_path, "spec.json", json.dumps(_spec_json()))
+    assert main(["oracle", "--spec", spec_path, "--draws", "1"]) == 0
+    text = capsys.readouterr().out
+    out = json.loads(text)
+    rows = [out["psi_patt"], out["sigma_bound"], *out["asymptotic_variances"].values()]
+    assert all(row["se"] is None for row in rows)
+    assert text.count('"se": null') == len(rows)
+
+
+def test_oracle_non_finite_value_exit3(tmp_path, capsys, monkeypatch):
+    import treated.cli as cli_mod
+
+    real = cli_mod.oracle_asymptotic_variances
+
+    def nan_patt(*args, **kwargs):
+        orc = real(*args, **kwargs)
+        return dataclasses.replace(orc, patt=orc.patt._replace(value=float("nan")))
+
+    monkeypatch.setattr(cli_mod, "oracle_asymptotic_variances", nan_patt)
+    spec_path = _write(tmp_path, "spec.json", json.dumps(_spec_json()))
+    assert main(["oracle", "--spec", spec_path, "--draws", "1000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error_code"] == "NonFiniteEstimate"
+
+
 def test_oracle_homogeneous_effect_psi_equals_constant(tmp_path, capsys):
     spec = _spec_json()
     spec["mu1_coeffs"] = [3.5, 1.0]  # mu1 - mu0 = 2.5 everywhere
@@ -262,3 +308,9 @@ def test_canonical_json_float_format():
     assert '"i": 3' in text
     parsed = json.loads(text)
     assert parsed["x"] == 7 / 6  # 17 significant digits round-trip losslessly
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
+def test_canonical_json_refuses_non_finite_floats(value):
+    with pytest.raises(NonFiniteEstimateError):
+        dumps_canonical({"ok": 1.0, "nested": [{"bad": value}]})
