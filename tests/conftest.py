@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from treated import DgpSpec, oracle_asymptotic_variances
+
+# Selected with --hypothesis-profile=ci: the same examples on every run, so CI
+# results repeat exactly. Local runs keep the default profile and explore new
+# random examples each time.
+settings.register_profile("ci", derandomize=True)
 
 # Workhorse DGP: d=2 standard-normal covariates, logit-linear propensity,
 # heterogeneous linear effect, independent heteroskedastic noise. Chosen so

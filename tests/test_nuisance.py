@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treated import (
@@ -330,11 +330,19 @@ def test_binary_outcome_raises_no_heavy_residual_warning():
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
+@example(seed=300734144)  # both seeds draw a heavy residual in one arm
+@example(seed=522869530)
 def test_fitted_nuisances_deterministic_and_clipped(seed):
+    from treated.nuisance import HeavyResidualWarning
+
     ds = _dataset(n=40, d=2, seed=seed)
     config = NuisanceConfig()
-    a_out = compute_nuisances(ds, config)
-    b_out = compute_nuisances(ds, config)
+    # About 0.1% of seeds warn about heavy residuals; that is not what this
+    # test checks, so the warning is recorded rather than raised.
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always", HeavyResidualWarning)
+        a_out = compute_nuisances(ds, config)
+        b_out = compute_nuisances(ds, config)
     assert np.array_equal(a_out.pi_hat, b_out.pi_hat)
     assert np.array_equal(a_out.mu0_hat, b_out.mu0_hat)
     assert a_out.pi_hat.min() >= config.clip_eps
