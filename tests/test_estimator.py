@@ -13,8 +13,10 @@ from treated import (
     MissingMu1Error,
     MissingSigmaError,
     NotBinaryOutcomeError,
+    NuisanceConfig,
     NuisanceValues,
     OutcomeKind,
+    compute_nuisances,
     confidence_interval,
     estimate_all,
     estimate_psi_hat,
@@ -416,6 +418,35 @@ def test_estimate_all_binary_reports_fh():
     assert sw.conservative_fh is not None
     assert report.diagnostics["v_fh_bound"] >= 0.0
     assert "swatt_conservative_fh_pn_inv" not in report.diagnostics
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["continuous", "binary"])
+@pytest.mark.parametrize("fitted", [False, True], ids=["oracle", "fitted"])
+def test_estimate_all_variances_equal_public_wrappers(binary, fitted):
+    # estimate_all builds its score columns once and reads every variance off
+    # them; the public wrappers rebuild them per call. The two agree bit for bit.
+    ds, nu = random_dataset_with_nuisances(11, n=300, binary=binary)
+    config = NuisanceConfig()
+    report = estimate_all(ds, config, oracle=None if fitted else nu)
+    nuis = compute_nuisances(ds, config, oracle=None if fitted else nu)
+    psi = estimate_psi_hat(ds, nuis)
+    comp = if_components(ds, nuis, psi)
+    want = {
+        EstimandKind.PATT: var_patt(ds, nuis, psi),
+        EstimandKind.ACTT: var_actt(ds, nuis, psi),
+        EstimandKind.CATT: var_catt(ds, nuis, psi),
+        EstimandKind.SATT: var_satt(ds, nuis),
+        EstimandKind.MATT: var_matt(ds, nuis),
+    }
+    assert report.psi_hat == psi
+    for kind, variance in want.items():
+        assert report.per_kind[kind].variance == variance, kind
+    assert var_actt(ds, nuis, psi, comp) == want[EstimandKind.ACTT]
+    assert var_catt(ds, nuis, psi, comp) == want[EstimandKind.CATT]
+    assert report.per_kind[EstimandKind.SWATT].conservative_simple == want[EstimandKind.ACTT]
+    assert report.diagnostics["v_sigma_bound"] == var_sigma_bound(ds, nuis)
+    if binary:
+        assert report.diagnostics["v_fh_bound"] == var_fh_binary(ds, nuis)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,27 @@ from treated import (
 )
 from treated.mathutil import expit
 
+def _expit_two_branch(t):
+    """The masked two-branch logistic, the reference for ``expit``."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return out
+
+
+def test_expit_matches_two_branch_formula_bit_for_bit():
+    edges = np.array([0.0, 1e-300, 1.0, 36.7, 709.0, 745.0, 1e308, np.inf])
+    grid = np.concatenate([edges, -edges, np.linspace(-800.0, 800.0, 20001)])
+    assert expit(grid).tobytes() == _expit_two_branch(grid).tobytes()
+    for t in (0.0, -0.0, 3.5, -745.0):
+        got = expit(t)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert got.tobytes() == _expit_two_branch(t).tobytes()
+
+
 def _dataset(n=100, d=1, seed=0, slope=0.5, noise=1.0):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
