@@ -307,12 +307,18 @@ def _child_seed(seed, *tail):
     return base + [int(t) for t in tail]
 
 
-def _joint_draw(spec: DgpSpec, m: int, rng):
-    """m complete draws: true (pi, mu0, mu1, sigma0, sigma1), float a, y0, y1, y."""
-    pi, mu0, mu1, sigma0, sigma1 = _true_arrays(spec, _draw_x(spec, m, rng))
-    a = (rng.random(m) < pi).astype(float)
-    y0, y1 = _draw_potentials(spec, rng, mu0, mu1, sigma0, sigma1)
-    return pi, mu0, mu1, sigma0, sigma1, a, y0, y1, np.where(a == 1.0, y1, y0)
+def _joint_batches(spec: DgpSpec, draws: int, seed, batch_size: int, functional):
+    """Yield ``functional(pi, mu0, mu1, sigma0, sigma1, a, y0, y1, y)`` per batch of
+    complete draws from the (seed, 2) stream; ``a`` is float. Draws stay bound until
+    the next batch replaces them one by one, and the functional's temporaries die on
+    return: this keeps both the peak memory and the page faults per batch low."""
+    rng = np.random.default_rng(_child_seed(seed, 2))
+    for m in _batch_sizes(draws, batch_size):
+        x = _draw_x(spec, m, rng)
+        pi, mu0, mu1, sigma0, sigma1 = _true_arrays(spec, x)
+        a = (rng.random(m) < pi).astype(float)
+        y0, y1 = _draw_potentials(spec, rng, mu0, mu1, sigma0, sigma1)
+        yield functional(pi, mu0, mu1, sigma0, sigma1, a, y0, y1, np.where(a == 1.0, y1, y0))
 
 
 class _XConstants(NamedTuple):
@@ -384,23 +390,6 @@ class OracleVariances:
         }
 
 
-def _oracle_batch(spec: DgpSpec, m: int, rng, psi: float, p_a: float) -> dict:
-    """Pass-2 functionals of m draws; its arrays are freed before the next batch."""
-    pi, mu0, mu1, sigma0, sigma1, a, y0, y1, y = _joint_draw(spec, m, rng)
-    psi_y, psi_a, psi_x = _score_components(y, a, pi, mu0, mu1, psi, p_a)
-    v_actt, v_matt = np.var(psi_y + psi_a), np.var(_tau_y_raw(y, a, pi, mu0, p_a))
-    out = {
-        "patt": np.var(psi_y + psi_a + psi_x), "actt": v_actt, "catt": np.var(psi_y),
-        "matt": v_matt,
-        "satt": v_matt + ((pi * (1.0 - a) / (1.0 - pi) * (y - mu0) ** 2) / p_a ** 2).mean(),
-        "swatt": v_actt - ((pi ** 2 * (y1 - y0 - (mu1 - mu0)) ** 2) / p_a ** 2).mean(),
-        "sigma": _var_sigma_bound_raw(pi, sigma0, sigma1, p_a),
-    }
-    if spec.outcome_kind is OutcomeKind.BINARY:
-        out["fh"] = _var_fh_raw(pi, mu0, mu1)
-    return out
-
-
 def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
                                 batch_size: int = 500_000) -> OracleVariances:
     """Monte Carlo over complete draws with TRUE nuisances.
@@ -413,13 +402,27 @@ def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
     """
     consts = _x_constants(spec, draws, seed, batch_size)
     p_a, psi = consts.p_a, consts.psi.value
+    binary = spec.outcome_kind is OutcomeKind.BINARY
+
+    def functionals(pi, mu0, mu1, sigma0, sigma1, a, y0, y1, y) -> dict:
+        psi_y, psi_a, psi_x = _score_components(y, a, pi, mu0, mu1, psi, p_a)
+        v_actt, v_matt = np.var(psi_y + psi_a), np.var(_tau_y_raw(y, a, pi, mu0, p_a))
+        out = {
+            "patt": np.var(psi_y + psi_a + psi_x), "actt": v_actt, "catt": np.var(psi_y),
+            "matt": v_matt,
+            "satt": v_matt + ((pi * (1.0 - a) / (1.0 - pi) * (y - mu0) ** 2) / p_a ** 2).mean(),
+            "swatt": v_actt - ((pi ** 2 * (y1 - y0 - (mu1 - mu0)) ** 2) / p_a ** 2).mean(),
+            "sigma": _var_sigma_bound_raw(pi, sigma0, sigma1, p_a),
+        }
+        if binary:
+            out["fh"] = _var_fh_raw(pi, mu0, mu1)
+        return out
 
     # Pass 2: joint draws, per-batch functionals.
-    rng2 = np.random.default_rng(_child_seed(seed, 2))
     batches = {k: [] for k in ("patt", "actt", "catt", "matt", "satt", "swatt",
                                "sigma", "fh")}
-    for m in _batch_sizes(draws, batch_size):
-        for key, value in _oracle_batch(spec, m, rng2, psi, p_a).items():
+    for out in _joint_batches(spec, draws, seed, batch_size, functionals):
+        for key, value in out.items():
             batches[key].append(value)
 
     return OracleVariances(
@@ -430,7 +433,7 @@ def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
         satt=_mc_value(batches["satt"]),
         matt=_mc_value(batches["matt"]),
         sigma_bound=_mc_value(batches["sigma"]),
-        fh_bound=_mc_value(batches["fh"]) if batches["fh"] else None,
+        fh_bound=_mc_value(batches["fh"]) if binary else None,
         psi_patt=consts.psi,
         tau=consts.tau.value,
         p_a=p_a,
@@ -452,14 +455,12 @@ def psi_tau_true_and_var(spec: DgpSpec, draws: int = 2_000_000, seed=0,
     consts = _x_constants(spec, draws, seed, batch_size)
     tau, p_a = consts.tau.value, consts.p_a
 
-    rng2 = np.random.default_rng(_child_seed(seed, 2))
-    var_batches = []
-    for m in _batch_sizes(draws, batch_size):
-        pi, mu0, _, _, _, a, _, _, y = _joint_draw(spec, m, rng2)
+    def tau_score_var(pi, mu0, mu1, sigma0, sigma1, a, y0, y1, y):
         centered = mu0 - tau
-        tau_dot = ((y - mu0) * (1.0 - a) * pi / (1.0 - pi)
-                   + (a - pi) * centered + pi * centered) / p_a
-        var_batches.append(np.var(tau_dot))
+        return np.var(((y - mu0) * (1.0 - a) * pi / (1.0 - pi)
+                       + (a - pi) * centered + pi * centered) / p_a)
+
+    var_batches = list(_joint_batches(spec, draws, seed, batch_size, tau_score_var))
     return TauStudy(tau=consts.tau, var_tau_dot=_mc_value(var_batches))
 
 
