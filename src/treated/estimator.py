@@ -351,11 +351,10 @@ def estimate_all(dataset: Dataset, config: Optional[NuisanceConfig] = None,
 
     for kind in kinds:
         if kind is EstimandKind.SWATT:
-            v_sigma = None
+            v_sigma = v_fh = None
             if nuis.sigma0_hat is not None and nuis.sigma1_hat is not None:
                 v_sigma = _var_sigma_bound_raw(nuis.pi_hat, nuis.sigma0_hat, nuis.sigma1_hat,
                                                a_bar)
-            v_fh = None
             if dataset.outcome_kind is OutcomeKind.BINARY:
                 v_fh = _var_fh_raw(nuis.pi_hat, nuis.mu0_hat, nuis.mu1_hat)
             cons = var_swatt_conservative(cols.v_actt, v_sigma, v_fh, a_bar)
