@@ -95,10 +95,10 @@ class DgpSpec:
             return np.clip(raw, *BINARY_MEAN_CLAMP)
         return raw
 
-    def sigma(self, arm: int, x, mu=None) -> np.ndarray:
-        """True conditional sd of the potential outcome (``mu``: this arm's mean, if known)."""
+    def sigma(self, arm: int, x) -> np.ndarray:
+        """True conditional sd of the potential outcome."""
         if self.outcome_kind is OutcomeKind.BINARY:
-            p = self.mu(arm, x) if mu is None else mu
+            p = self.mu(arm, x)
             return np.sqrt(p * (1.0 - p))
         raw = self._affine(self.noise1_sd_coeffs if arm == 1 else self.noise0_sd_coeffs, x)
         return np.maximum(0.0 if self.exact_noise else NOISE_SD_FLOOR, raw)
@@ -176,9 +176,8 @@ def _draw_x(spec: DgpSpec, n: int, rng) -> np.ndarray:
 
 
 def _true_arrays(spec: DgpSpec, x: np.ndarray):
-    """True (pi, mu0, mu1, sigma0, sigma1) at each row of x, each evaluated once."""
-    mu0, mu1 = spec.mu(0, x), spec.mu(1, x)
-    return spec.propensity(x), mu0, mu1, spec.sigma(0, x, mu0), spec.sigma(1, x, mu1)
+    """True (pi, mu0, mu1, sigma0, sigma1) at each row of x."""
+    return spec.propensity(x), spec.mu(0, x), spec.mu(1, x), spec.sigma(0, x), spec.sigma(1, x)
 
 
 def _draw_potentials(spec: DgpSpec, rng, mu0, mu1, sigma0, sigma1):

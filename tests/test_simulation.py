@@ -1,7 +1,5 @@
 import dataclasses
-import json
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,14 +22,11 @@ from treated import (
     psi_tau_true_and_var,
     psi_tilde,
     run_monte_carlo,
-    true_nuisance_values,
     true_sample_estimands,
 )
 from treated.simulation import McValue, PotentialDataset, _child_seed
 
 from conftest import STD_SPEC
-
-SPEC_FILES = sorted((Path(__file__).resolve().parents[1] / "scripts" / "specs").glob("*.json"))
 
 
 def _d1_spec(**overrides):
@@ -67,15 +62,6 @@ def test_generate_consistency_identity_exact():
     pd = generate(STD_SPEC, 2_000, seed=0)
     a = pd.dataset.a
     assert np.all(pd.dataset.y == np.where(a == 1, pd.y1, pd.y0))
-
-
-@pytest.mark.parametrize("path", SPEC_FILES, ids=lambda p: p.stem)
-def test_generate_truths_equal_true_nuisance_values(path):
-    spec = DgpSpec.from_dict(json.loads(path.read_text(encoding="utf-8")))
-    pd = generate(spec, 500, seed=3)
-    want = true_nuisance_values(spec, pd.dataset.x)
-    for name in ("pi_hat", "mu0_hat", "mu1_hat", "sigma0_hat", "sigma1_hat"):
-        assert getattr(pd.true_nuisances, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_generate_pi_clipped_and_noise_floored():
