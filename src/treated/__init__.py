@@ -70,7 +70,6 @@ from .simulation import (
     generate,
     oracle_asymptotic_variances,
     psi_patt_true,
-    psi_tau_true_and_var,
     psi_tilde,
     run_monte_carlo,
     true_nuisance_values,

@@ -266,7 +266,7 @@ def oracle_to_dict(oracle: OracleVariances, seed: int) -> dict:
         "seed": seed,
         "p_a": oracle.p_a,
         "psi_patt": mc(oracle.psi_patt),
-        "tau": oracle.tau,
+        "tau": oracle.tau.value,
         "asymptotic_variances": {
             "patt": mc(oracle.patt),
             "actt": mc(oracle.actt),

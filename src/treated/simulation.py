@@ -26,8 +26,8 @@ import numpy as np
 from .data_model import (Dataset, EstimandKind, NuisanceValues, OutcomeKind, KIND_ORDER,
                          check_ci_level)
 from .errors import DegenerateTreatmentError, TreatedError, ValidationError
-from .estimator import (_score_components, _tau_y_raw, _var_fh_raw, _var_sigma_bound_raw,
-                        estimate_all)
+from .estimator import (_psi_hat_raw, _score_components, _tau_y_raw, _var_fh_raw,
+                        _var_sigma_bound_raw, estimate_all)
 from .mathutil import expit
 from .nuisance import NuisanceConfig
 
@@ -247,13 +247,9 @@ def true_sample_estimands(pd: PotentialDataset, psi_patt_true: float) -> dict:
 
 def psi_tilde(pd: PotentialDataset) -> float:
     """One-step functional with TRUE nuisances: the most precisely estimable
-    sample variant."""
-    ds = pd.dataset
-    a = ds.a.astype(float)
-    pi = pd.true_nuisances.pi_hat
-    resid = ds.y - pd.true_nuisances.mu0_hat
-    w = a - pi * (1.0 - a) / (1.0 - pi)
-    return float((w * resid).mean() / a.mean())
+    sample variant; the estimator's point estimate on the exact nuisances."""
+    nu = pd.true_nuisances
+    return _psi_hat_raw(pd.dataset.y, pd.dataset.a, nu.pi_hat, nu.mu0_hat)
 
 
 def fh_sharpness_oracle(p: float, q: float, grid: int = 4001) -> float:
@@ -362,7 +358,9 @@ class OracleVariances:
 
     ``sigma_bound`` is the identified lower bound on the effect-variance term
     and ``fh_bound`` its sharp binary-outcome counterpart (None for continuous
-    outcomes). Each entry carries a batch-means MC standard error.
+    outcomes). ``tau`` is the control mean among the treated, E[pi mu0]/E[pi],
+    and ``tau_score`` the variance of its score. Each entry carries a
+    batch-means MC standard error.
     """
 
     patt: McValue
@@ -374,7 +372,8 @@ class OracleVariances:
     sigma_bound: McValue
     fh_bound: Optional[McValue]
     psi_patt: McValue
-    tau: float
+    tau: McValue
+    tau_score: McValue
     p_a: float
     draws: int
 
@@ -395,20 +394,25 @@ def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
 
     Pass 1 estimates the population constants (treated share, effect, control
     mean among treated) from x-only draws. Pass 2 draws full joint replicates,
-    evaluates the per-draw score components and the identified
-    conditional-variance terms, and aggregates per batch; values are batch
-    means and the attached standard errors are batch-means errors.
+    evaluates the per-draw score components, the control-mean (tau) score and
+    the identified conditional-variance terms, and aggregates per batch; values
+    are batch means and the attached standard errors are batch-means errors.
     """
     consts = _x_constants(spec, draws, seed, batch_size)
-    p_a, psi = consts.p_a, consts.psi.value
+    p_a, psi, tau = consts.p_a, consts.psi.value, consts.tau.value
     binary = spec.outcome_kind is OutcomeKind.BINARY
 
     def functionals(pi, mu0, mu1, sigma0, sigma1, a, y0, y1, y) -> dict:
+        # The tau score is tau_y + a (mu0 - tau) / p_a; tau_y dies before the
+        # score components exist, so no extra column is live at peak memory.
+        tau_y = _tau_y_raw(y, a, pi, mu0, p_a)
+        v_matt, v_tau = np.var(tau_y), np.var(tau_y + a * (mu0 - tau) / p_a)
+        del tau_y
         psi_y, psi_a, psi_x = _score_components(y, a, pi, mu0, mu1, psi, p_a)
-        v_actt, v_matt = np.var(psi_y + psi_a), np.var(_tau_y_raw(y, a, pi, mu0, p_a))
+        v_actt = np.var(psi_y + psi_a)
         out = {
             "patt": np.var(psi_y + psi_a + psi_x), "actt": v_actt, "catt": np.var(psi_y),
-            "matt": v_matt,
+            "matt": v_matt, "tau_score": v_tau,
             "satt": v_matt + ((pi * (1.0 - a) / (1.0 - pi) * (y - mu0) ** 2) / p_a ** 2).mean(),
             "swatt": v_actt - ((pi ** 2 * (y1 - y0 - (mu1 - mu0)) ** 2) / p_a ** 2).mean(),
             "sigma": _var_sigma_bound_raw(pi, sigma0, sigma1, p_a),
@@ -418,8 +422,8 @@ def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
         return out
 
     # Pass 2: joint draws, per-batch functionals.
-    batches = {k: [] for k in ("patt", "actt", "catt", "matt", "satt", "swatt",
-                               "sigma", "fh")}
+    batches = {k: [] for k in ("patt", "actt", "catt", "matt", "tau_score", "satt",
+                               "swatt", "sigma", "fh")}
     for out in _joint_batches(spec, draws, seed, batch_size, functionals):
         for key, value in out.items():
             batches[key].append(value)
@@ -434,33 +438,11 @@ def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
         sigma_bound=_mc_value(batches["sigma"]),
         fh_bound=_mc_value(batches["fh"]) if binary else None,
         psi_patt=consts.psi,
-        tau=consts.tau.value,
+        tau=consts.tau,
+        tau_score=_mc_value(batches["tau_score"]),
         p_a=p_a,
         draws=draws,
     )
-
-
-@dataclass(frozen=True)
-class TauStudy:
-    """Brute-force control-mean functional and its score variance."""
-
-    tau: McValue
-    var_tau_dot: McValue
-
-
-def psi_tau_true_and_var(spec: DgpSpec, draws: int = 2_000_000, seed=0,
-                         batch_size: int = 500_000) -> TauStudy:
-    """Monte Carlo of tau = E[pi mu0]/E[pi] and the variance of its score."""
-    consts = _x_constants(spec, draws, seed, batch_size)
-    tau, p_a = consts.tau.value, consts.p_a
-
-    def tau_score_var(pi, mu0, mu1, sigma0, sigma1, a, y0, y1, y):
-        centered = mu0 - tau
-        return np.var(((y - mu0) * (1.0 - a) * pi / (1.0 - pi)
-                       + (a - pi) * centered + pi * centered) / p_a)
-
-    var_batches = list(_joint_batches(spec, draws, seed, batch_size, tau_score_var))
-    return TauStudy(tau=consts.tau, var_tau_dot=_mc_value(var_batches))
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +507,7 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
                     oracle_nuisances: bool = True,
                     ci_level: float = 0.95,
                     psi_patt: Optional[McValue] = None,
-                    patt_draws: int = 2_000_000,
-                    tau_true: Optional[float] = None) -> McReport:
+                    patt_draws: int = 2_000_000) -> McReport:
     """Seeded replication study of the estimator against all six estimands.
 
     Each replication draws a fresh PotentialDataset from a stream derived from
@@ -552,7 +533,6 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
     floored = 0
     gaps = []
     psi_hats = []
-    tau_errors = [] if tau_true is not None else None
     failures = []
 
     for r in range(reps):
@@ -584,11 +564,6 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
         if report.diagnostics.get("swatt_sigma_floored") or report.diagnostics.get("swatt_fh_floored"):
             floored += 1
         gaps.append(np.sqrt(n) * (report.psi_hat - psi_tilde(pd)))
-        if tau_errors is not None:
-            ds = pd.dataset
-            a = ds.a.astype(float)
-            psi_tau_r = float((a * ds.y).sum() / a.sum()) - tau_true
-            tau_errors.append(report.psi_hat - psi_tau_r)
 
     ok = len(psi_hats)
     if ok == 0:
@@ -635,9 +610,6 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
         "mean_swatt_conservative_fh": float(np.mean(swatt_fh)) if swatt_fh else None,
         "swatt_floored_count": floored,
     }
-    if tau_errors is not None:
-        te = np.asarray(tau_errors)
-        extras["psi_tau_var_scaled"] = float(n * te.var(ddof=1)) if ok > 1 else 0.0
 
     return McReport(
         per_kind=per_kind,

@@ -19,7 +19,6 @@ from treated import (
     generate,
     oracle_asymptotic_variances,
     psi_patt_true,
-    psi_tau_true_and_var,
     psi_tilde,
     run_monte_carlo,
     true_sample_estimands,
@@ -208,6 +207,15 @@ def test_psi_tilde_zero_when_outcome_matches_mu0():
     assert psi_tilde(flat) == 0.0
 
 
+def test_psi_tilde_equals_oracle_psi_hat():
+    # The exact propensities lie in [0.02, 0.98], inside the estimator's 0.01
+    # clip, so psi_tilde and the oracle-nuisance point estimate are the same
+    # computation on the same arrays and agree bit for bit.
+    for r in range(20):
+        pd = generate(STD_SPEC, 500, seed=_child_seed(23, r))
+        assert psi_tilde(pd) == estimate_all(pd.dataset, oracle=pd.true_nuisances).psi_hat, r
+
+
 # ---------------------------------------------------------------------------
 # psi_patt_true.
 
@@ -289,8 +297,8 @@ def test_oracle_satt_term_direct_vs_ipw_identity():
 
 def test_psi_tau_constant_mu0():
     spec = _d1_spec(mu0_coeffs=[4.0, 0.0])
-    study = psi_tau_true_and_var(spec, draws=200_000, seed=13)
-    assert study.tau.value == pytest.approx(4.0, rel=1e-12)
+    orc = oracle_asymptotic_variances(spec, draws=200_000, seed=13)
+    assert orc.tau.value == pytest.approx(4.0, rel=1e-12)
 
 
 def test_psi_tau_can_exceed_full_score_variance():
@@ -301,28 +309,33 @@ def test_psi_tau_can_exceed_full_score_variance():
                     noise0_sd_coeffs=[0.6, 0.0], noise1_sd_coeffs=[0.0, 0.0],
                     exact_noise=True)
     orc = oracle_asymptotic_variances(spec, draws=2_000_000, seed=14)
-    study = psi_tau_true_and_var(spec, draws=2_000_000, seed=15)
-    margin = 3 * (orc.patt.se + study.var_tau_dot.se)
-    assert orc.patt.value < study.var_tau_dot.value - margin
+    margin = 3 * (orc.patt.se + orc.tau_score.se)
+    assert orc.patt.value < orc.tau_score.value - margin
 
 
 def test_psi_tau_seed_stability():
     spec = _d1_spec()
-    a = psi_tau_true_and_var(spec, draws=2_000_000, seed=16)
-    b = psi_tau_true_and_var(spec, draws=2_000_000, seed=17)
-    assert a.var_tau_dot.value == pytest.approx(b.var_tau_dot.value, rel=0.01)
+    a = oracle_asymptotic_variances(spec, draws=2_000_000, seed=16)
+    b = oracle_asymptotic_variances(spec, draws=2_000_000, seed=17)
+    assert a.tau_score.value == pytest.approx(b.tau_score.value, rel=0.01)
 
 
 def test_monte_carlo_psi_tau_extras_track_score_variance():
-    # With tau supplied, the harness reports the scaled variance of the
-    # estimator against the tau-based sample variant; it should approach the
-    # score variance of the control-mean functional.
+    # The scaled variance of the estimator against the tau-based sample
+    # variant (treated mean of y minus the true tau) approaches the score
+    # variance of the control-mean functional.
     spec = _d1_spec()
-    study = psi_tau_true_and_var(spec, draws=2_000_000, seed=18)
-    rep = run_monte_carlo(spec, n=8_000, reps=400, seed=19, oracle_nuisances=True,
-                          psi_patt=McValue(1.0, 0.0), tau_true=study.tau.value)
-    scaled = rep.extras["psi_tau_var_scaled"]
-    assert scaled == pytest.approx(study.var_tau_dot.value, rel=0.25)
+    orc = oracle_asymptotic_variances(spec, draws=2_000_000, seed=18)
+    n = 8_000
+    errors = []
+    for r in range(400):
+        pd = generate(spec, n, seed=_child_seed(19, r))
+        ds = pd.dataset
+        a = ds.a.astype(float)
+        psi_tau_r = float((a * ds.y).sum() / a.sum()) - orc.tau.value
+        errors.append(estimate_psi_hat(ds, pd.true_nuisances) - psi_tau_r)
+    scaled = n * float(np.var(errors, ddof=1))
+    assert scaled == pytest.approx(orc.tau_score.value, rel=0.25)
 
 
 # ---------------------------------------------------------------------------
