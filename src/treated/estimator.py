@@ -48,6 +48,7 @@ from .errors import (
     MissingSigmaError,
     NonFiniteEstimateError,
     NotBinaryOutcomeError,
+    ValidationError,
 )
 from .mathutil import norm_quantile
 from .nuisance import NuisanceConfig, compute_nuisances
@@ -134,15 +135,13 @@ class _Columns:
     """Per-unit columns of one (dataset, nuisances) pair and the plain-kind
     variances read off them; each is built on first use and only once."""
 
-    def __init__(self, dataset: Dataset, nuis: NuisanceValues, psi=None, components=None):
+    def __init__(self, dataset: Dataset, nuis: NuisanceValues, psi=None):
         _check_lengths(dataset, nuis)
         self.nuis, self.y, self.pi, self.mu0 = nuis, dataset.y, nuis.pi_hat, nuis.mu0_hat
         self.a = dataset.a.astype(float)
         self.a_bar = self.a.mean()
         if psi is not None:
             self.psi = psi
-        if components is not None:
-            self.comp = (components.psi_y, components.psi_a, components.psi_x)
 
     @cached_property
     def terms(self):
@@ -207,16 +206,14 @@ def var_patt(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> float:
     return _Columns(dataset, nuis, psi_hat).v_patt
 
 
-def var_actt(dataset: Dataset, nuis: NuisanceValues, psi_hat: float,
-             components: Optional[IfComponents] = None) -> float:
+def var_actt(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> float:
     """Sample variance of the outcome + assignment score components."""
-    return _Columns(dataset, nuis, psi_hat, components).v_actt
+    return _Columns(dataset, nuis, psi_hat).v_actt
 
 
-def var_catt(dataset: Dataset, nuis: NuisanceValues, psi_hat: float,
-             components: Optional[IfComponents] = None) -> float:
+def var_catt(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> float:
     """Sample variance of the outcome score component."""
-    return _Columns(dataset, nuis, psi_hat, components).v_catt
+    return _Columns(dataset, nuis, psi_hat).v_catt
 
 
 def var_matt(dataset: Dataset, nuis: NuisanceValues) -> float:
@@ -295,8 +292,9 @@ def var_swatt_conservative(v_actt: float, v_sigma: Optional[float] = None,
 
 def confidence_interval(psi_hat: float, variance: float, n: int, level: float):
     """Wald interval ``psi_hat +/- z_{(1+level)/2} sqrt(variance / n)``."""
-    if variance < 0:
-        raise ValueError(f"variance must be nonnegative, got {variance}")
+    check_ci_level(level)
+    if not variance >= 0:
+        raise ValidationError(f"variance must be nonnegative, got {variance}")
     z = norm_quantile(0.5 * (1.0 + level))
     half = z * np.sqrt(variance / n)
     return psi_hat - half, psi_hat + half

@@ -16,6 +16,7 @@ from treated import (
     NuisanceConfig,
     NuisanceValues,
     OutcomeKind,
+    ValidationError,
     compute_nuisances,
     confidence_interval,
     estimate_all,
@@ -271,6 +272,13 @@ def test_ci_degenerate_variance():
     assert lo == hi == 1.5
 
 
+@pytest.mark.parametrize("level, variance", [(1.5, 1.0), (0.95, -1.0), (0.95, float("nan"))],
+                         ids=["level", "negative", "nan"])
+def test_ci_rejects_bad_level_and_variance(level, variance):
+    with pytest.raises(ValidationError):
+        confidence_interval(0.0, variance, 10, level)
+
+
 # ---------------------------------------------------------------------------
 # Property tests.
 
@@ -430,7 +438,6 @@ def test_estimate_all_variances_equal_public_wrappers(binary, fitted):
     report = estimate_all(ds, config, oracle=None if fitted else nu)
     nuis = compute_nuisances(ds, config, oracle=None if fitted else nu)
     psi = estimate_psi_hat(ds, nuis)
-    comp = if_components(ds, nuis, psi)
     want = {
         EstimandKind.PATT: var_patt(ds, nuis, psi),
         EstimandKind.ACTT: var_actt(ds, nuis, psi),
@@ -441,8 +448,6 @@ def test_estimate_all_variances_equal_public_wrappers(binary, fitted):
     assert report.psi_hat == psi
     for kind, variance in want.items():
         assert report.per_kind[kind].variance == variance, kind
-    assert var_actt(ds, nuis, psi, comp) == want[EstimandKind.ACTT]
-    assert var_catt(ds, nuis, psi, comp) == want[EstimandKind.CATT]
     assert report.per_kind[EstimandKind.SWATT].conservative_simple == want[EstimandKind.ACTT]
     assert report.diagnostics["v_sigma_bound"] == var_sigma_bound(ds, nuis)
     if binary:
