@@ -57,8 +57,6 @@ class NuisanceConfig:
 
 def _standardize(x: np.ndarray):
     """Per-column mean/sd; zero-variance columns get unit scale."""
-    if x.shape[1] == 0:
-        return np.zeros(0), np.ones(0)
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
     scale = np.where(scale > 0, scale, 1.0)
@@ -74,10 +72,7 @@ class _AffineModel:
     coef: np.ndarray  # (d+1,): intercept then standardized-column slopes
 
     def linear(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(-1, 1) if self.mean.size == 1 else x.reshape(-1, self.mean.size)
-        z = (x - self.mean) / self.scale if self.mean.size else np.zeros((x.shape[0], 0))
+        z = (np.asarray(x, dtype=float) - self.mean) / self.scale
         return self.coef[0] + z @ self.coef[1:]
 
 
@@ -123,8 +118,7 @@ def _ridge_solve(design: np.ndarray, target: np.ndarray, lam: float) -> np.ndarr
 
 def _fit_linear(x: np.ndarray, target: np.ndarray, lam: float) -> _AffineModel:
     mean, scale = _standardize(x)
-    z = (x - mean) / scale if mean.size else np.zeros((x.shape[0], 0))
-    design = np.column_stack([np.ones(x.shape[0]), z])
+    design = np.column_stack([np.ones(x.shape[0]), (x - mean) / scale])
     coef = _ridge_solve(design, target, lam)
     return _AffineModel(mean, scale, coef)
 
@@ -132,8 +126,7 @@ def _fit_linear(x: np.ndarray, target: np.ndarray, lam: float) -> _AffineModel:
 def _fit_logistic(a: np.ndarray, x: np.ndarray, config: NuisanceConfig) -> PropensityModel:
     n = x.shape[0]
     mean, scale = _standardize(x)
-    z = (x - mean) / scale if mean.size else np.zeros((n, 0))
-    design = np.column_stack([np.ones(n), z])
+    design = np.column_stack([np.ones(n), (x - mean) / scale])
     d = design.shape[1] - 1
     lam = config.ridge_lambda
     a = a.astype(float)
