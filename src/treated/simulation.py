@@ -18,6 +18,7 @@ fixed Monte Carlo truth.
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -214,6 +215,8 @@ def generate(spec: DgpSpec, n: int, seed) -> PotentialDataset:
     outcomes given x, so ignorability holds by construction, and the observed
     outcome is exactly a*y1 + (1-a)*y0.
     """
+    if n < 1:
+        raise ValidationError("n must be >= 1")
     rng = np.random.default_rng(seed)
     x = _draw_x(spec, n, rng)
     nu = true_nuisance_values(spec, x)
@@ -502,6 +505,73 @@ def _paired_verdict(errors, k_small, k_large, n) -> OrderingVerdict:
     )
 
 
+class _Replication(NamedTuple):
+    """What one successful replication adds to a study; the per-kind tuples
+    follow KIND_ORDER."""
+
+    psi_hat: float
+    errors: tuple
+    hits: tuple
+    variances: tuple
+    swatt_simple: float
+    swatt_sigma: Optional[float]
+    swatt_fh: Optional[float]
+    floored: bool
+    gap: float
+
+
+def _replications(spec, n, seed, psi_patt_value, config, oracle_nuisances, ci_level, lo, hi):
+    """Yield a _Replication for each replication r in [lo, hi), or the message
+    ``"rep r: ..."`` for one that raised a TreatedError.
+
+    ``pd`` and ``report`` stay bound until the next replication replaces them:
+    freeing them on every return would hand their pages back to the system, and
+    the next replication would fault them in again.
+    """
+    for r in range(lo, hi):
+        try:
+            pd = generate(spec, n, seed=_child_seed(seed, r))
+            truths = true_sample_estimands(pd, psi_patt_value)
+            report = estimate_all(pd.dataset, config,
+                                  oracle=pd.true_nuisances if oracle_nuisances else None,
+                                  ci_level=ci_level)
+        except TreatedError as exc:
+            yield f"rep {r}: {exc}"
+            continue
+        per_kind = [report.per_kind[k] for k in KIND_ORDER]
+        truth = [truths[k] for k in KIND_ORDER]
+        sw = report.per_kind[EstimandKind.SWATT]
+        yield _Replication(
+            psi_hat=report.psi_hat,
+            errors=tuple(report.psi_hat - t for t in truth),
+            hits=tuple(inf.ci_lower <= t <= inf.ci_upper for inf, t in zip(per_kind, truth)),
+            variances=tuple(inf.variance if inf.variance is not None else inf.variance_used
+                            for inf in per_kind),
+            swatt_simple=sw.conservative_simple,
+            swatt_sigma=sw.conservative_sigma,
+            swatt_fh=sw.conservative_fh,
+            floored=bool(report.diagnostics.get("swatt_sigma_floored")
+                         or report.diagnostics.get("swatt_fh_floored")),
+            gap=np.sqrt(n) * (report.psi_hat - psi_tilde(pd)),
+        )
+
+
+def _replication_list(*args) -> list:
+    """Run one chunk of ``_replications`` in a worker process."""
+    return list(_replications(*args))
+
+
+def _worker_count(reps: int) -> int:
+    """One worker per CPU this process may run on, never more than ``reps``;
+    1 where processes cannot be forked."""
+    if reps < 2 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return min(len(os.sched_getaffinity(0)), reps)
+
+
 def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
                     nuisance_config: Optional[NuisanceConfig] = None,
                     oracle_nuisances: bool = True,
@@ -515,9 +585,15 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
     pipeline with oracle or fitted nuisances, and records errors, variance
     estimates and CI hits. Replications that raise are counted and reported,
     never silently dropped.
+
+    The replications run in one forked worker process per CPU in the affinity
+    mask, each on a contiguous block of indices. The records are aggregated in
+    index order, so the report does not depend on the number of workers.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
+    if n < 1:
+        raise ValidationError("n must be >= 1")
     check_ci_level(ci_level)
     if psi_patt is None:
         psi_patt = psi_patt_true(spec, draws=patt_draws, seed=_child_seed(seed, 2 ** 31))
@@ -525,53 +601,34 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
     if oracle_nuisances or nuisance_config is None:
         nuisance_config = NuisanceConfig()
 
-    kinds = KIND_ORDER
-    errors = {k: [] for k in kinds}
-    hits = {k: [] for k in kinds}
-    var_estimates = {k: [] for k in kinds}
-    swatt_simple, swatt_sigma, swatt_fh = [], [], []
-    floored = 0
-    gaps = []
-    psi_hats = []
-    failures = []
+    args = (spec, n, seed, psi_patt.value, nuisance_config, oracle_nuisances, ci_level)
+    workers = _worker_count(reps)
+    if workers == 1:
+        records = _replications(*args, 0, reps)
+    else:
+        # Imported here: at module level they add 12-17 ms to every
+        # `import treated.cli`, pooled or not. Fork, not spawn: a worker starts
+        # as a copy of this process and imports nothing. The one other thread
+        # at fork time is OpenBLAS's, which its own fork handler stops.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        bounds = [reps * i // workers for i in range(workers + 1)]
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            chunks = [pool.submit(_replication_list, *args, lo, hi)
+                      for lo, hi in zip(bounds, bounds[1:])]
+            records = [record for chunk in chunks for record in chunk.result()]
 
-    for r in range(reps):
-        try:
-            pd = generate(spec, n, seed=_child_seed(seed, r))
-            truths = true_sample_estimands(pd, psi_patt.value)
-            report = estimate_all(
-                pd.dataset, nuisance_config,
-                oracle=pd.true_nuisances if oracle_nuisances else None,
-                ci_level=ci_level,
-            )
-        except TreatedError as exc:
-            failures.append(f"rep {r}: {exc}")
-            continue
-        psi_hats.append(report.psi_hat)
-        for k in kinds:
-            inf = report.per_kind[k]
-            errors[k].append(report.psi_hat - truths[k])
-            hits[k].append(inf.ci_lower <= truths[k] <= inf.ci_upper)
-            var_estimates[k].append(
-                inf.variance if inf.variance is not None else inf.variance_used
-            )
-        sw = report.per_kind[EstimandKind.SWATT]
-        swatt_simple.append(sw.conservative_simple)
-        if sw.conservative_sigma is not None:
-            swatt_sigma.append(sw.conservative_sigma)
-        if sw.conservative_fh is not None:
-            swatt_fh.append(sw.conservative_fh)
-        if report.diagnostics.get("swatt_sigma_floored") or report.diagnostics.get("swatt_fh_floored"):
-            floored += 1
-        gaps.append(np.sqrt(n) * (report.psi_hat - psi_tilde(pd)))
-
-    ok = len(psi_hats)
+    failures, done = [], []
+    for record in records:
+        (failures if isinstance(record, str) else done).append(record)
+    ok = len(done)
     if ok == 0:
         raise ValidationError("every replication failed; nothing to aggregate")
-    err_arrays = {k: np.asarray(v) for k, v in errors.items()}
+    kinds = KIND_ORDER
+    err_arrays = {k: np.asarray([rec.errors[i] for rec in done]) for i, k in enumerate(kinds)}
 
     per_kind = {}
-    for k in kinds:
+    for i, k in enumerate(kinds):
         e = err_arrays[k]
         centered_sq = (e - e.mean()) ** 2
         v = float(e.var(ddof=1)) if ok > 1 else 0.0
@@ -579,8 +636,8 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
         per_kind[k] = McKindStats(
             empirical_var_scaled=n * v,
             empirical_var_scaled_se=n * v_se,
-            mean_variance_estimate=float(np.mean(var_estimates[k])),
-            coverage=float(np.mean(hits[k])),
+            mean_variance_estimate=float(np.mean([rec.variances[i] for rec in done])),
+            coverage=float(np.mean([rec.hits[i] for rec in done])),
             ci_level=ci_level,
         )
 
@@ -596,7 +653,10 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
         ordering = []
         satt_vs_patt = None
 
-    gaps = np.asarray(gaps)
+    gaps = np.asarray([rec.gap for rec in done])
+    psi_hats = [rec.psi_hat for rec in done]
+    swatt_sigma = [rec.swatt_sigma for rec in done if rec.swatt_sigma is not None]
+    swatt_fh = [rec.swatt_fh for rec in done if rec.swatt_fh is not None]
     extras = {
         "psi_patt_value": psi_patt.value,
         "psi_patt_se": psi_patt.se,
@@ -605,10 +665,10 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
         "psi_tilde_rms_scaled_gap": float(np.sqrt(np.mean(gaps ** 2))),
         "mean_psi_hat": float(np.mean(psi_hats)),
         "sd_psi_hat": float(np.std(psi_hats, ddof=1)) if ok > 1 else 0.0,
-        "mean_swatt_conservative_simple": float(np.mean(swatt_simple)),
+        "mean_swatt_conservative_simple": float(np.mean([rec.swatt_simple for rec in done])),
         "mean_swatt_conservative_sigma": float(np.mean(swatt_sigma)) if swatt_sigma else None,
         "mean_swatt_conservative_fh": float(np.mean(swatt_fh)) if swatt_fh else None,
-        "swatt_floored_count": floored,
+        "swatt_floored_count": sum(rec.floored for rec in done),
     }
 
     return McReport(

@@ -191,6 +191,17 @@ def test_simulate_byte_identical_outputs(tmp_path):
     assert set(payload["per_kind"]) == {"patt", "actt", "swatt", "catt", "satt", "matt"}
 
 
+@pytest.mark.parametrize("n", ["-5", "0"])
+def test_simulate_nonpositive_n_exit2(tmp_path, capsys, n):
+    spec_path = _write(tmp_path, "spec.json", json.dumps(_spec_json()))
+    code = main(["simulate", "--spec", spec_path, "--n", n, "--reps", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    payload = json.loads(captured.err.strip())
+    assert payload == {"error_code": "Validation", "message": "n must be >= 1"}
+
+
 def test_simulate_single_rep(tmp_path, capsys):
     spec_path = _write(tmp_path, "spec.json", json.dumps(_spec_json()))
     code = main(["simulate", "--spec", spec_path, "--n", "200", "--reps", "1",
@@ -292,6 +303,16 @@ def test_module_entrypoint_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "estimate" in proc.stdout
+
+
+def test_cli_import_leaves_the_pool_modules_unloaded():
+    # The worker pool imports them only when it starts, so every command's
+    # start-up stays free of their import time.
+    code = ("import sys, treated.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_bad_flags_emit_error_code(capsys):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from treated import simulation
 from treated.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -54,8 +55,21 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_golden_bytes(case, capsys):
+def _assert_golden(case, capsys):
     assert main(CASES[case]) == 0
     expected = (GOLDEN / f"{case}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_bytes(case, capsys):
+    _assert_golden(case, capsys)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("simulate_")))
+def test_simulate_golden_bytes_for_worker_count(case, workers, capsys, monkeypatch):
+    # Replications run in a pool of forked workers; the report must not depend
+    # on how many, so each count reproduces the same committed bytes.
+    monkeypatch.setattr(simulation, "_worker_count", lambda reps: workers)
+    _assert_golden(case, capsys)

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from treated import (
     run_monte_carlo,
     true_sample_estimands,
 )
+from treated import simulation
 from treated.simulation import McValue, PotentialDataset, _child_seed
 
 from conftest import STD_SPEC
@@ -80,6 +82,12 @@ def test_generate_exact_noise_switch():
     pd = generate(spec, 200, seed=2)
     assert np.array_equal(pd.y0, spec.mu(0, pd.dataset.x))
     assert np.array_equal(pd.y1, spec.mu(1, pd.dataset.x))
+
+
+def test_generate_rejects_nonpositive_n():
+    for n in (-1, 0):
+        with pytest.raises(ValidationError, match="n must be >= 1"):
+            generate(_d1_spec(), n, seed=0)
 
 
 def test_generate_treated_share_matches_oracle():
@@ -379,14 +387,73 @@ def test_monte_carlo_bit_identical_reports():
     assert dumps_canonical(mc_report_to_dict(a)) == dumps_canonical(mc_report_to_dict(b))
 
 
-def test_failed_replications_counted_not_dropped():
+def _with_workers(monkeypatch, workers):
+    monkeypatch.setattr(simulation, "_worker_count", lambda reps: workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_replications_counted_not_dropped(workers, monkeypatch):
     spec = _d1_spec(propensity_coeffs=[-8.0, 0.0])  # pi clipped to 0.02
-    rep = run_monte_carlo(spec, n=10, reps=60, seed=3, oracle_nuisances=True,
-                          psi_patt=McValue(1.0, 0.0))
+    kwargs = dict(n=10, reps=60, seed=3, oracle_nuisances=True, psi_patt=McValue(1.0, 0.0))
+    _with_workers(monkeypatch, 1)
+    serial = run_monte_carlo(spec, **kwargs)
+    _with_workers(monkeypatch, workers)
+    rep = run_monte_carlo(spec, **kwargs)
     assert rep.failed_reps > 0
     assert rep.failed_reps < 60  # some replications still succeed
     assert rep.failure_messages
     assert rep.reps == 60
+    indices = [int(m.split(":")[0].removeprefix("rep ")) for m in rep.failure_messages]
+    assert indices == sorted(indices)
+    assert (rep.failed_reps, rep.failure_messages) == (serial.failed_reps, serial.failure_messages)
+
+
+def test_worker_count_bounded_by_affinity_and_reps(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4, 5, 6, 7})
+    assert [simulation._worker_count(r) for r in (1, 2, 3, 8, 300)] == [1, 2, 3, 8, 8]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
+    assert simulation._worker_count(300) == 1
+
+
+def test_single_replication_runs_in_process(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    pids = []
+    real_generate = simulation.generate
+
+    def recording_generate(*args, **kwargs):
+        pids.append(os.getpid())
+        return real_generate(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "generate", recording_generate)
+    run_monte_carlo(_d1_spec(), n=200, reps=1, seed=4, psi_patt=McValue(1.0, 0.0))
+    assert pids == [os.getpid()]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unexpected_replication_error_reaches_caller(workers, monkeypatch):
+    # Only a TreatedError is a failed replication; anything else is a bug and
+    # must surface from a worker process as well as in-process.
+    real_generate = simulation.generate
+
+    def broken_generate(spec, n, seed):
+        if seed == _child_seed(8, 5):
+            raise RuntimeError("broken replication")
+        return real_generate(spec, n, seed)
+
+    monkeypatch.setattr(simulation, "generate", broken_generate)
+    _with_workers(monkeypatch, workers)
+    with pytest.raises(RuntimeError, match="broken replication"):
+        run_monte_carlo(_d1_spec(), n=200, reps=8, seed=8, psi_patt=McValue(1.0, 0.0))
+
+
+def test_monte_carlo_rejects_bad_n_before_the_patt_oracle(monkeypatch):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("psi_patt_true ran before n was checked")
+
+    monkeypatch.setattr(simulation, "psi_patt_true", no_oracle)
+    for n in (-5, 0):
+        with pytest.raises(ValidationError, match="n must be >= 1"):
+            run_monte_carlo(_d1_spec(), n=n, reps=3, seed=0)
 
 
 def test_consistency_chain_rms_decreases(std_oracle):
