@@ -526,7 +526,8 @@ def _replications(spec, n, seed, psi_patt_value, config, oracle_nuisances, ci_le
 
     ``pd`` and ``report`` stay bound until the next replication replaces them:
     freeing them on every return would hand their pages back to the system, and
-    the next replication would fault them in again.
+    the next replication would fault them in again. The stages are called by
+    their module-level names, which the benchmark's tracer wraps.
     """
     for r in range(lo, hi):
         try:
