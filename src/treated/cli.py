@@ -120,6 +120,8 @@ def read_csv_dataset(path: str, outcome_kind: OutcomeKind):
     for required in ("y", "a"):
         if required not in header:
             raise CliParseError(f"missing required column '{required}'")
+    if len(set(header)) != len(header):
+        raise CliParseError("duplicate column names")
     x_names = sorted((h for h in header if h.startswith("x")),
                      key=lambda s: (len(s), s))
     d = len(x_names)
@@ -132,24 +134,24 @@ def read_csv_dataset(path: str, outcome_kind: OutcomeKind):
     unknown = [h for h in header if h not in known]
     if unknown:
         raise CliParseError(f"unknown columns {unknown}")
-    if len(set(header)) != len(header):
-        raise CliParseError("duplicate column names")
 
     idx = {name: header.index(name) for name in header}
-    body = [r for r in rows[1:] if r and any(cell.strip() for cell in r)]
+    # Rows are numbered by record, blank ones included, with the header as row 1.
+    body = [(number, r) for number, r in enumerate(rows[1:], start=2)
+            if r and any(cell.strip() for cell in r)]
     if not body:
         raise CliParseError("CSV has a header but no data rows")
 
     def column(name):
         col = np.empty(len(body))
-        for i, row in enumerate(body):
+        for i, (number, row) in enumerate(body):
             if len(row) != len(header):
-                raise CliParseError(f"row {i + 2} has {len(row)} cells, expected {len(header)}")
+                raise CliParseError(f"row {number} has {len(row)} cells, expected {len(header)}")
             cell = row[idx[name]].strip()
             try:
                 col[i] = float(cell)
             except ValueError as exc:
-                raise CliParseError(f"row {i + 2}, column '{name}': bad number {cell!r}") from exc
+                raise CliParseError(f"row {number}, column '{name}': bad number {cell!r}") from exc
         return col
 
     y = column("y")

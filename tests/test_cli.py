@@ -94,6 +94,27 @@ def test_estimate_malformed_number_exit1(tmp_path):
     assert main(["estimate", "--input", csv_path]) == 1
 
 
+def _parse_error(tmp_path, capsys, text):
+    code = main(["estimate", "--input", _write(tmp_path, "bad.csv", text)])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error_code"] == "ParseError"
+    return payload["message"]
+
+
+@pytest.mark.parametrize("text, message", [
+    # The bad cell is on line 5; the blank line 3 still counts.
+    ("y,a,x1\n1,1,0.5\n\n2,0,0.1\n3,0,bad\n", "row 5, column 'x1': bad number 'bad'"),
+    ("y,a,x1\r\n1,1,0.5\r\n  ,  \r\n2,0\r\n", "row 4 has 2 cells, expected 3"),
+])
+def test_parse_errors_number_rows_by_record(tmp_path, capsys, text, message):
+    assert _parse_error(tmp_path, capsys, text) == message
+
+
+def test_duplicate_covariate_names_are_reported_as_duplicates(tmp_path, capsys):
+    assert _parse_error(tmp_path, capsys, "y,a,x1,x1\n1,1,0,0\n") == "duplicate column names"
+
+
 def test_estimate_validation_error_exit2(tmp_path, capsys):
     csv_path = _write(tmp_path, "degenerate.csv", "y,a\n1,1\n2,1\n")
     code = main(["estimate", "--input", csv_path])
