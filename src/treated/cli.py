@@ -111,12 +111,28 @@ def read_csv_dataset(path: str, outcome_kind: OutcomeKind):
     """Parse the CSV schema into a Dataset plus any oracle nuisance columns."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            text = fh.read()
     except OSError as exc:
         raise CliParseError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise CliParseError("empty CSV file")
-    header = [h.strip() for h in rows[0]]
+    except UnicodeDecodeError as exc:
+        raise CliParseError(f"cannot read {path}: not UTF-8 ({exc})") from exc
+    try:
+        columns = _loadtxt_columns(text)
+        if columns is None:
+            columns = _scan_columns(text)
+    except csv.Error as exc:
+        raise CliParseError(f"cannot parse {path}: {exc}") from exc
+    y = columns.pop("y")
+    a = columns.pop("a")
+    x_names = [name for name in columns if name.startswith("x")]
+    x = (np.column_stack([columns.pop(name) for name in x_names]) if x_names
+         else np.empty((len(y), 0)))
+    dataset = Dataset(y=y, a=a, x=x, outcome_kind=outcome_kind)
+    return dataset, columns
+
+
+def _check_header(header: list) -> list:
+    """Reject a malformed header; return its column names in reading order."""
     for required in ("y", "a"):
         if required not in header:
             raise CliParseError(f"missing required column '{required}'")
@@ -134,8 +150,43 @@ def read_csv_dataset(path: str, outcome_kind: OutcomeKind):
     unknown = [h for h in header if h not in known]
     if unknown:
         raise CliParseError(f"unknown columns {unknown}")
+    return ["y", "a", *expected_x, *(name for name in _ORACLE_COLUMNS if name in header)]
 
-    idx = {name: header.index(name) for name in header}
+
+def _loadtxt_columns(text: str) -> Optional[dict]:
+    """Parse the body in one np.loadtxt call; None leaves the file to the scan.
+
+    loadtxt refuses every cell that float() would read differently (digit
+    separators, non-ASCII digits, a stray quote, ...), so a body it accepts
+    whole gives the scan's arrays bit for bit.
+    """
+    cut = min((i for i in (text.find("\n"), text.find("\r")) if i >= 0), default=len(text))
+    # A quoted header may span lines; an empty file has no header line.
+    if not text or '"' in text[:cut]:
+        return None
+    header = [h.strip() for h in next(csv.reader([text[:cut]]))]
+    names = _check_header(header)
+    body = text[cut:]
+    # On a body with no data loadtxt warns instead of raising.
+    if not body.strip():
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(body), dtype=float, delimiter=",",
+                           comments=None, quotechar='"', ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[0] == 0 or table.shape[1] != len(header):
+        return None
+    return {name: table[:, header.index(name)] for name in names}
+
+
+def _scan_columns(text: str) -> dict:
+    """Read the file cell by cell with float(); words the error for a bad cell."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    if not rows:
+        raise CliParseError("empty CSV file")
+    header = [h.strip() for h in rows[0]]
+    names = _check_header(header)
     # Rows are numbered by record, blank ones included, with the header as row 1.
     body = [(number, r) for number, r in enumerate(rows[1:], start=2)
             if r and any(cell.strip() for cell in r)]
@@ -144,22 +195,18 @@ def read_csv_dataset(path: str, outcome_kind: OutcomeKind):
 
     def column(name):
         col = np.empty(len(body))
+        j = header.index(name)
         for i, (number, row) in enumerate(body):
             if len(row) != len(header):
                 raise CliParseError(f"row {number} has {len(row)} cells, expected {len(header)}")
-            cell = row[idx[name]].strip()
+            cell = row[j].strip()
             try:
                 col[i] = float(cell)
             except ValueError as exc:
                 raise CliParseError(f"row {number}, column '{name}': bad number {cell!r}") from exc
         return col
 
-    y = column("y")
-    a = column("a")
-    x = np.column_stack([column(name) for name in expected_x]) if d else np.empty((len(body), 0))
-    oracle_cols = {name: column(name) for name in _ORACLE_COLUMNS if name in idx}
-    dataset = Dataset(y=y, a=a, x=x, outcome_kind=outcome_kind)
-    return dataset, oracle_cols
+    return {name: column(name) for name in names}
 
 
 def _oracle_values(dataset: Dataset, cols: dict, clip_eps: float) -> Optional[NuisanceValues]:
@@ -289,8 +336,11 @@ def _write_output(text: str, output: Optional[str]):
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliParseError(f"cannot write {output}: {exc}") from exc
 
 
 def _parse_estimands(value: str):

@@ -624,7 +624,8 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
         (failures if isinstance(record, str) else done).append(record)
     ok = len(done)
     if ok == 0:
-        raise ValidationError("every replication failed; nothing to aggregate")
+        raise ValidationError(
+            f"every replication failed; nothing to aggregate (first: {failures[0]})")
     kinds = KIND_ORDER
     err_arrays = {k: np.asarray([rec.errors[i] for rec in done]) for i, k in enumerate(kinds)}
 

@@ -1,13 +1,19 @@
+import csv
 import dataclasses
 import json
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treated.cli import dumps_canonical, main, report_to_dict
-from treated import IrlsDivergedError, NonFiniteEstimateError, estimate_all
+import treated.cli
+from treated.cli import CliParseError, dumps_canonical, main, read_csv_dataset, report_to_dict
+from treated import (Dataset, IrlsDivergedError, NonFiniteEstimateError, OutcomeKind,
+                     TreatedError, estimate_all)
 
 from conftest import make_worked_example
 
@@ -94,25 +100,200 @@ def test_estimate_malformed_number_exit1(tmp_path):
     assert main(["estimate", "--input", csv_path]) == 1
 
 
-def _parse_error(tmp_path, capsys, text):
-    code = main(["estimate", "--input", _write(tmp_path, "bad.csv", text)])
+def _parse_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
     assert code == 1
-    payload = json.loads(capsys.readouterr().err.strip())
+    assert captured.out == ""
+    payload = json.loads(captured.err.strip())
     assert payload["error_code"] == "ParseError"
     return payload["message"]
+
+
+def _csv_parse_error(tmp_path, capsys, text):
+    return _parse_error(capsys, ["estimate", "--input", _write(tmp_path, "bad.csv", text)])
 
 
 @pytest.mark.parametrize("text, message", [
     # The bad cell is on line 5; the blank line 3 still counts.
     ("y,a,x1\n1,1,0.5\n\n2,0,0.1\n3,0,bad\n", "row 5, column 'x1': bad number 'bad'"),
     ("y,a,x1\r\n1,1,0.5\r\n  ,  \r\n2,0\r\n", "row 4 has 2 cells, expected 3"),
+    # A '#' is not a comment marker.
+    ("y,a,x1\n1,1,3 # note\n", "row 2, column 'x1': bad number '3 # note'"),
+    ("y,a,x1\n \n\t\n", "CSV has a header but no data rows"),
+    ("y,a,x1\r\n", "CSV has a header but no data rows"),
+    ("", "empty CSV file"),
 ])
 def test_parse_errors_number_rows_by_record(tmp_path, capsys, text, message):
-    assert _parse_error(tmp_path, capsys, text) == message
+    assert _csv_parse_error(tmp_path, capsys, text) == message
 
 
 def test_duplicate_covariate_names_are_reported_as_duplicates(tmp_path, capsys):
-    assert _parse_error(tmp_path, capsys, "y,a,x1,x1\n1,1,0,0\n") == "duplicate column names"
+    assert _csv_parse_error(tmp_path, capsys, "y,a,x1,x1\n1,1,0,0\n") == "duplicate column names"
+
+
+def test_non_utf8_input_exit1(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("y,a\n1,0\ncaf\u00e9,1\n".encode("latin-1"))
+    message = _parse_error(capsys, ["estimate", "--input", str(path)])
+    assert message.startswith(f"cannot read {path}: not UTF-8")
+
+
+def test_cell_over_the_csv_field_limit_exit1(tmp_path, capsys):
+    path = _write(tmp_path, "wide.csv", "y,a,x1\n1,1," + "z" * (csv.field_size_limit() + 1) + "\n")
+    message = _parse_error(capsys, ["estimate", "--input", path])
+    assert message.startswith(f"cannot parse {path}: field larger than field limit")
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+def test_unwritable_output_exit1(tmp_path, capsys, target):
+    output = str(tmp_path / target)
+    argv = ["estimate", "--input", _write(tmp_path, "data.csv", WORKED_CSV), "--output", output]
+    assert _parse_error(capsys, argv).startswith(f"cannot write {output}: ")
+
+
+# ---------------------------------------------------------------------------
+# The CSV reader against the cell-by-cell scan it replaced.
+
+def _reference_read_csv(path, outcome_kind):
+    """The reader before the loadtxt fast path: csv.reader plus float() per cell."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise CliParseError("empty CSV file")
+    header = [h.strip() for h in rows[0]]
+    for required in ("y", "a"):
+        if required not in header:
+            raise CliParseError(f"missing required column '{required}'")
+    if len(set(header)) != len(header):
+        raise CliParseError("duplicate column names")
+    x_names = sorted((h for h in header if h.startswith("x")),
+                     key=lambda s: (len(s), s))
+    d = len(x_names)
+    expected_x = [f"x{i}" for i in range(1, d + 1)]
+    if x_names != expected_x:
+        raise CliParseError(
+            f"covariate columns must be named x1..x{d}; got {x_names}"
+        )
+    known = {"y", "a", *expected_x, *_ORACLE_COLUMNS}
+    unknown = [h for h in header if h not in known]
+    if unknown:
+        raise CliParseError(f"unknown columns {unknown}")
+
+    idx = {name: header.index(name) for name in header}
+    body = [(number, r) for number, r in enumerate(rows[1:], start=2)
+            if r and any(cell.strip() for cell in r)]
+    if not body:
+        raise CliParseError("CSV has a header but no data rows")
+
+    def column(name):
+        col = np.empty(len(body))
+        for i, (number, row) in enumerate(body):
+            if len(row) != len(header):
+                raise CliParseError(f"row {number} has {len(row)} cells, expected {len(header)}")
+            cell = row[idx[name]].strip()
+            try:
+                col[i] = float(cell)
+            except ValueError as exc:
+                raise CliParseError(f"row {number}, column '{name}': bad number {cell!r}") from exc
+        return col
+
+    y = column("y")
+    a = column("a")
+    x = np.column_stack([column(name) for name in expected_x]) if d else np.empty((len(body), 0))
+    oracle_cols = {name: column(name) for name in _ORACLE_COLUMNS if name in idx}
+    dataset = Dataset(y=y, a=a, x=x, outcome_kind=outcome_kind)
+    return dataset, oracle_cols
+
+
+_ORACLE_COLUMNS = ("pi", "mu0", "mu1", "sigma0", "sigma1")
+
+
+def _read_outcome(read, path):
+    """Exact bits of every array read, or the error's type and message."""
+    try:
+        dataset, cols = read(path, OutcomeKind.CONTINUOUS)
+    except (CliParseError, TreatedError) as exc:
+        return type(exc), str(exc)
+    arrays = {"y": dataset.y, "a": dataset.a, "x": dataset.x, **cols}
+    return {name: (v.dtype.str, v.shape, v.tobytes()) for name, v in arrays.items()}
+
+
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.sampled_from(["-0", "5.", ".5", "+1.5E-3", "0.1000000000000000055511151231257827"]),
+)
+_NUMBER = st.one_of(_FINITE, st.floats().map(repr),
+                    st.sampled_from(["nan", "-nan", "NaN", "inf", "-Infinity", "1e400"]))
+_ODD = st.sampled_from(["1_0", "\u0661", "\u0663.\u0665", "\uff11", "0x10", "nan(1)", "1d5",
+                        '"1"5', '1"5', "\xa01.5", "1 # note", "#1", "", "bad", "1 5", "1e", "."])
+
+
+@st.composite
+def _csv_text(draw):
+    # A clean file uses only what the loadtxt path accepts; a messy one adds
+    # what sends it to the scan, or to an error.
+    messy = draw(st.booleans())
+
+    def pick(clean, extra):
+        return draw(st.sampled_from(clean + extra if messy else clean))
+
+    d = draw(st.integers(0, 2))
+    names = ["y", "a", *(f"x{i}" for i in range(1, d + 1))]
+    names += draw(st.lists(st.sampled_from(_ORACLE_COLUMNS), unique=True, max_size=3))
+    if messy and draw(st.integers(0, 9)) == 0:
+        names.append(draw(st.sampled_from(["x1", "zz", "x9"])))
+    names = draw(st.permutations(names))
+    header = [pick(["{}", " {} "], ['"{}"']).format(name) for name in names]
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = pick(["row"] * 5 + ["blank"], ["ragged", "trailing comma", "whitespace"])
+        if kind in ("blank", "whitespace"):
+            lines.append("" if kind == "blank" else draw(st.sampled_from([" ", "\t ", " , "])))
+            continue
+        cells = []
+        for name in names:
+            if messy and draw(st.integers(0, 14)) == 0:
+                token = draw(_ODD)
+            elif name == "a":
+                token = pick(["0", "1", "1.0", "-0", "0e0"], ["\u0661"])
+            else:
+                token = draw(_NUMBER if messy or name in _ORACLE_COLUMNS else _FINITE)
+            cells.append(pick(["{}", " {} ", "\t{}", '"{}"', '" {} "'], [' "{}"']).format(token))
+        if kind == "ragged":
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
+        elif kind == "trailing comma":
+            cells.append("")
+        lines.append(",".join(cells))
+    ends = [pick(["\n", "\r\n"], ["\r"]) for _ in lines]
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "data.csv"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_csv_text())
+def test_reader_matches_the_cell_by_cell_scan(csv_path, text):
+    csv_path.write_text(text, encoding="utf-8", newline="")
+    expected = _read_outcome(_reference_read_csv, csv_path)
+    assert _read_outcome(read_csv_dataset, csv_path) == expected
+
+
+def test_golden_csvs_take_the_loadtxt_path(monkeypatch):
+    def scan(text):
+        raise AssertionError("the cell-by-cell scan ran")
+
+    golden = pathlib.Path(__file__).parent / "golden"
+    names = ["binary.csv", "continuous.csv", "oracle_columns.csv", "oracle_pi_mu0.csv"]
+    expected = [_read_outcome(_reference_read_csv, golden / name) for name in names]
+    monkeypatch.setattr(treated.cli, "_scan_columns", scan)
+    assert [_read_outcome(read_csv_dataset, golden / name) for name in names] == expected
 
 
 def test_estimate_validation_error_exit2(tmp_path, capsys):
@@ -221,6 +402,19 @@ def test_simulate_nonpositive_n_exit2(tmp_path, capsys, n):
     assert captured.out == ""
     payload = json.loads(captured.err.strip())
     assert payload == {"error_code": "Validation", "message": "n must be >= 1"}
+
+
+def test_simulate_every_replication_failed_names_the_first_cause(tmp_path, capsys):
+    spec_path = _write(tmp_path, "spec.json", json.dumps(_spec_json()))
+    code = main(["simulate", "--spec", spec_path, "--n", "1", "--reps", "4",
+                 "--oracle-nuisances", "--patt-draws", "1000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    payload = json.loads(captured.err.strip())
+    assert payload["error_code"] == "Validation"
+    assert payload["message"].startswith(
+        "every replication failed; nothing to aggregate (first: rep 0: no ")
 
 
 def test_simulate_single_rep(tmp_path, capsys):
