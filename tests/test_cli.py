@@ -155,6 +155,9 @@ def test_unwritable_output_exit1(tmp_path, capsys, target):
 # ---------------------------------------------------------------------------
 # The CSV reader against the cell-by-cell scan it replaced.
 
+_ORACLE_COLUMNS = ("pi", "mu0", "mu1", "sigma0", "sigma1")
+
+
 def _reference_read_csv(path, outcome_kind):
     """The reader before the loadtxt fast path: csv.reader plus float() per cell."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -206,9 +209,6 @@ def _reference_read_csv(path, outcome_kind):
     return dataset, oracle_cols
 
 
-_ORACLE_COLUMNS = ("pi", "mu0", "mu1", "sigma0", "sigma1")
-
-
 def _read_outcome(read, path):
     """Exact bits of every array read, or the error's type and message."""
     try:
@@ -226,14 +226,17 @@ _FINITE = st.one_of(
 )
 _NUMBER = st.one_of(_FINITE, st.floats().map(repr),
                     st.sampled_from(["nan", "-nan", "NaN", "inf", "-Infinity", "1e400"]))
-_ODD = st.sampled_from(["1_0", "\u0661", "\u0663.\u0665", "\uff11", "0x10", "nan(1)", "1d5",
-                        '"1"5', '1"5', "\xa01.5", "1 # note", "#1", "", "bad", "1 5", "1e", "."])
+# Tokens float() reads differently from loadtxt, or that neither reads.
+_ODD_TOKENS = ["1_0", "\u0661", "\u0663.\u0665", "\uff11", "0x10", "nan(1)", "1d5", '"1"5', '1"5',
+               "\xa01.5", "1 # note", "#1", "", "bad", "1 5", "1e", "."]
+_ODD = st.sampled_from(_ODD_TOKENS)
 
 
 @st.composite
 def _csv_text(draw):
-    # A clean file uses only what the loadtxt path accepts; a messy one adds
-    # what sends it to the scan, or to an error.
+    # A clean file has the layout the loadtxt path accepts; a messy one adds
+    # layouts that send it to the scan, or to an error. Either may hold a
+    # token that loadtxt must refuse.
     messy = draw(st.booleans())
 
     def pick(clean, extra):
@@ -254,7 +257,7 @@ def _csv_text(draw):
             continue
         cells = []
         for name in names:
-            if messy and draw(st.integers(0, 14)) == 0:
+            if draw(st.integers(0, 14)) == 0:
                 token = draw(_ODD)
             elif name == "a":
                 token = pick(["0", "1", "1.0", "-0", "0e0"], ["\u0661"])
@@ -283,6 +286,12 @@ def test_reader_matches_the_cell_by_cell_scan(csv_path, text):
     csv_path.write_text(text, encoding="utf-8", newline="")
     expected = _read_outcome(_reference_read_csv, csv_path)
     assert _read_outcome(read_csv_dataset, csv_path) == expected
+
+
+@pytest.mark.parametrize("token", _ODD_TOKENS)
+def test_reader_matches_the_scan_on_one_odd_cell(tmp_path, token):
+    path = _write(tmp_path, "odd.csv", f"y,a,x1\n1,0,0.5\n2,1,{token}\n")
+    assert _read_outcome(read_csv_dataset, path) == _read_outcome(_reference_read_csv, path)
 
 
 def test_golden_csvs_take_the_loadtxt_path(monkeypatch):
