@@ -374,6 +374,7 @@ def _load_spec(path: str) -> DgpSpec:
 
 
 def cmd_estimate(args) -> int:
+    config = NuisanceConfig(folds=args.folds, clip_eps=args.clip_eps, seed=args.seed)
     outcome_kind = OutcomeKind.BINARY if args.binary_outcome else OutcomeKind.CONTINUOUS
     dataset, oracle_cols = read_csv_dataset(args.input, outcome_kind)
     estimands = _parse_estimands(args.estimands)
@@ -382,7 +383,6 @@ def cmd_estimate(args) -> int:
         oracle = _oracle_values(dataset, oracle_cols, args.clip_eps)
         if oracle is None:
             raise ValidationError("--nuisance oracle requires 'pi' and 'mu0' CSV columns")
-    config = NuisanceConfig(folds=args.folds, clip_eps=args.clip_eps, seed=args.seed)
     report = estimate_all(dataset, config, oracle=oracle,
                           estimands=estimands, ci_level=args.ci_level)
     _write_output(dumps_canonical(report_to_dict(report)), args.output)

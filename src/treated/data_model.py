@@ -261,6 +261,14 @@ def check_ci_level(level: float) -> None:
         raise ValidationError(f"ci_level must be in (0, 1), got {level}")
 
 
+def check_seed(seed) -> None:
+    """Raise ``ValidationError`` for a negative seed or a seed list with a negative
+    entry, which numpy's generators would refuse with a bare ``ValueError``."""
+    entries = seed if isinstance(seed, (list, tuple)) else (seed,)
+    if any(isinstance(s, (int, np.integer)) and s < 0 for s in entries):
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class EstimateReport:
     """Full output of an estimation run: one point estimate, per-kind inference."""

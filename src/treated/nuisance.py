@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data_model import Dataset, NuisanceValues, OutcomeKind
+from .data_model import Dataset, NuisanceValues, OutcomeKind, check_seed
 from .errors import (
     FoldTooSmallError,
     InsufficientArmDataError,
@@ -53,6 +53,7 @@ class NuisanceConfig:
             raise ValidationError(f"clip_eps must be in (0, 0.5), got {self.clip_eps}")
         if self.ridge_lambda < 0:
             raise ValidationError("ridge_lambda must be nonnegative")
+        check_seed(self.seed)
 
 
 def _standardize(x: np.ndarray):

@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .data_model import (Dataset, EstimandKind, NuisanceValues, OutcomeKind, KIND_ORDER,
-                         check_ci_level)
+                         check_ci_level, check_seed)
 from .errors import DegenerateTreatmentError, TreatedError, ValidationError
 from .estimator import (_psi_hat_raw, _score_components, _tau_y_raw, _var_fh_raw,
                         _var_sigma_bound_raw, estimate_all)
@@ -217,6 +217,7 @@ def generate(spec: DgpSpec, n: int, seed) -> PotentialDataset:
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     x = _draw_x(spec, n, rng)
     nu = true_nuisance_values(spec, x)
@@ -298,6 +299,7 @@ def _mc_value(batch_values) -> McValue:
 
 def _child_seed(seed, *tail):
     """Flat entropy list for a derived stream: pure function of (seed, tail)."""
+    check_seed(seed)
     if isinstance(seed, (int, np.integer)):
         base = [int(seed)]
     else:
@@ -596,6 +598,7 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
     if n < 1:
         raise ValidationError("n must be >= 1")
     check_ci_level(ci_level)
+    check_seed(seed)
     if psi_patt is None:
         psi_patt = psi_patt_true(spec, draws=patt_draws, seed=_child_seed(seed, 2 ** 31))
     # Oracle replications ignore nuisance_config and clip at the default eps.

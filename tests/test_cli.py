@@ -385,6 +385,29 @@ def test_out_of_range_ci_level_exit2(tmp_path, capsys, command, level):
     assert json.loads(captured.err.strip())["error_code"] == "Validation"
 
 
+@pytest.mark.parametrize("command", ["estimate", "simulate", "oracle"])
+def test_negative_seed_exit2(tmp_path, capsys, monkeypatch, command):
+    # numpy refuses a negative seed with a bare ValueError; the CLI must turn it
+    # into a validation error before reading data or drawing anything.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the seed was checked")
+
+    monkeypatch.setattr(treated.cli, "read_csv_dataset", no_work)
+    monkeypatch.setattr(treated.simulation, "_draw_x", no_work)
+    spec_path = _write(tmp_path, "spec.json", json.dumps(_spec_json()))
+    args = {
+        "estimate": ["estimate", "--input", "data.csv", "--folds", "2"],
+        "simulate": ["simulate", "--spec", spec_path, "--n", "200", "--reps", "3"],
+        "oracle": ["oracle", "--spec", spec_path, "--draws", "1000"],
+    }[command]
+    code = main(args + ["--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    payload = json.loads(captured.err.strip())
+    assert payload == {"error_code": "Validation", "message": "seed must be >= 0, got -1"}
+
+
 # ---------------------------------------------------------------------------
 # simulate.
 

@@ -10,6 +10,7 @@ from treated import (
     Dependence,
     DgpSpec,
     EstimandKind,
+    NuisanceConfig,
     NuisanceValues,
     OutcomeKind,
     ValidationError,
@@ -88,6 +89,23 @@ def test_generate_rejects_nonpositive_n():
     for n in (-1, 0):
         with pytest.raises(ValidationError, match="n must be >= 1"):
             generate(_d1_spec(), n, seed=0)
+
+
+def test_negative_seed_is_a_validation_error():
+    # numpy refuses a negative seed with a bare ValueError. run_monte_carlo must
+    # refuse it up front: in a replication it would count as a failed one.
+    spec = _d1_spec()
+    calls = [
+        lambda: generate(spec, 10, seed=-1),
+        lambda: generate(spec, 10, seed=[3, -1]),
+        lambda: NuisanceConfig(seed=-1),
+        lambda: psi_patt_true(spec, draws=1000, seed=-1),
+        lambda: oracle_asymptotic_variances(spec, draws=1000, seed=-1),
+        lambda: run_monte_carlo(spec, n=50, reps=3, seed=-1, psi_patt=McValue(1.0, 0.0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            call()
 
 
 def test_generate_treated_share_matches_oracle():
