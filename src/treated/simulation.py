@@ -9,8 +9,9 @@ noise sds are floored at 0.05 unless ``exact_noise`` deliberately permits
 zero-noise outcomes for analytic test cases.
 
 Replication r of a study draws from a stream that is a pure function of
-(seed, r), so runs are reproducible regardless of execution order; aggregation
-happens in replication-index order. Coverage for the sample/mixed estimands
+(seed, r), and batch k of the oracle's joint pass from (seed, 2, k), so runs
+are reproducible regardless of execution order; aggregation happens in index
+order. Coverage for the sample/mixed estimands
 targets the per-replication realized value; the population effect targets its
 fixed Monte Carlo truth.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -36,6 +38,8 @@ SCHEMA_VERSION = 1
 PI_CLIP = (0.02, 0.98)
 BINARY_MEAN_CLAMP = (0.02, 0.98)
 NOISE_SD_FLOOR = 0.05
+# Rows per product in DgpSpec._affine.
+AFFINE_BLOCK = 2048
 
 
 class XDist(enum.Enum):
@@ -85,7 +89,22 @@ class DgpSpec:
             object.__setattr__(self, name, v)
 
     def _affine(self, coeffs, x):
-        return coeffs[0] + x @ coeffs[1:]
+        """``coeffs[0] + x @ coeffs[1:]``, bit for bit, computed in row blocks.
+
+        A block stays in cache and runs on one BLAS thread; a whole-array
+        product wakes OpenBLAS's helper threads, which buy no speed and spin
+        against the oracle's forked workers. A last block shorter than 8 rows
+        joins the block before it.
+        """
+        n = x.shape[0]
+        out = np.empty(n)
+        starts = list(range(0, n, AFFINE_BLOCK))
+        if len(starts) > 1 and n - starts[-1] < 8:
+            starts.pop()
+        for lo, hi in zip(starts, starts[1:] + [n]):
+            np.matmul(x[lo:hi], coeffs[1:], out=out[lo:hi])
+        out += coeffs[0]
+        return out
 
     def propensity(self, x) -> np.ndarray:
         return np.clip(expit(self._affine(self.propensity_coeffs, x)), *PI_CLIP)
@@ -307,13 +326,52 @@ def _child_seed(seed, *tail):
     return base + [int(t) for t in tail]
 
 
-def _joint_batches(spec: DgpSpec, draws: int, seed, batch_size: int, functional):
-    """Yield ``functional(pi, mu0, mu1, sigma0, sigma1, a, y0, y1, y)`` per batch of
-    complete draws from the (seed, 2) stream; ``a`` is float. Draws stay bound until
-    the next batch replaces them one by one, and the functional's temporaries die on
-    return: this keeps both the peak memory and the page faults per batch low."""
-    rng = np.random.default_rng(_child_seed(seed, 2))
-    for m in _batch_sizes(draws, batch_size):
+def _worker_count(count: int) -> int:
+    """One worker per CPU this process may run on, never more than ``count``;
+    1 where processes cannot be forked."""
+    if count < 2 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return min(len(os.sched_getaffinity(0)), count)
+
+
+def _chunk_list(generator, *args) -> list:
+    """Run one chunk of a generator in a worker process."""
+    return list(generator(*args))
+
+
+def _chunked(generator, args: tuple, count: int):
+    """The items of ``generator(*args, lo, hi)`` over the indices [0, count), in index
+    order. With more than one worker (see ``_worker_count``), each runs one contiguous
+    chunk of indices in a forked process; otherwise the generator runs here, lazily.
+    ``generator`` and ``args`` are pickled, so the generator is a module-level name."""
+    workers = _worker_count(count)
+    if workers == 1:
+        return generator(*args, 0, count)
+    # Imported here: at module level they add 12-17 ms to every
+    # `import treated.cli`, pooled or not. Fork, not spawn: a worker starts
+    # as a copy of this process and imports nothing. The one other thread
+    # at fork time is OpenBLAS's, which its own fork handler stops.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    bounds = [count * i // workers for i in range(workers + 1)]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        chunks = [pool.submit(_chunk_list, generator, *args, lo, hi)
+                  for lo, hi in zip(bounds, bounds[1:])]
+        return [item for chunk in chunks for item in chunk.result()]
+
+
+def _joint_batches(spec: DgpSpec, sizes, seed, functional, lo, hi):
+    """Yield ``functional(pi, mu0, mu1, sigma0, sigma1, a, y0, y1, y)`` for each batch
+    k in [lo, hi): ``sizes[k]`` complete draws from the (seed, 2, k) stream; ``a`` is
+    float. Draws stay bound until the next batch replaces them one by one, and the
+    functional's temporaries die on return: this keeps both the peak memory and the
+    page faults per batch low."""
+    for k in range(lo, hi):
+        rng = np.random.default_rng(_child_seed(seed, 2, k))
+        m = sizes[k]
         x = _draw_x(spec, m, rng)
         pi, mu0, mu1, sigma0, sigma1 = _true_arrays(spec, x)
         a = (rng.random(m) < pi).astype(float)
@@ -357,6 +415,31 @@ def psi_patt_true(spec: DgpSpec, draws: int = 10_000_000, seed=0,
     return _x_constants(spec, draws, seed, batch_size).psi
 
 
+def _oracle_functionals(pi, mu0, mu1, sigma0, sigma1, a, y0, y1, y, *, psi, tau, p_a,
+                        binary) -> dict:
+    """Per-batch variances of the six scores, the tau score and the bounds.
+
+    Module-level, because the worker pool pickles it by name.
+    """
+    # The tau score is tau_y + a (mu0 - tau) / p_a; tau_y dies before the
+    # score components exist, so no extra column is live at peak memory.
+    tau_y = _tau_y_raw(y, a, pi, mu0, p_a)
+    v_matt, v_tau = np.var(tau_y), np.var(tau_y + a * (mu0 - tau) / p_a)
+    del tau_y
+    psi_y, psi_a, psi_x = _score_components(y, a, pi, mu0, mu1, psi, p_a)
+    v_actt = np.var(psi_y + psi_a)
+    out = {
+        "patt": np.var(psi_y + psi_a + psi_x), "actt": v_actt, "catt": np.var(psi_y),
+        "matt": v_matt, "tau_score": v_tau,
+        "satt": v_matt + ((pi * (1.0 - a) / (1.0 - pi) * (y - mu0) ** 2) / p_a ** 2).mean(),
+        "swatt": v_actt - ((pi ** 2 * (y1 - y0 - (mu1 - mu0)) ** 2) / p_a ** 2).mean(),
+        "sigma": _var_sigma_bound_raw(pi, sigma0, sigma1, p_a),
+    }
+    if binary:
+        out["fh"] = _var_fh_raw(pi, mu0, mu1)
+    return out
+
+
 @dataclass(frozen=True)
 class OracleVariances:
     """Brute-force limits of the six estimand variances plus the bounds.
@@ -398,38 +481,26 @@ def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
     """Monte Carlo over complete draws with TRUE nuisances.
 
     Pass 1 estimates the population constants (treated share, effect, control
-    mean among treated) from x-only draws. Pass 2 draws full joint replicates,
-    evaluates the per-draw score components, the control-mean (tau) score and
-    the identified conditional-variance terms, and aggregates per batch; values
-    are batch means and the attached standard errors are batch-means errors.
+    mean among treated) from x-only draws, in this process. Pass 2 draws full
+    joint replicates, evaluates the per-draw score components, the control-mean
+    (tau) score and the identified conditional-variance terms, and aggregates
+    per batch; values are batch means and the attached standard errors are
+    batch-means errors. Pass 2 runs its batches in one forked worker process
+    per CPU in the affinity mask, each on a contiguous block of batches; batch
+    k draws from its own stream and the batches are aggregated in order, so the
+    result does not depend on the number of workers.
     """
     consts = _x_constants(spec, draws, seed, batch_size)
-    p_a, psi, tau = consts.p_a, consts.psi.value, consts.tau.value
+    p_a = consts.p_a
     binary = spec.outcome_kind is OutcomeKind.BINARY
 
-    def functionals(pi, mu0, mu1, sigma0, sigma1, a, y0, y1, y) -> dict:
-        # The tau score is tau_y + a (mu0 - tau) / p_a; tau_y dies before the
-        # score components exist, so no extra column is live at peak memory.
-        tau_y = _tau_y_raw(y, a, pi, mu0, p_a)
-        v_matt, v_tau = np.var(tau_y), np.var(tau_y + a * (mu0 - tau) / p_a)
-        del tau_y
-        psi_y, psi_a, psi_x = _score_components(y, a, pi, mu0, mu1, psi, p_a)
-        v_actt = np.var(psi_y + psi_a)
-        out = {
-            "patt": np.var(psi_y + psi_a + psi_x), "actt": v_actt, "catt": np.var(psi_y),
-            "matt": v_matt, "tau_score": v_tau,
-            "satt": v_matt + ((pi * (1.0 - a) / (1.0 - pi) * (y - mu0) ** 2) / p_a ** 2).mean(),
-            "swatt": v_actt - ((pi ** 2 * (y1 - y0 - (mu1 - mu0)) ** 2) / p_a ** 2).mean(),
-            "sigma": _var_sigma_bound_raw(pi, sigma0, sigma1, p_a),
-        }
-        if binary:
-            out["fh"] = _var_fh_raw(pi, mu0, mu1)
-        return out
-
-    # Pass 2: joint draws, per-batch functionals.
+    # Pass 2: joint draws, per-batch functionals, in batch order.
+    sizes = _batch_sizes(draws, batch_size)
+    functional = partial(_oracle_functionals, psi=consts.psi.value, tau=consts.tau.value,
+                         p_a=p_a, binary=binary)
     batches = {k: [] for k in ("patt", "actt", "catt", "matt", "tau_score", "satt",
                                "swatt", "sigma", "fh")}
-    for out in _joint_batches(spec, draws, seed, batch_size, functionals):
+    for out in _chunked(_joint_batches, (spec, sizes, seed, functional), len(sizes)):
         for key, value in out.items():
             batches[key].append(value)
 
@@ -559,22 +630,6 @@ def _replications(spec, n, seed, psi_patt_value, config, oracle_nuisances, ci_le
         )
 
 
-def _replication_list(*args) -> list:
-    """Run one chunk of ``_replications`` in a worker process."""
-    return list(_replications(*args))
-
-
-def _worker_count(reps: int) -> int:
-    """One worker per CPU this process may run on, never more than ``reps``;
-    1 where processes cannot be forked."""
-    if reps < 2 or not hasattr(os, "sched_getaffinity"):
-        return 1
-    import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    return min(len(os.sched_getaffinity(0)), reps)
-
-
 def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
                     nuisance_config: Optional[NuisanceConfig] = None,
                     oracle_nuisances: bool = True,
@@ -606,21 +661,7 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
         nuisance_config = NuisanceConfig()
 
     args = (spec, n, seed, psi_patt.value, nuisance_config, oracle_nuisances, ci_level)
-    workers = _worker_count(reps)
-    if workers == 1:
-        records = _replications(*args, 0, reps)
-    else:
-        # Imported here: at module level they add 12-17 ms to every
-        # `import treated.cli`, pooled or not. Fork, not spawn: a worker starts
-        # as a copy of this process and imports nothing. The one other thread
-        # at fork time is OpenBLAS's, which its own fork handler stops.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        bounds = [reps * i // workers for i in range(workers + 1)]
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            chunks = [pool.submit(_replication_list, *args, lo, hi)
-                      for lo, hi in zip(bounds, bounds[1:])]
-            records = [record for chunk in chunks for record in chunk.result()]
+    records = _chunked(_replications, args, reps)
 
     failures, done = [], []
     for record in records:

@@ -73,3 +73,12 @@ def test_simulate_golden_bytes_for_worker_count(case, workers, capsys, monkeypat
     # on how many, so each count reproduces the same committed bytes.
     monkeypatch.setattr(simulation, "_worker_count", lambda reps: workers)
     _assert_golden(case, capsys)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("oracle_")))
+def test_oracle_golden_bytes_for_worker_count(case, workers, capsys, monkeypatch):
+    # The oracle's joint pass runs its batches in the same pool; batch k draws
+    # from its own stream, so each count reproduces the same committed bytes.
+    monkeypatch.setattr(simulation, "_worker_count", lambda count: workers)
+    _assert_golden(case, capsys)

@@ -464,6 +464,23 @@ def test_unexpected_replication_error_reaches_caller(workers, monkeypatch):
         run_monte_carlo(_d1_spec(), n=200, reps=8, seed=8, psi_patt=McValue(1.0, 0.0))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unexpected_oracle_error_reaches_caller(workers, monkeypatch):
+    # An exception in a batch of the oracle's joint pass must surface from a
+    # worker process as well as in-process.
+    real_child_seed = simulation._child_seed
+
+    def broken_child_seed(seed, *tail):
+        if tail == (2, 5):
+            raise RuntimeError("broken batch")
+        return real_child_seed(seed, *tail)
+
+    monkeypatch.setattr(simulation, "_child_seed", broken_child_seed)
+    _with_workers(monkeypatch, workers)
+    with pytest.raises(RuntimeError, match="broken batch"):
+        oracle_asymptotic_variances(_d1_spec(), draws=16_000, seed=8)
+
+
 def test_monte_carlo_rejects_bad_n_before_the_patt_oracle(monkeypatch):
     def no_oracle(*args, **kwargs):
         raise AssertionError("psi_patt_true ran before n was checked")
@@ -522,6 +539,22 @@ def test_double_robustness_single_misspecification(std_oracle):
 
 # ---------------------------------------------------------------------------
 # DgpSpec serialization.
+
+@pytest.mark.parametrize("d", range(7))
+def test_blocked_affine_equals_whole_product(d):
+    # DgpSpec._affine multiplies in row blocks. simulate's golden bytes rest on
+    # the blocks giving the whole product bit for bit; a BLAS build that breaks
+    # this fails here, naming the cause, before it fails the golden files.
+    rng = np.random.default_rng(d)
+    spec = DgpSpec(d, *[np.zeros(d + 1)] * 5)
+    unit = rng.standard_normal((500_001, d))
+    scaled = unit * 10.0 ** rng.uniform(-8, 8, d)
+    coeffs = rng.standard_normal(d + 1) * 10.0 ** rng.uniform(-4, 4, d + 1)
+    for n in (*range(1, 41), *range(2047, 2058), *range(4095, 4105), 20_000, 500_001):
+        for x in (unit[:n], scaled[:n]):
+            whole = coeffs[0] + x @ coeffs[1:]
+            assert spec._affine(coeffs, x).tobytes() == whole.tobytes(), (d, n)
+
 
 def test_spec_roundtrip_through_dict():
     spec = _d1_spec(dependence=Dependence.ANTITONE, x_dist=XDist.UNIFORM01)
