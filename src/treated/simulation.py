@@ -11,9 +11,8 @@ zero-noise outcomes for analytic test cases.
 Replication r of a study draws from a stream that is a pure function of
 (seed, r), and batch k of the oracle's joint pass from (seed, 2, k), so runs
 are reproducible regardless of execution order; aggregation happens in index
-order. Coverage for the sample/mixed estimands
-targets the per-replication realized value; the population effect targets its
-fixed Monte Carlo truth.
+order. Coverage for the sample/mixed estimands targets the per-replication
+realized value; the population effect targets its fixed Monte Carlo truth.
 """
 
 from __future__ import annotations
@@ -91,18 +90,18 @@ class DgpSpec:
     def _affine(self, coeffs, x):
         """``coeffs[0] + x @ coeffs[1:]``, bit for bit, computed in row blocks.
 
-        A block stays in cache and runs on one BLAS thread; a whole-array
-        product wakes OpenBLAS's helper threads, which buy no speed and spin
-        against the oracle's forked workers. A last block shorter than 8 rows
-        joins the block before it.
+        A block stays in cache, and at the few covariates of the specs OpenBLAS
+        runs it on one thread; a whole-array product wakes OpenBLAS's helper
+        threads, which buy no speed and spin against the oracle's forked
+        workers. A last block shorter than 8 rows joins the block before it.
         """
         n = x.shape[0]
         out = np.empty(n)
-        starts = list(range(0, n, AFFINE_BLOCK))
-        if len(starts) > 1 and n - starts[-1] < 8:
-            starts.pop()
-        for lo, hi in zip(starts, starts[1:] + [n]):
-            np.matmul(x[lo:hi], coeffs[1:], out=out[lo:hi])
+        slopes = coeffs[1:]
+        lo = 0
+        for hi in (*range(AFFINE_BLOCK, n - 7, AFFINE_BLOCK), n):
+            np.matmul(x[lo:hi], slopes, out=out[lo:hi])
+            lo = hi
         out += coeffs[0]
         return out
 
