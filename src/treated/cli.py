@@ -19,6 +19,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -110,16 +111,15 @@ _ORACLE_COLUMNS = ("pi", "mu0", "mu1", "sigma0", "sigma1")
 def read_csv_dataset(path: str, outcome_kind: OutcomeKind):
     """Parse the CSV schema into a Dataset plus any oracle nuisance columns."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            columns = _loadtxt_columns(fh)
+            if columns is None:
+                fh.seek(0)
+                columns = _scan_columns(fh.read())
     except OSError as exc:
         raise CliParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CliParseError(f"cannot read {path}: not UTF-8 ({exc})") from exc
-    try:
-        columns = _loadtxt_columns(text)
-        if columns is None:
-            columns = _scan_columns(text)
     except csv.Error as exc:
         raise CliParseError(f"cannot parse {path}: {exc}") from exc
     y = columns.pop("y")
@@ -153,31 +153,42 @@ def _check_header(header: list) -> list:
     return ["y", "a", *expected_x, *(name for name in _ORACLE_COLUMNS if name in header)]
 
 
-def _loadtxt_columns(text: str) -> Optional[dict]:
-    """Parse the body in one np.loadtxt call; None leaves the file to the scan.
+def _loadtxt_columns(fh) -> Optional[dict]:
+    """Parse the body of the open file in one np.loadtxt call; None leaves the file to the scan.
 
     loadtxt refuses every cell that float() would read differently (digit
     separators, non-ASCII digits, a stray quote, ...), so a body it accepts
-    whole gives the scan's arrays bit for bit.
+    whole gives the scan's arrays bit for bit. Anything the scan would word
+    as an error, a bad header or a line over csv's field limit included, is
+    left to it. So is a decoding error: reading the whole file again reports
+    it at its offset in the file, not in the chunk being decoded.
     """
-    cut = min((i for i in (text.find("\n"), text.find("\r")) if i >= 0), default=len(text))
-    # A quoted header may span lines; an empty file has no header line.
-    if not text or '"' in text[:cut]:
-        return None
-    header = [h.strip() for h in next(csv.reader([text[:cut]]))]
-    names = _check_header(header)
-    body = text[cut:]
-    # On a body with no data loadtxt warns instead of raising.
-    if not body.strip():
-        return None
     try:
-        table = np.loadtxt(io.StringIO(body), dtype=float, delimiter=",",
-                           comments=None, quotechar='"', ndmin=2)
-    except ValueError:
+        line = fh.readline()
+        # A quoted header may span lines; an empty file has no header line.
+        if not line or '"' in line:
+            return None
+        header = [h.strip() for h in next(csv.reader([line.rstrip("\r\n")]))]
+        names = _check_header(header)
+        with warnings.catch_warnings():
+            # On a body with no data loadtxt warns instead of raising.
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(_short_lines(fh), dtype=float, delimiter=",",
+                               comments=None, quotechar='"', ndmin=2)
+    except (ValueError, CliParseError, csv.Error):
         return None
     if table.shape[0] == 0 or table.shape[1] != len(header):
         return None
     return {name: table[:, header.index(name)] for name in names}
+
+
+def _short_lines(fh):
+    """The file's remaining lines; a line over csv's field limit raises ValueError."""
+    limit = csv.field_size_limit()
+    for line in fh:
+        if len(line) > limit:
+            raise ValueError("line over the csv field limit")
+        yield line
 
 
 def _scan_columns(text: str) -> dict:

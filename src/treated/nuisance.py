@@ -56,14 +56,6 @@ class NuisanceConfig:
         check_seed(self.seed)
 
 
-def _standardize(x: np.ndarray):
-    """Per-column mean/sd; zero-variance columns get unit scale."""
-    mean = x.mean(axis=0)
-    scale = x.std(axis=0)
-    scale = np.where(scale > 0, scale, 1.0)
-    return mean, scale
-
-
 @dataclass(frozen=True, eq=False)
 class _AffineModel:
     """Affine predictor on standardized covariates."""
@@ -106,44 +98,35 @@ class SdModel:
         return np.sqrt(np.maximum(0.0, self.affine.linear(x)))
 
 
-def _ridge_solve(design: np.ndarray, target: np.ndarray, lam: float) -> np.ndarray:
-    gram = design.T @ design
-    d = design.shape[1] - 1
-    if d > 0:
-        gram[np.arange(1, d + 1), np.arange(1, d + 1)] += lam
-    try:
-        return np.linalg.solve(gram, design.T @ target)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"singular least-squares system: {exc}") from exc
+def _design(x: np.ndarray):
+    """Per-column mean and sd of x, and the design [1, (x - mean) / scale].
 
-
-def _fit_linear(x: np.ndarray, target: np.ndarray, lam: float) -> _AffineModel:
-    mean, scale = _standardize(x)
-    design = np.column_stack([np.ones(x.shape[0]), (x - mean) / scale])
-    coef = _ridge_solve(design, target, lam)
-    return _AffineModel(mean, scale, coef)
+    Zero-variance columns get unit scale.
+    """
+    mean = x.mean(axis=0)
+    scale = x.std(axis=0)
+    scale = np.where(scale > 0, scale, 1.0)
+    return mean, scale, np.column_stack([np.ones(x.shape[0]), (x - mean) / scale])
 
 
 def _fit_logistic(a: np.ndarray, x: np.ndarray, config: NuisanceConfig) -> PropensityModel:
-    n = x.shape[0]
-    mean, scale = _standardize(x)
-    design = np.column_stack([np.ones(n), (x - mean) / scale])
+    mean, scale, design = _design(x)
     d = design.shape[1] - 1
     lam = config.ridge_lambda
     a = a.astype(float)
 
     def penalized_ll(beta):
-        ll = bernoulli_loglik(a, design @ beta)
+        eta = design @ beta
+        ll = bernoulli_loglik(a, eta)
         if d > 0:
             ll -= 0.5 * lam * float(beta[1:] @ beta[1:])
-        return ll
+        return ll, eta
 
     beta = np.zeros(d + 1)
-    ll = penalized_ll(beta)
+    ll, eta = penalized_ll(beta)
     trace = [ll]
     converged = False
     for _ in range(_MAX_IRLS_ITER):
-        eta = design @ beta
         p = expit(eta)
         w = p * (1.0 - p)
         if not np.isfinite(w).all():
@@ -165,16 +148,17 @@ def _fit_logistic(a: np.ndarray, x: np.ndarray, config: NuisanceConfig) -> Prope
         accepted = None
         for _ in range(60):
             cand = beta + step * delta
-            cand_ll = penalized_ll(cand)
+            cand_ll, cand_eta = penalized_ll(cand)
             if np.isfinite(cand_ll) and cand_ll >= ll:
-                accepted = (cand, cand_ll, step)
+                accepted = (cand, cand_ll, cand_eta, step)
                 break
             step *= 0.5
         if accepted is None:
             # Step-halving cannot improve: numerically stationary.
             converged = True
             break
-        beta, new_ll, step = accepted
+        # The accepted candidate's linear predictor is the next iteration's.
+        beta, new_ll, eta, step = accepted
         trace.append(new_ll)
         gain = new_ll - ll
         ll = new_ll
@@ -205,36 +189,50 @@ def _arm_rows(a: np.ndarray, arm: int) -> np.ndarray:
     return np.flatnonzero(a == arm)
 
 
-def _fit_mean_arm(y, a, x, arm, config) -> MeanModel:
-    rows = _arm_rows(a, arm)
-    if rows.size < x.shape[1] + 1:
-        raise InsufficientArmDataError(
-            f"arm {arm} has {rows.size} units, need at least {x.shape[1] + 1}"
-        )
-    return MeanModel(_fit_linear(x[rows], y[rows], config.ridge_lambda))
+class _ArmDesign:
+    """One arm's rows, their standardized design and its ridge Gram matrix.
+
+    The arm's mean fit and its sd fit are both ridge least squares on this
+    design, so they share it; only the target differs.
+    """
+
+    def __init__(self, y: np.ndarray, x: np.ndarray, rows: np.ndarray, arm: int,
+                 config: NuisanceConfig):
+        d = x.shape[1]
+        if rows.size < d + 1:
+            raise InsufficientArmDataError(
+                f"arm {arm} has {rows.size} units, need at least {d + 1}"
+            )
+        self.y, self.x = y[rows], x[rows]
+        self.mean, self.scale, self.design = _design(self.x)
+        self.gram = self.design.T @ self.design
+        self.gram[np.arange(1, d + 1), np.arange(1, d + 1)] += config.ridge_lambda
+
+    def _solve(self, target: np.ndarray) -> _AffineModel:
+        try:
+            coef = np.linalg.solve(self.gram, self.design.T @ target)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"singular least-squares system: {exc}") from exc
+        return _AffineModel(self.mean, self.scale, coef)
+
+    def fit_mean(self) -> MeanModel:
+        return MeanModel(self._solve(self.y))
+
+    def fit_sd(self, mean_model: MeanModel) -> SdModel:
+        return SdModel(self._solve((self.y - mean_model.predict(self.x)) ** 2))
 
 
 def fit_outcome_mean(dataset: Dataset, arm: int, config: NuisanceConfig) -> MeanModel:
     """Ridge least squares of y on (1, x) over units with a == arm."""
-    return _fit_mean_arm(dataset.y, dataset.a, dataset.x, arm, config)
-
-
-def _fit_sd_arm(y, a, x, arm, mu_at_rows, config) -> SdModel:
-    rows = _arm_rows(a, arm)
-    if rows.size < x.shape[1] + 1:
-        raise InsufficientArmDataError(
-            f"arm {arm} has {rows.size} units, need at least {x.shape[1] + 1}"
-        )
-    sq_resid = (y[rows] - mu_at_rows) ** 2
-    return SdModel(_fit_linear(x[rows], sq_resid, config.ridge_lambda))
+    rows = _arm_rows(dataset.a, arm)
+    return _ArmDesign(dataset.y, dataset.x, rows, arm, config).fit_mean()
 
 
 def fit_conditional_sd(dataset: Dataset, arm: int, mean_model: MeanModel,
                        config: NuisanceConfig) -> SdModel:
     """Regress squared residuals on (1, x) within the arm; predict sqrt(max(0, fit))."""
     rows = _arm_rows(dataset.a, arm)
-    mu = mean_model.predict(dataset.x[rows])
-    return _fit_sd_arm(dataset.y, dataset.a, dataset.x, arm, mu, config)
+    return _ArmDesign(dataset.y, dataset.x, rows, arm, config).fit_sd(mean_model)
 
 
 def _fold_blocks(n: int, folds: int, seed: int):
@@ -313,21 +311,19 @@ def compute_nuisances(dataset: Dataset, config: NuisanceConfig,
     if need_sigma:
         fitted["sigma0_hat"], fitted["sigma1_hat"] = np.empty(n), np.empty(n)
     for block, train in _fold_blocks(n, config.folds, config.seed):
-        a_c, y_c, x_c = a[train], y[train], x[train]
+        a_c = a[train]
         if a_c.sum() == 0 or a_c.sum() == a_c.size:
             raise FoldTooSmallError("a fold complement lacks one treatment arm")
         x_b = x[block]
-        fitted["pi_hat"][block] = _fit_logistic(a_c, x_c, config).predict(x_b)
-        mean_fits = [_fit_mean_arm(y_c, a_c, x_c, arm, config)
-                     for arm in ((0, 1) if need_mu1 or need_sigma else (0,))]
-        fitted["mu0_hat"][block] = mean_fits[0].predict(x_b)
-        if need_mu1:
-            fitted["mu1_hat"][block] = mean_fits[1].predict(x_b)
-        if need_sigma:
-            for arm, mean_fit in enumerate(mean_fits):
-                mu_c = mean_fit.predict(x_c[_arm_rows(a_c, arm)])
-                sd_fit = _fit_sd_arm(y_c, a_c, x_c, arm, mu_c, config)
-                fitted[f"sigma{arm}_hat"][block] = sd_fit.predict(x_b)
+        fitted["pi_hat"][block] = _fit_logistic(a_c, x[train], config).predict(x_b)
+        for arm in (0, 1) if need_mu1 or need_sigma else (0,):
+            arm_design = _ArmDesign(y, x, np.flatnonzero(train & (a == arm)), arm, config)
+            mean_fit = arm_design.fit_mean()
+            if arm == 0 or need_mu1:
+                fitted[f"mu{arm}_hat"][block] = mean_fit.predict(x_b)
+            if need_sigma:
+                fitted[f"sigma{arm}_hat"][block] = arm_design.fit_sd(mean_fit).predict(x_b)
+            del arm_design  # one arm's rows and design at a time
 
     for name, values in fitted.items():
         if not np.isfinite(values).all():

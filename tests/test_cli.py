@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,13 @@ def test_non_utf8_input_exit1(tmp_path, capsys):
 
 def test_cell_over_the_csv_field_limit_exit1(tmp_path, capsys):
     path = _write(tmp_path, "wide.csv", "y,a,x1\n1,1," + "z" * (csv.field_size_limit() + 1) + "\n")
+    message = _parse_error(capsys, ["estimate", "--input", path])
+    assert message.startswith(f"cannot parse {path}: field larger than field limit")
+
+
+def test_long_numeric_cell_is_over_the_field_limit_exit1(tmp_path, capsys):
+    # A cell that float() would read as 0.1 is still over the limit.
+    path = _write(tmp_path, "wide.csv", WORKED_CSV.replace("0.1,", "0.1" + " " * 140_000 + ","))
     message = _parse_error(capsys, ["estimate", "--input", path])
     assert message.startswith(f"cannot parse {path}: field larger than field limit")
 
@@ -292,6 +300,37 @@ def test_reader_matches_the_cell_by_cell_scan(csv_path, text):
 def test_reader_matches_the_scan_on_one_odd_cell(tmp_path, token):
     path = _write(tmp_path, "odd.csv", f"y,a,x1\n1,0,0.5\n2,1,{token}\n")
     assert _read_outcome(read_csv_dataset, path) == _read_outcome(_reference_read_csv, path)
+
+
+def test_quoted_line_break_reads_like_the_scan(tmp_path):
+    path = _write(tmp_path, "quoted.csv", 'y,a,x1\n"1\n",0,0.5\n2,1,"0.25"\n3,0,1\n')
+    assert _read_outcome(read_csv_dataset, path) == _read_outcome(_reference_read_csv, path)
+
+
+def test_byte_order_mark_reads_like_the_plain_file(tmp_path):
+    plain = pathlib.Path(__file__).parent / "golden" / "continuous.csv"
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert _read_outcome(read_csv_dataset, marked) == _read_outcome(read_csv_dataset, plain)
+
+
+def test_reader_peak_memory_is_a_few_tables(tmp_path):
+    # The body is streamed into loadtxt, so the reader holds the parsed
+    # table and its columns, never a copy of the text.
+    n = 50_000
+    rng = np.random.default_rng(3)
+    table = np.column_stack([rng.standard_normal(n), rng.integers(0, 2, n),
+                             rng.standard_normal((n, 2))])
+    path = tmp_path / "big.csv"
+    np.savetxt(path, table, fmt=["%.17g", "%d", "%.17g", "%.17g"], delimiter=",",
+               header="y,a,x1,x2", comments="")
+    tracemalloc.start()
+    try:
+        read_csv_dataset(str(path), OutcomeKind.CONTINUOUS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * table.nbytes
 
 
 def test_golden_csvs_take_the_loadtxt_path(monkeypatch):

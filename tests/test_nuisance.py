@@ -22,7 +22,7 @@ from treated import (
     fit_outcome_mean,
     fit_propensity,
 )
-from treated.mathutil import expit
+from treated.mathutil import bernoulli_loglik, expit
 
 def _expit_two_branch(t):
     """The masked two-branch logistic, the reference for ``expit``."""
@@ -368,3 +368,138 @@ def test_fitted_nuisances_deterministic_and_clipped(seed):
     assert np.array_equal(a_out.mu0_hat, b_out.mu0_hat)
     assert a_out.pi_hat.min() >= config.clip_eps
     assert a_out.pi_hat.max() <= 1 - config.clip_eps
+
+
+# ---------------------------------------------------------------------------
+# The fold loop against the fits it replaced, in which each arm's mean fit
+# and sd fit built their own rows, standardization, design and Gram matrix,
+# and every IRLS iteration recomputed the linear predictor.
+
+def _reference_design(x):
+    mean = x.mean(axis=0)
+    scale = x.std(axis=0)
+    scale = np.where(scale > 0, scale, 1.0)
+    return mean, scale, np.column_stack([np.ones(x.shape[0]), (x - mean) / scale])
+
+
+def _reference_fit_linear(x, target, lam):
+    mean, scale, design = _reference_design(x)
+    gram = design.T @ design
+    d = design.shape[1] - 1
+    if d > 0:
+        gram[np.arange(1, d + 1), np.arange(1, d + 1)] += lam
+    return mean, scale, np.linalg.solve(gram, design.T @ target)
+
+
+def _reference_linear(model, x):
+    mean, scale, coef = model
+    return coef[0] + ((x - mean) / scale) @ coef[1:]
+
+
+def _reference_fit_logistic(a, x, lam):
+    mean, scale, design = _reference_design(x)
+    d = design.shape[1] - 1
+    a = a.astype(float)
+
+    def penalized_ll(beta):
+        ll = bernoulli_loglik(a, design @ beta)
+        if d > 0:
+            ll -= 0.5 * lam * float(beta[1:] @ beta[1:])
+        return ll
+
+    beta = np.zeros(d + 1)
+    ll = penalized_ll(beta)
+    trace = [ll]
+    for _ in range(100):
+        eta = design @ beta
+        p = expit(eta)
+        w = p * (1.0 - p)
+        grad = design.T @ (a - p)
+        hess = design.T @ (design * w[:, None])
+        if d > 0:
+            grad[1:] -= lam * beta[1:]
+            hess[np.arange(1, d + 1), np.arange(1, d + 1)] += lam
+        hess[np.diag_indices_from(hess)] += max(lam, 1e-10)
+        delta = np.linalg.solve(hess, grad)
+        step = 1.0
+        accepted = None
+        for _ in range(60):
+            cand = beta + step * delta
+            cand_ll = penalized_ll(cand)
+            if np.isfinite(cand_ll) and cand_ll >= ll:
+                accepted = (cand, cand_ll, step)
+                break
+            step *= 0.5
+        if accepted is None:
+            break
+        beta, new_ll, step = accepted
+        trace.append(new_ll)
+        gain = new_ll - ll
+        ll = new_ll
+        if (step * np.abs(delta)).max() <= 1e-8 * (1.0 + np.abs(beta).max()):
+            break
+        if gain <= 1e-8 * (1.0 + abs(ll)):
+            break
+    return (mean, scale, beta), tuple(trace)
+
+
+def _reference_compute_nuisances(ds, config, need_mu1, need_sigma):
+    y, a, x, n, lam = ds.y, ds.a, ds.x, ds.n, config.ridge_lambda
+    fitted = {"pi_hat": np.empty(n), "mu0_hat": np.empty(n)}
+    if need_mu1:
+        fitted["mu1_hat"] = np.empty(n)
+    if need_sigma:
+        fitted["sigma0_hat"], fitted["sigma1_hat"] = np.empty(n), np.empty(n)
+    perm = np.random.default_rng(config.seed).permutation(n)
+    for block in np.array_split(perm, config.folds):
+        train = np.ones(n, dtype=bool)
+        train[block] = config.folds == 1
+        a_c, y_c, x_c = a[train], y[train], x[train]
+        x_b = x[block]
+        propensity, _ = _reference_fit_logistic(a_c, x_c, lam)
+        fitted["pi_hat"][block] = np.clip(expit(_reference_linear(propensity, x_b)),
+                                          config.clip_eps, 1.0 - config.clip_eps)
+        mean_fits = [_reference_fit_linear(x_c[np.flatnonzero(a_c == arm)],
+                                           y_c[np.flatnonzero(a_c == arm)], lam)
+                     for arm in ((0, 1) if need_mu1 or need_sigma else (0,))]
+        fitted["mu0_hat"][block] = _reference_linear(mean_fits[0], x_b)
+        if need_mu1:
+            fitted["mu1_hat"][block] = _reference_linear(mean_fits[1], x_b)
+        if need_sigma:
+            for arm, mean_fit in enumerate(mean_fits):
+                rows = np.flatnonzero(a_c == arm)
+                sq_resid = (y_c[rows] - _reference_linear(mean_fit, x_c[rows])) ** 2
+                sd_fit = _reference_fit_linear(x_c[rows], sq_resid, lam)
+                fitted[f"sigma{arm}_hat"][block] = np.sqrt(
+                    np.maximum(0.0, _reference_linear(sd_fit, x_b)))
+    return fitted
+
+
+@pytest.mark.parametrize("kind", [OutcomeKind.CONTINUOUS, OutcomeKind.BINARY])
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+@pytest.mark.parametrize("folds", [1, 3])
+def test_shared_arm_design_matches_the_separate_fits_bit_for_bit(folds, d, kind):
+    base = _dataset(n=150, d=d, seed=40 + d)
+    y = (base.y > 1.0).astype(float) if kind is OutcomeKind.BINARY else base.y
+    ds = Dataset(y=y, a=base.a, x=base.x, outcome_kind=kind)
+    config = NuisanceConfig(folds=folds, seed=5)
+    for need_mu1 in (True, False):
+        for need_sigma in (True, False):
+            got = compute_nuisances(ds, config, need_mu1=need_mu1, need_sigma=need_sigma)
+            expected = _reference_compute_nuisances(ds, config, need_mu1, need_sigma)
+            for name in ("pi_hat", "mu0_hat", "mu1_hat", "sigma0_hat", "sigma1_hat"):
+                value = getattr(got, name)
+                assert (value is None) == (name not in expected)
+                if value is not None:
+                    assert value.tobytes() == expected[name].tobytes(), name
+    _, trace = _reference_fit_logistic(ds.a, ds.x, config.ridge_lambda)
+    assert fit_propensity(ds, config).ll_trace == trace
+    for arm in (0, 1):
+        rows = np.flatnonzero(ds.a == arm)
+        mean_ref = _reference_fit_linear(ds.x[rows], ds.y[rows], config.ridge_lambda)
+        sq_resid = (ds.y[rows] - _reference_linear(mean_ref, ds.x[rows])) ** 2
+        sd_ref = _reference_fit_linear(ds.x[rows], sq_resid, config.ridge_lambda)
+        mean_fit = fit_outcome_mean(ds, arm, config)
+        assert mean_fit.affine.coef.tobytes() == mean_ref[2].tobytes()
+        sd_fit = fit_conditional_sd(ds, arm, mean_fit, config)
+        assert sd_fit.affine.coef.tobytes() == sd_ref[2].tobytes()
