@@ -27,10 +27,16 @@ from .errors import (
 )
 from .mathutil import bernoulli_loglik, expit
 
-# IRLS stopping rule: at most this many Newton steps; stop early once the
-# step or the log-likelihood gain falls below this relative tolerance.
+# IRLS takes at most this many Newton steps.
 _MAX_IRLS_ITER = 100
-_IRLS_RTOL = 1e-8
+# Once the Newton decrement grad' H^-1 grad / 2, the gain the quadratic model
+# predicts, is at most this share of 1 + |ll|, quadratic convergence puts one
+# more full step within rounding of the optimum, and that step is the last.
+_FINAL_DECREMENT = 1e-12
+# A candidate whose penalized log-likelihood falls short of the current one by
+# at most this share of 1 + |ll| counts as no worse: near the optimum the
+# log-likelihood is flat to rounding, and a full step must not hang on noise.
+_LL_ROUNDING = 1e-13
 
 
 class HeavyResidualWarning(UserWarning):
@@ -125,7 +131,6 @@ def _fit_logistic(a: np.ndarray, x: np.ndarray, config: NuisanceConfig) -> Prope
     beta = np.zeros(d + 1)
     ll, eta = penalized_ll(beta)
     trace = [ll]
-    converged = False
     for _ in range(_MAX_IRLS_ITER):
         p = expit(eta)
         w = p * (1.0 - p)
@@ -144,31 +149,23 @@ def _fit_logistic(a: np.ndarray, x: np.ndarray, config: NuisanceConfig) -> Prope
             raise IrlsDivergedError(f"singular IRLS system: {exc}") from exc
         if not np.isfinite(delta).all():
             raise IrlsDivergedError("non-finite IRLS step")
+        last = 0.5 * float(grad @ delta) <= _FINAL_DECREMENT * (1.0 + abs(ll))
+        floor = ll - _LL_ROUNDING * (1.0 + abs(ll))
         step = 1.0
-        accepted = None
         for _ in range(60):
             cand = beta + step * delta
             cand_ll, cand_eta = penalized_ll(cand)
-            if np.isfinite(cand_ll) and cand_ll >= ll:
-                accepted = (cand, cand_ll, cand_eta, step)
+            if np.isfinite(cand_ll) and cand_ll >= floor:
                 break
             step *= 0.5
-        if accepted is None:
-            # Step-halving cannot improve: numerically stationary.
-            converged = True
-            break
+        else:
+            break  # step-halving cannot improve: numerically stationary
         # The accepted candidate's linear predictor is the next iteration's.
-        beta, new_ll, eta, step = accepted
-        trace.append(new_ll)
-        gain = new_ll - ll
-        ll = new_ll
-        if (step * np.abs(delta)).max() <= _IRLS_RTOL * (1.0 + np.abs(beta).max()):
-            converged = True
+        beta, ll, eta = cand, cand_ll, cand_eta
+        trace.append(ll)
+        if last:
             break
-        if gain <= _IRLS_RTOL * (1.0 + abs(ll)):
-            converged = True
-            break
-    if not converged:
+    else:
         raise IrlsDivergedError(
             f"IRLS did not converge in {_MAX_IRLS_ITER} iterations"
         )
@@ -178,8 +175,10 @@ def _fit_logistic(a: np.ndarray, x: np.ndarray, config: NuisanceConfig) -> Prope
 def fit_propensity(dataset: Dataset, config: NuisanceConfig) -> PropensityModel:
     """Ridge-penalized logistic regression of a on (1, x) via IRLS.
 
-    The penalized log-likelihood is non-decreasing across accepted iterations
-    (step-halving on decrease); predictions are clipped to
+    The penalized log-likelihood does not decrease across accepted iterations
+    beyond rounding (step-halving on decrease). The fit stops after the full
+    Newton step taken once the Newton decrement is negligible, so the
+    coefficients are resolved to rounding. Predictions are clipped to
     ``[clip_eps, 1 - clip_eps]``.
     """
     return _fit_logistic(dataset.a, dataset.x, config)

@@ -492,12 +492,11 @@ def _assert_outputs_match(got, want, y_scale, rel):
 
 
 # Maps of y leave the propensity fit untouched, so outputs agree to rounding.
-# Maps of rows or x change the IRLS path at the rounding level, and its
-# line search (accept when the log-likelihood does not drop) resolves the
-# coefficients only to about sqrt(machine epsilon): 2.6e-8 relative at worst
-# over 400 random datasets.
+# Maps of rows or x change the IRLS path at the rounding level; the fit stops
+# only after a full Newton step taken at a negligible Newton decrement, so the
+# coefficients, and the outputs with them, still agree to rounding.
 _REL_Y_MAP = 1e-9
-_REL_IRLS = 1e-6
+_REL_IRLS = 1e-9
 
 
 _PROBLEMS = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(60, 400),

@@ -421,24 +421,21 @@ def _reference_fit_logistic(a, x, lam):
             hess[np.arange(1, d + 1), np.arange(1, d + 1)] += lam
         hess[np.diag_indices_from(hess)] += max(lam, 1e-10)
         delta = np.linalg.solve(hess, grad)
+        last = 0.5 * float(grad @ delta) <= 1e-12 * (1.0 + abs(ll))
         step = 1.0
         accepted = None
         for _ in range(60):
             cand = beta + step * delta
             cand_ll = penalized_ll(cand)
-            if np.isfinite(cand_ll) and cand_ll >= ll:
-                accepted = (cand, cand_ll, step)
+            if np.isfinite(cand_ll) and cand_ll >= ll - 1e-13 * (1.0 + abs(ll)):
+                accepted = (cand, cand_ll)
                 break
             step *= 0.5
         if accepted is None:
             break
-        beta, new_ll, step = accepted
-        trace.append(new_ll)
-        gain = new_ll - ll
-        ll = new_ll
-        if (step * np.abs(delta)).max() <= 1e-8 * (1.0 + np.abs(beta).max()):
-            break
-        if gain <= 1e-8 * (1.0 + abs(ll)):
+        beta, ll = accepted
+        trace.append(ll)
+        if last:
             break
     return (mean, scale, beta), tuple(trace)
 
