@@ -25,7 +25,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .mathutil import bernoulli_loglik, expit
+from .mathutil import bernoulli_loglik, blocked_crossprod, blocked_matmul, expit
 
 # IRLS takes at most this many Newton steps.
 _MAX_IRLS_ITER = 100
@@ -72,7 +72,7 @@ class _AffineModel:
 
     def linear(self, x: np.ndarray) -> np.ndarray:
         z = (np.asarray(x, dtype=float) - self.mean) / self.scale
-        return self.coef[0] + z @ self.coef[1:]
+        return self.coef[0] + blocked_matmul(z, self.coef[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +122,7 @@ def _fit_logistic(a: np.ndarray, x: np.ndarray, config: NuisanceConfig) -> Prope
     a = a.astype(float)
 
     def penalized_ll(beta):
-        eta = design @ beta
+        eta = blocked_matmul(design, beta)
         ll = bernoulli_loglik(a, eta)
         if d > 0:
             ll -= 0.5 * lam * float(beta[1:] @ beta[1:])
@@ -136,8 +136,8 @@ def _fit_logistic(a: np.ndarray, x: np.ndarray, config: NuisanceConfig) -> Prope
         w = p * (1.0 - p)
         if not np.isfinite(w).all():
             raise IrlsDivergedError("non-finite working weights in IRLS")
-        grad = design.T @ (a - p)
-        hess = design.T @ (design * w[:, None])
+        grad = blocked_crossprod(design, a - p)
+        hess = blocked_crossprod(design, design * w[:, None])
         if d > 0:
             grad[1:] -= lam * beta[1:]
             hess[np.arange(1, d + 1), np.arange(1, d + 1)] += lam
@@ -204,12 +204,12 @@ class _ArmDesign:
             )
         self.y, self.x = y[rows], x[rows]
         self.mean, self.scale, self.design = _design(self.x)
-        self.gram = self.design.T @ self.design
+        self.gram = blocked_crossprod(self.design, self.design)
         self.gram[np.arange(1, d + 1), np.arange(1, d + 1)] += config.ridge_lambda
 
     def _solve(self, target: np.ndarray) -> _AffineModel:
         try:
-            coef = np.linalg.solve(self.gram, self.design.T @ target)
+            coef = np.linalg.solve(self.gram, blocked_crossprod(self.design, target))
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"singular least-squares system: {exc}") from exc
         return _AffineModel(self.mean, self.scale, coef)

@@ -18,7 +18,6 @@ realized value; the population effect targets its fixed Monte Carlo truth.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple, Optional
@@ -30,15 +29,13 @@ from .data_model import (Dataset, EstimandKind, NuisanceValues, OutcomeKind, KIN
 from .errors import DegenerateTreatmentError, TreatedError, ValidationError
 from .estimator import (_psi_hat_raw, _score_components, _tau_y_raw, _var_fh_raw,
                         _var_sigma_bound_raw, estimate_all)
-from .mathutil import expit
+from .mathutil import _chunked, blocked_matmul, expit
 from .nuisance import NuisanceConfig
 
 SCHEMA_VERSION = 1
 PI_CLIP = (0.02, 0.98)
 BINARY_MEAN_CLAMP = (0.02, 0.98)
 NOISE_SD_FLOOR = 0.05
-# Rows per product in DgpSpec._affine.
-AFFINE_BLOCK = 2048
 
 
 class XDist(enum.Enum):
@@ -88,20 +85,10 @@ class DgpSpec:
             object.__setattr__(self, name, v)
 
     def _affine(self, coeffs, x):
-        """``coeffs[0] + x @ coeffs[1:]``, bit for bit, computed in row blocks.
-
-        A block stays in cache, and at the few covariates of the specs OpenBLAS
-        runs it on one thread; a whole-array product wakes OpenBLAS's helper
-        threads, which buy no speed and spin against the oracle's forked
-        workers. A last block shorter than 8 rows joins the block before it.
-        """
-        n = x.shape[0]
-        out = np.empty(n)
-        slopes = coeffs[1:]
-        lo = 0
-        for hi in (*range(AFFINE_BLOCK, n - 7, AFFINE_BLOCK), n):
-            np.matmul(x[lo:hi], slopes, out=out[lo:hi])
-            lo = hi
+        """``coeffs[0] + x @ coeffs[1:]``, bit for bit, computed in row blocks
+        (see ``mathutil.blocked_matmul``), so the oracle's forked workers wake
+        no OpenBLAS helper thread."""
+        out = blocked_matmul(x, coeffs[1:])
         out += coeffs[0]
         return out
 
@@ -325,43 +312,6 @@ def _child_seed(seed, *tail):
     return base + [int(t) for t in tail]
 
 
-def _worker_count(count: int) -> int:
-    """One worker per CPU this process may run on, never more than ``count``;
-    1 where processes cannot be forked."""
-    if count < 2 or not hasattr(os, "sched_getaffinity"):
-        return 1
-    import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    return min(len(os.sched_getaffinity(0)), count)
-
-
-def _chunk_list(generator, *args) -> list:
-    """Run one chunk of a generator in a worker process."""
-    return list(generator(*args))
-
-
-def _chunked(generator, args: tuple, count: int):
-    """The items of ``generator(*args, lo, hi)`` over the indices [0, count), in index
-    order. With more than one worker (see ``_worker_count``), each runs one contiguous
-    chunk of indices in a forked process; otherwise the generator runs here, lazily.
-    ``generator`` and ``args`` are pickled, so the generator is a module-level name."""
-    workers = _worker_count(count)
-    if workers == 1:
-        return generator(*args, 0, count)
-    # Imported here: at module level they add 12-17 ms to every
-    # `import treated.cli`, pooled or not. Fork, not spawn: a worker starts
-    # as a copy of this process and imports nothing. The one other thread
-    # at fork time is OpenBLAS's, which its own fork handler stops.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    bounds = [count * i // workers for i in range(workers + 1)]
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        chunks = [pool.submit(_chunk_list, generator, *args, lo, hi)
-                  for lo, hi in zip(bounds, bounds[1:])]
-        return [item for chunk in chunks for item in chunk.result()]
-
-
 def _joint_batches(spec: DgpSpec, sizes, seed, functional, lo, hi):
     """Yield ``functional(pi, mu0, mu1, sigma0, sigma1, a, y0, y1, y)`` for each batch
     k in [lo, hi): ``sizes[k]`` complete draws from the (seed, 2, k) stream; ``a`` is
@@ -416,10 +366,7 @@ def psi_patt_true(spec: DgpSpec, draws: int = 10_000_000, seed=0,
 
 def _oracle_functionals(pi, mu0, mu1, sigma0, sigma1, a, y0, y1, y, *, psi, tau, p_a,
                         binary) -> dict:
-    """Per-batch variances of the six scores, the tau score and the bounds.
-
-    Module-level, because the worker pool pickles it by name.
-    """
+    """Per-batch variances of the six scores, the tau score and the bounds."""
     # The tau score is tau_y + a (mu0 - tau) / p_a; tau_y dies before the
     # score components exist, so no extra column is live at peak memory.
     tau_y = _tau_y_raw(y, a, pi, mu0, p_a)

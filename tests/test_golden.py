@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from treated import simulation
+from treated import mathutil
 from treated.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -71,7 +71,7 @@ def test_golden_bytes(case, capsys):
 def test_simulate_golden_bytes_for_worker_count(case, workers, capsys, monkeypatch):
     # Replications run in a pool of forked workers; the report must not depend
     # on how many, so each count reproduces the same committed bytes.
-    monkeypatch.setattr(simulation, "_worker_count", lambda reps: workers)
+    monkeypatch.setattr(mathutil, "_worker_count", lambda reps: workers)
     _assert_golden(case, capsys)
 
 
@@ -80,5 +80,5 @@ def test_simulate_golden_bytes_for_worker_count(case, workers, capsys, monkeypat
 def test_oracle_golden_bytes_for_worker_count(case, workers, capsys, monkeypatch):
     # The oracle's joint pass runs its batches in the same pool; batch k draws
     # from its own stream, so each count reproduces the same committed bytes.
-    monkeypatch.setattr(simulation, "_worker_count", lambda count: workers)
+    monkeypatch.setattr(mathutil, "_worker_count", lambda count: workers)
     _assert_golden(case, capsys)

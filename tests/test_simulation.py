@@ -25,7 +25,7 @@ from treated import (
     run_monte_carlo,
     true_sample_estimands,
 )
-from treated import simulation
+from treated import mathutil, simulation
 from treated.simulation import McValue, PotentialDataset, _child_seed
 
 from conftest import STD_SPEC
@@ -406,7 +406,7 @@ def test_monte_carlo_bit_identical_reports():
 
 
 def _with_workers(monkeypatch, workers):
-    monkeypatch.setattr(simulation, "_worker_count", lambda reps: workers)
+    monkeypatch.setattr(mathutil, "_worker_count", lambda reps: workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -428,9 +428,9 @@ def test_failed_replications_counted_not_dropped(workers, monkeypatch):
 
 def test_worker_count_bounded_by_affinity_and_reps(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4, 5, 6, 7})
-    assert [simulation._worker_count(r) for r in (1, 2, 3, 8, 300)] == [1, 2, 3, 8, 8]
+    assert [mathutil._worker_count(r) for r in (1, 2, 3, 8, 300)] == [1, 2, 3, 8, 8]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
-    assert simulation._worker_count(300) == 1
+    assert mathutil._worker_count(300) == 1
 
 
 def test_single_replication_runs_in_process(monkeypatch):
@@ -542,9 +542,10 @@ def test_double_robustness_single_misspecification(std_oracle):
 
 @pytest.mark.parametrize("d", range(7))
 def test_blocked_affine_equals_whole_product(d):
-    # DgpSpec._affine multiplies in row blocks. simulate's golden bytes rest on
-    # the blocks giving the whole product bit for bit; a BLAS build that breaks
-    # this fails here, naming the cause, before it fails the golden files.
+    # DgpSpec._affine and the fitted models' predictions multiply in row
+    # blocks. simulate's golden bytes rest on the blocks giving the whole
+    # product bit for bit; a BLAS build that breaks this fails here, naming
+    # the cause, before it fails the golden files.
     rng = np.random.default_rng(d)
     spec = DgpSpec(d, *[np.zeros(d + 1)] * 5)
     unit = rng.standard_normal((500_001, d))
@@ -552,8 +553,35 @@ def test_blocked_affine_equals_whole_product(d):
     coeffs = rng.standard_normal(d + 1) * 10.0 ** rng.uniform(-4, 4, d + 1)
     for n in (*range(1, 41), *range(2047, 2058), *range(4095, 4105), 20_000, 500_001):
         for x in (unit[:n], scaled[:n]):
-            whole = coeffs[0] + x @ coeffs[1:]
-            assert spec._affine(coeffs, x).tobytes() == whole.tobytes(), (d, n)
+            product = x @ coeffs[1:]
+            assert mathutil.blocked_matmul(x, coeffs[1:]).tobytes() == product.tobytes(), (d, n)
+            assert spec._affine(coeffs, x).tobytes() == (coeffs[0] + product).tobytes(), (d, n)
+
+
+def test_blocked_reductions_match_whole_product_to_rounding():
+    # The fit kernels' reductions over rows (the Gram matrix, X.T @ v, the
+    # weighted IRLS Hessian and the a @ eta dot) sum block by block. Within
+    # one block they are the whole product bit for bit. Above it both are
+    # sums of n products in different orders, and each lies within
+    # n * eps / 2 * (|X|.T @ |Y|) of the exact sum (Higham, Accuracy and
+    # Stability of Numerical Algorithms, section 3.1), so they differ by at
+    # most n * eps * (|X|.T @ |Y|). A lost or doubled block moves a sum by
+    # about 1/n of its scale, far above that bound.
+    rng = np.random.default_rng(11)
+    big = 500_001
+    design = np.column_stack([np.ones(big), rng.standard_normal((big, 2)) * [1.0, 1e3]])
+    v = rng.standard_normal(big)
+    w = rng.uniform(0.0, 0.25, big)
+    a = (rng.random(big) < 0.4).astype(float)
+    for n in (*range(2047, 2058), *range(4095, 4105), big):
+        x = design[:n]
+        for left, right in ((x, x), (x, v[:n]), (x, x * w[:n, None]), (a[:n], v[:n])):
+            blocked = mathutil.blocked_crossprod(left, right)
+            whole = left.T @ right
+            if n <= mathutil.BLOCK_ROWS + 7:
+                assert np.asarray(blocked).tobytes() == np.asarray(whole).tobytes(), n
+            bound = n * np.finfo(float).eps * (np.abs(left).T @ np.abs(right))
+            assert np.all(np.abs(blocked - whole) <= bound), n
 
 
 def test_spec_roundtrip_through_dict():
