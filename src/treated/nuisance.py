@@ -25,7 +25,8 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .mathutil import bernoulli_loglik, blocked_crossprod, blocked_matmul, expit
+from .mathutil import (FOLD_POOL_ROWS, _chunked, bernoulli_loglik, blocked_crossprod,
+                       blocked_matmul, expit)
 
 # IRLS takes at most this many Newton steps.
 _MAX_IRLS_ITER = 100
@@ -234,18 +235,34 @@ def fit_conditional_sd(dataset: Dataset, arm: int, mean_model: MeanModel,
     return _ArmDesign(dataset.y, dataset.x, rows, arm, config).fit_sd(mean_model)
 
 
-def _fold_blocks(n: int, folds: int, seed: int):
-    """Seeded shuffle, then contiguous blocks with sizes differing by <= 1.
+def _fold_blocks(n: int, folds: int, seed: int) -> list:
+    """Seeded shuffle, then contiguous blocks with sizes differing by <= 1: the
+    row indices of each fold."""
+    return np.array_split(np.random.default_rng(seed).permutation(n), folds)
 
-    Yields ``(block, train)``: the block's row indices and the boolean mask of
-    the rows its models are fitted on, which is every row when there is a
-    single fold and the block's complement otherwise.
-    """
-    perm = np.random.default_rng(seed).permutation(n)
-    for block in np.array_split(perm, folds):
+
+def _fold_fits(y, a, x, blocks, config, need_mu1, need_sigma, lo, hi):
+    """Yield, for each fold k in [lo, hi), the fitted nuisances at the rows
+    ``blocks[k]`` as ``{name: values}``, from models fitted on the fold's
+    complement, or on every row when there is a single fold."""
+    n = a.shape[0]
+    for block in blocks[lo:hi]:
         train = np.ones(n, dtype=bool)
-        train[block] = folds == 1
-        yield block, train
+        train[block] = len(blocks) == 1
+        a_c = a[train]
+        if a_c.sum() == 0 or a_c.sum() == a_c.size:
+            raise FoldTooSmallError("a fold complement lacks one treatment arm")
+        x_b = x[block]
+        fold = {"pi_hat": _fit_logistic(a_c, x[train], config).predict(x_b)}
+        for arm in (0, 1) if need_mu1 or need_sigma else (0,):
+            arm_design = _ArmDesign(y, x, np.flatnonzero(train & (a == arm)), arm, config)
+            mean_fit = arm_design.fit_mean()
+            if arm == 0 or need_mu1:
+                fold[f"mu{arm}_hat"] = mean_fit.predict(x_b)
+            if need_sigma:
+                fold[f"sigma{arm}_hat"] = arm_design.fit_sd(mean_fit).predict(x_b)
+            del arm_design  # one arm's rows and design at a time
+        yield fold
 
 
 def _residual_diagnostic(y, rows, mu_at_rows) -> bool:
@@ -277,7 +294,9 @@ def compute_nuisances(dataset: Dataset, config: NuisanceConfig,
     with K >= 2 folds the indices are partitioned by a seeded shuffle and each
     unit's predictions come from models fitted on its fold's complement, so a
     fold's predictions depend only on rows outside that fold (plus its own
-    covariates).
+    covariates). From ``FOLD_POOL_ROWS`` rows on, the folds are fitted in one
+    forked worker process per CPU in the affinity mask, each on a contiguous
+    run of folds; the result does not depend on the number of workers.
     """
     n = dataset.n
     eps = config.clip_eps
@@ -309,20 +328,19 @@ def compute_nuisances(dataset: Dataset, config: NuisanceConfig,
         fitted["mu1_hat"] = np.empty(n)
     if need_sigma:
         fitted["sigma0_hat"], fitted["sigma1_hat"] = np.empty(n), np.empty(n)
-    for block, train in _fold_blocks(n, config.folds, config.seed):
-        a_c = a[train]
-        if a_c.sum() == 0 or a_c.sum() == a_c.size:
-            raise FoldTooSmallError("a fold complement lacks one treatment arm")
-        x_b = x[block]
-        fitted["pi_hat"][block] = _fit_logistic(a_c, x[train], config).predict(x_b)
-        for arm in (0, 1) if need_mu1 or need_sigma else (0,):
-            arm_design = _ArmDesign(y, x, np.flatnonzero(train & (a == arm)), arm, config)
-            mean_fit = arm_design.fit_mean()
-            if arm == 0 or need_mu1:
-                fitted[f"mu{arm}_hat"][block] = mean_fit.predict(x_b)
-            if need_sigma:
-                fitted[f"sigma{arm}_hat"][block] = arm_design.fit_sd(mean_fit).predict(x_b)
-            del arm_design  # one arm's rows and design at a time
+    blocks = _fold_blocks(n, config.folds, config.seed)
+    args = (y, a, x, blocks, config, need_mu1, need_sigma)
+    # The folds' fits are independent. From FOLD_POOL_ROWS rows on, they run
+    # in the fork pool, one contiguous run of folds per worker; every fold runs
+    # the same code wherever it runs and is read back in index order, so the
+    # values, and the first fold's error, do not depend on the worker count.
+    if n >= FOLD_POOL_ROWS:
+        folds = _chunked(_fold_fits, args, len(blocks))
+    else:
+        folds = _fold_fits(*args, 0, len(blocks))
+    for block, fold in zip(blocks, folds):
+        for name, values in fold.items():
+            fitted[name][block] = values
 
     for name, values in fitted.items():
         if not np.isfinite(values).all():

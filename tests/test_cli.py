@@ -591,14 +591,24 @@ def test_module_entrypoint_runs():
     assert "estimate" in proc.stdout
 
 
-def test_cli_import_leaves_the_pool_modules_unloaded():
+def test_cli_import_leaves_the_pool_modules_unloaded(tmp_path):
     # The worker pool imports them only when it starts, so every command's
-    # start-up stays free of their import time.
+    # start-up stays free of their import time, and a cross-fit below the
+    # fold pool's row threshold never starts it.
     code = ("import sys, treated.cli; "
             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    golden = pathlib.Path(__file__).parent / "golden"
+    code = ("import sys, treated.cli; "
+            "code = treated.cli.main(sys.argv[1:]); "
+            "print(code, sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    args = ["estimate", "--input", str(golden / "continuous.csv"), "--folds", "5",
+            "--output", str(tmp_path / "report.json")]
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
 
 
 def test_bad_flags_emit_error_code(capsys):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from treated import mathutil
+from treated import mathutil, nuisance
 from treated.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -80,5 +80,16 @@ def test_simulate_golden_bytes_for_worker_count(case, workers, capsys, monkeypat
 def test_oracle_golden_bytes_for_worker_count(case, workers, capsys, monkeypatch):
     # The oracle's joint pass runs its batches in the same pool; batch k draws
     # from its own stream, so each count reproduces the same committed bytes.
+    monkeypatch.setattr(mathutil, "_worker_count", lambda count: workers)
+    _assert_golden(case, capsys)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("estimate_")))
+def test_estimate_golden_bytes_for_worker_count(case, workers, capsys, monkeypatch):
+    # Cross-fitting fits its folds in the same pool from a row threshold on;
+    # with the threshold at 0 every fitted case takes the pool path, and each
+    # count reproduces the same committed bytes.
+    monkeypatch.setattr(nuisance, "FOLD_POOL_ROWS", 0)
     monkeypatch.setattr(mathutil, "_worker_count", lambda count: workers)
     _assert_golden(case, capsys)

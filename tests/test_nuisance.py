@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -22,6 +23,8 @@ from treated import (
     fit_outcome_mean,
     fit_propensity,
 )
+from treated import mathutil, nuisance
+from treated.cli import main
 from treated.mathutil import bernoulli_loglik, expit
 
 def _expit_two_branch(t):
@@ -500,3 +503,65 @@ def test_shared_arm_design_matches_the_separate_fits_bit_for_bit(folds, d, kind)
         assert mean_fit.affine.coef.tobytes() == mean_ref[2].tobytes()
         sd_fit = fit_conditional_sd(ds, arm, mean_fit, config)
         assert sd_fit.affine.coef.tobytes() == sd_ref[2].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The fold pool: the fitted values, and the first failing fold's error, must
+# not depend on how many workers fit the folds.
+
+def _with_fold_pool(monkeypatch, workers):
+    """Send every fold fit through the pool path, with ``workers`` workers."""
+    monkeypatch.setattr(nuisance, "FOLD_POOL_ROWS", 0)
+    monkeypatch.setattr(mathutil, "_worker_count", lambda count: workers)
+
+
+def test_fold_pool_values_do_not_depend_on_worker_count(monkeypatch):
+    # 70,000 rows: above the pool's row threshold, and many 2048-row blocks.
+    ds = _dataset(n=70_000, d=2, seed=8)
+    config = NuisanceConfig(folds=5, seed=3)
+    for need_mu1 in (True, False):
+        for need_sigma in (True, False):
+            got = []
+            for workers in (1, 2):
+                monkeypatch.setattr(mathutil, "_worker_count", lambda count: workers)
+                got.append(compute_nuisances(ds, config, need_mu1=need_mu1,
+                                             need_sigma=need_sigma))
+            for name in ("pi_hat", "mu0_hat", "mu1_hat", "sigma0_hat", "sigma1_hat"):
+                serial, pooled = (getattr(values, name) for values in got)
+                assert (serial is None) == (pooled is None), name
+                if serial is not None:
+                    assert serial.tobytes() == pooled.tobytes(), (name, need_mu1, need_sigma)
+
+
+def _third_fold_lacks_treated_units(tmp_path):
+    """A 200-row, d = 2 CSV with 5 treated units, 4 of them in the third of 5
+    folds (seed 4), so that fold's complement holds 1 treated unit."""
+    n, folds, seed = 200, 5, 4
+    blocks = nuisance._fold_blocks(n, folds, seed)
+    a = np.zeros(n, dtype=int)
+    a[blocks[2][:4]] = 1
+    a[blocks[0][0]] = 1
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((n, 2))
+    y = x.sum(axis=1) + rng.standard_normal(n)
+    path = tmp_path / "third_fold.csv"
+    rows = ["y,a,x1,x2"] + [f"{yi!r},{ai},{x1!r},{x2!r}"
+                            for yi, ai, (x1, x2) in zip(y.tolist(), a.tolist(), x.tolist())]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return Dataset(y=y, a=a, x=x), NuisanceConfig(folds=folds, seed=seed), str(path)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_fold_error_does_not_depend_on_worker_count(workers, monkeypatch, tmp_path,
+                                                            capsys):
+    ds, config, path = _third_fold_lacks_treated_units(tmp_path)
+    _with_fold_pool(monkeypatch, workers)
+    with pytest.raises(InsufficientArmDataError) as raised:
+        compute_nuisances(ds, config)
+    assert type(raised.value) is InsufficientArmDataError
+    assert str(raised.value) == "arm 1 has 1 units, need at least 3"
+    code = main(["estimate", "--input", path, "--folds", "5", "--seed", "4"])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload == {"error_code": "InsufficientArmData",
+                       "message": "arm 1 has 1 units, need at least 3"}
