@@ -89,7 +89,8 @@ def _worker_count(count: int) -> int:
     return min(len(os.sched_getaffinity(0)), count)
 
 
-# The generator and arguments of the pool this process is a worker of.
+# The generator and arguments of the pool this process is a worker of; set
+# only in a worker, by the pool's initializer.
 _task = None
 
 

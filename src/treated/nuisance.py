@@ -330,10 +330,9 @@ def compute_nuisances(dataset: Dataset, config: NuisanceConfig,
         fitted["sigma0_hat"], fitted["sigma1_hat"] = np.empty(n), np.empty(n)
     blocks = _fold_blocks(n, config.folds, config.seed)
     args = (y, a, x, blocks, config, need_mu1, need_sigma)
-    # The folds' fits are independent. From FOLD_POOL_ROWS rows on, they run
-    # in the fork pool, one contiguous run of folds per worker; every fold runs
-    # the same code wherever it runs and is read back in index order, so the
-    # values, and the first fold's error, do not depend on the worker count.
+    # Every fold runs the same code wherever it runs, and the folds are read
+    # back in index order, so the first failing fold's error is raised
+    # whatever the worker count.
     if n >= FOLD_POOL_ROWS:
         folds = _chunked(_fold_fits, args, len(blocks))
     else:
