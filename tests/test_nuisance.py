@@ -516,14 +516,14 @@ def _with_fold_pool(monkeypatch, workers):
 
 
 def test_fold_pool_values_do_not_depend_on_worker_count(monkeypatch):
-    # 70,000 rows: above the pool's row threshold, and many 2048-row blocks.
+    # 70,000 rows: many 2048-row blocks in every fit.
     ds = _dataset(n=70_000, d=2, seed=8)
     config = NuisanceConfig(folds=5, seed=3)
     for need_mu1 in (True, False):
         for need_sigma in (True, False):
             got = []
             for workers in (1, 2):
-                monkeypatch.setattr(mathutil, "_worker_count", lambda count: workers)
+                _with_fold_pool(monkeypatch, workers)
                 got.append(compute_nuisances(ds, config, need_mu1=need_mu1,
                                              need_sigma=need_sigma))
             for name in ("pi_hat", "mu0_hat", "mu1_hat", "sigma0_hat", "sigma1_hat"):
