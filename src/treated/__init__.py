@@ -37,7 +37,6 @@ from .errors import (
     ValidationError,
 )
 from .estimator import (
-    SwattConservative,
     confidence_interval,
     estimate_all,
     estimate_psi_hat,
@@ -49,7 +48,6 @@ from .estimator import (
     var_patt,
     var_satt,
     var_sigma_bound,
-    var_swatt_conservative,
 )
 from .nuisance import (
     NuisanceConfig,
@@ -72,7 +70,6 @@ from .simulation import (
     psi_patt_true,
     psi_tilde,
     run_monte_carlo,
-    true_nuisance_values,
     true_sample_estimands,
 )
 

@@ -225,13 +225,13 @@ def _oracle_values(dataset: Dataset, cols: dict, clip_eps: float) -> Optional[Nu
         return None
     if "pi" not in cols or "mu0" not in cols:
         raise ValidationError("oracle nuisances need at least the 'pi' and 'mu0' columns")
-    has_sigma = "sigma0" in cols and "sigma1" in cols
+    # A lone sd column is carried but unused: the sigma variant needs both.
     return NuisanceValues(
         pi_hat=np.clip(cols["pi"], clip_eps, 1.0 - clip_eps),
         mu0_hat=cols["mu0"],
         mu1_hat=cols.get("mu1"),
-        sigma0_hat=cols["sigma0"] if has_sigma else None,
-        sigma1_hat=cols["sigma1"] if has_sigma else None,
+        sigma0_hat=cols.get("sigma0"),
+        sigma1_hat=cols.get("sigma1"),
         clip_eps=clip_eps,
     )
 
@@ -327,14 +327,7 @@ def oracle_to_dict(oracle: OracleVariances, seed: int) -> dict:
         "p_a": oracle.p_a,
         "psi_patt": mc(oracle.psi_patt),
         "tau": oracle.tau.value,
-        "asymptotic_variances": {
-            "patt": mc(oracle.patt),
-            "actt": mc(oracle.actt),
-            "swatt": mc(oracle.swatt),
-            "catt": mc(oracle.catt),
-            "satt": mc(oracle.satt),
-            "matt": mc(oracle.matt),
-        },
+        "asymptotic_variances": {kind.value: mc(v) for kind, v in oracle.by_kind().items()},
         "sigma_bound": mc(oracle.sigma_bound),
         "fh_bound": mc(oracle.fh_bound),
     }

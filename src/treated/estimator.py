@@ -24,7 +24,6 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -42,7 +41,6 @@ from .data_model import (
     check_ci_level,
 )
 from .errors import (
-    DegenerateTreatmentError,
     LengthMismatchError,
     MissingMu1Error,
     MissingSigmaError,
@@ -63,10 +61,8 @@ __all__ = [
     "var_satt",
     "var_sigma_bound",
     "var_fh_binary",
-    "var_swatt_conservative",
     "confidence_interval",
     "estimate_all",
-    "SwattConservative",
 ]
 
 
@@ -84,23 +80,13 @@ def _require_mu1(nuis: NuisanceValues) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Kernels on raw arrays. The brute-force oracle evaluates them with true
-# nuisances and population constants; they are also exposed for direct unit
-# testing of algebraic edge cases (e.g. the all-treated reduction) that the
-# validated Dataset type rejects by construction.
+# Kernels on raw arrays, shared with the brute-force oracle, which evaluates
+# them with true nuisances and population constants. ``_psi_terms`` and
+# ``_tau_y_raw`` are also unit-tested directly on algebraic edge cases (e.g.
+# the all-treated reduction) that the validated Dataset type rejects.
 
 def _psi_terms(y, a, pi, mu0, a_bar):
     return (a - pi) * (y - mu0) / (a_bar * (1.0 - pi))
-
-
-def _psi_hat_raw(y, a, pi, mu0, a_bar=None) -> float:
-    a = np.asarray(a, dtype=float)
-    if a_bar is None:
-        a_bar = a.mean()
-    if a_bar == 0:
-        raise DegenerateTreatmentError("mean treatment share is zero")
-    return float(np.mean(_psi_terms(np.asarray(y, float), a, np.asarray(pi, float),
-                                    np.asarray(mu0, float), a_bar)))
 
 
 def _tau_y_raw(y, a, pi, mu0, a_bar):
@@ -117,11 +103,6 @@ def _score_components(y, a, pi, mu0, mu1, psi, a_bar):
     return psi_y, psi_a, psi_x
 
 
-def _var_satt_raw(y, a, pi, mu0, a_bar) -> float:
-    terms = pi * (1.0 - a) / (1.0 - pi) ** 2 * ((y - mu0) / a_bar) ** 2
-    return float(terms.mean())
-
-
 def _var_sigma_bound_raw(pi, sigma0, sigma1, a_bar) -> float:
     return float(np.mean(pi ** 2 * (sigma1 - sigma0) ** 2) / a_bar ** 2)
 
@@ -132,14 +113,15 @@ def _var_fh_raw(pi, mu0, mu1) -> float:
 
 
 class _Columns:
-    """Per-unit columns of one (dataset, nuisances) pair and the plain-kind
-    variances read off them; each is built on first use and only once."""
+    """Per-unit columns of one (dataset, nuisances) pair and every quantity
+    the estimator reads off them; each is built on first use and only once."""
 
     def __init__(self, dataset: Dataset, nuis: NuisanceValues, psi=None):
         _check_lengths(dataset, nuis)
         self.nuis, self.y, self.pi, self.mu0 = nuis, dataset.y, nuis.pi_hat, nuis.mu0_hat
+        self.binary = dataset.outcome_kind is OutcomeKind.BINARY
         self.a = dataset.a.astype(float)
-        self.a_bar = self.a.mean()
+        self.a_bar = float(self.a.mean())
         if psi is not None:
             self.psi = psi
 
@@ -157,6 +139,10 @@ class _Columns:
                                  self.psi, self.a_bar)
 
     @cached_property
+    def tau_y(self):
+        return _tau_y_raw(self.y, self.a, self.pi, self.mu0, self.a_bar)
+
+    @cached_property
     def v_patt(self) -> float:
         """Closed-form per-unit score; needs no treated-arm outcome model."""
         return float(np.var(self.terms - self.a * self.psi / self.a_bar))
@@ -171,20 +157,60 @@ class _Columns:
 
     @cached_property
     def v_matt(self) -> float:
-        return float(np.var(_tau_y_raw(self.y, self.a, self.pi, self.mu0, self.a_bar)))
+        return float(np.var(self.tau_y))
 
     @cached_property
     def v_satt(self) -> float:
-        return _var_satt_raw(self.y, self.a, self.pi, self.mu0, self.a_bar)
+        pi, a = self.pi, self.a
+        terms = pi * (1.0 - a) / (1.0 - pi) ** 2 * ((self.y - self.mu0) / self.a_bar) ** 2
+        return float(terms.mean())
+
+    @cached_property
+    def v_sigma_bound(self) -> float:
+        if self.nuis.sigma0_hat is None or self.nuis.sigma1_hat is None:
+            raise MissingSigmaError("sigma0_hat and sigma1_hat are required")
+        return _var_sigma_bound_raw(self.pi, self.nuis.sigma0_hat, self.nuis.sigma1_hat,
+                                    self.a_bar)
+
+    @cached_property
+    def v_fh_bound(self) -> float:
+        if not self.binary:
+            raise NotBinaryOutcomeError("the sharp bound applies to binary outcomes only")
+        return _var_fh_raw(self.pi, self.mu0, _require_mu1(self.nuis))
+
+    @cached_property
+    def swatt(self):
+        """The conservative swatt family as ``(report fields, diagnostics)``.
+
+        Each variant is the actt variance less a part of the effect variance,
+        floored at zero: the sigma bound when both sds are present, and
+        Pn(a)^-2 times the FH bound for a binary outcome. The interval uses
+        the smallest variant; the diagnostics flag each floor that applied
+        and carry the bounds.
+        """
+        less, bounds = {}, {}
+        if self.nuis.sigma0_hat is not None and self.nuis.sigma1_hat is not None:
+            bounds["v_sigma_bound"] = less["sigma"] = self.v_sigma_bound
+        if self.binary:
+            bounds["v_fh_bound"] = self.v_fh_bound
+            less["fh"] = self.v_fh_bound / self.a_bar ** 2
+        fields = {"conservative_simple": self.v_actt, "conservative_sigma": None,
+                  "conservative_fh": None}
+        floored = {"swatt_sigma_floored": False, "swatt_fh_floored": False}
+        for name, v in less.items():
+            raw = self.v_actt - v
+            fields[f"conservative_{name}"] = max(0.0, raw)
+            floored[f"swatt_{name}_floored"] = raw < 0
+        fields["variance_used"] = min(v for v in fields.values() if v is not None)
+        return fields, {**floored, **bounds}
 
 
 # ---------------------------------------------------------------------------
-# Public operations.
+# Public operations. Each reads one quantity off ``_Columns``.
 
 def estimate_psi_hat(dataset: Dataset, nuis: NuisanceValues) -> float:
     """Doubly robust point estimate Pn[(a - pi)(y - mu0) / (Pn(a) (1 - pi))]."""
-    _check_lengths(dataset, nuis)
-    return _psi_hat_raw(dataset.y, dataset.a, nuis.pi_hat, nuis.mu0_hat)
+    return _Columns(dataset, nuis).psi
 
 
 def if_components(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> IfComponents:
@@ -194,7 +220,7 @@ def if_components(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> IfC
     fitted effect contrast mu1 - mu0.
     """
     c = _Columns(dataset, nuis, psi_hat)
-    return IfComponents(*c.comp, tau_y=_tau_y_raw(c.y, c.a, c.pi, c.mu0, c.a_bar))
+    return IfComponents(*c.comp, tau_y=c.tau_y)
 
 
 def var_patt(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> float:
@@ -229,11 +255,7 @@ def var_satt(dataset: Dataset, nuis: NuisanceValues) -> float:
 def var_sigma_bound(dataset: Dataset, nuis: NuisanceValues) -> float:
     """Pn(a)^-2 Pn[ pi^2 (sigma1 - sigma0)^2 ], the identified part of the
     conditional effect-variance that sharpens the swatt interval."""
-    _check_lengths(dataset, nuis)
-    if nuis.sigma0_hat is None or nuis.sigma1_hat is None:
-        raise MissingSigmaError("sigma0_hat and sigma1_hat are required")
-    a_bar = float(dataset.a.mean())
-    return _var_sigma_bound_raw(nuis.pi_hat, nuis.sigma0_hat, nuis.sigma1_hat, a_bar)
+    return _Columns(dataset, nuis).v_sigma_bound
 
 
 def var_fh_binary(dataset: Dataset, nuis: NuisanceValues) -> float:
@@ -241,53 +263,7 @@ def var_fh_binary(dataset: Dataset, nuis: NuisanceValues) -> float:
 
     Fitted means are clamped to [0, 1] first, so the integrand is nonnegative.
     """
-    _check_lengths(dataset, nuis)
-    if dataset.outcome_kind is not OutcomeKind.BINARY:
-        raise NotBinaryOutcomeError("the sharp bound applies to binary outcomes only")
-    mu1 = _require_mu1(nuis)
-    return _var_fh_raw(nuis.pi_hat, nuis.mu0_hat, mu1)
-
-
-@dataclass(frozen=True)
-class SwattConservative:
-    """Conservative swatt variances; differences are floored at zero.
-
-    ``fh`` subtracts Pn(a)^-2 * V_FH.
-    """
-
-    simple: float
-    sigma: Optional[float] = None
-    fh: Optional[float] = None
-    sigma_floored: bool = False
-    fh_floored: bool = False
-
-    def smallest(self) -> float:
-        candidates = [self.simple]
-        if self.sigma is not None:
-            candidates.append(self.sigma)
-        if self.fh is not None:
-            candidates.append(self.fh)
-        return min(candidates)
-
-
-def var_swatt_conservative(v_actt: float, v_sigma: Optional[float] = None,
-                           v_fh: Optional[float] = None,
-                           p_n_a: Optional[float] = None) -> SwattConservative:
-    """Assemble the conservative swatt variance family from its ingredients."""
-    sigma = fh = None
-    sigma_floored = fh_floored = False
-    if v_sigma is not None:
-        raw = v_actt - v_sigma
-        sigma_floored = raw < 0
-        sigma = max(0.0, raw)
-    if v_fh is not None:
-        if p_n_a is None or p_n_a <= 0:
-            raise DegenerateTreatmentError("p_n_a must be positive for the FH variant")
-        raw = v_actt - v_fh / p_n_a ** 2
-        fh_floored = raw < 0
-        fh = max(0.0, raw)
-    return SwattConservative(simple=v_actt, sigma=sigma, fh=fh,
-                             sigma_floored=sigma_floored, fh_floored=fh_floored)
+    return _Columns(dataset, nuis).v_fh_bound
 
 
 def confidence_interval(psi_hat: float, variance: float, n: int, level: float):
@@ -330,14 +306,14 @@ def estimate_all(dataset: Dataset, config: Optional[NuisanceConfig] = None,
         k for k in KIND_ORDER if k in set(estimands)
     )
     if not kinds:
-        raise ValueError("no estimands requested")
+        raise ValidationError("no estimands requested")
     need_mu1 = any(k in _MU1_KINDS for k in kinds)
     need_sigma = EstimandKind.SWATT in kinds
 
     nuis = compute_nuisances(dataset, config, oracle=oracle,
                              need_mu1=need_mu1, need_sigma=need_sigma)
     cols = _Columns(dataset, nuis)
-    psi, n, a_bar = cols.psi, dataset.n, float(cols.a_bar)
+    psi, n = cols.psi, dataset.n
 
     per_kind: dict = {}
     diagnostics: dict = {
@@ -349,30 +325,19 @@ def estimate_all(dataset: Dataset, config: Optional[NuisanceConfig] = None,
 
     for kind in kinds:
         if kind is EstimandKind.SWATT:
-            v_sigma = v_fh = None
-            if nuis.sigma0_hat is not None and nuis.sigma1_hat is not None:
-                v_sigma = _var_sigma_bound_raw(nuis.pi_hat, nuis.sigma0_hat, nuis.sigma1_hat,
-                                               a_bar)
-            if dataset.outcome_kind is OutcomeKind.BINARY:
-                v_fh = _var_fh_raw(nuis.pi_hat, nuis.mu0_hat, nuis.mu1_hat)
-            cons = var_swatt_conservative(cols.v_actt, v_sigma, v_fh, a_bar)
-            used = cons.smallest()
-            fields = {"conservative_simple": cons.simple, "conservative_sigma": cons.sigma,
-                      "conservative_fh": cons.fh, "variance_used": used}
-            bounds = {"v_sigma_bound": v_sigma, "v_fh_bound": v_fh}
-            diagnostics["swatt_sigma_floored"] = cons.sigma_floored
-            diagnostics["swatt_fh_floored"] = cons.fh_floored
-            diagnostics.update((k, v) for k, v in bounds.items() if v is not None)
+            fields, swatt_diagnostics = cols.swatt
+            used = fields["variance_used"]
+            diagnostics.update(swatt_diagnostics)
         else:
             used = getattr(cols, "v_" + kind.value)
-            fields = {"variance": used}
-            bounds = {}
-        checked = {"psi_hat": psi, **fields, **bounds}
+            fields, swatt_diagnostics = {"variance": used}, {}
+        # The swatt diagnostics add its bounds; its floored flags are never bad.
+        checked = {"psi_hat": psi, **fields, **swatt_diagnostics}
         bad = [f"{k}={v}" for k, v in checked.items() if v is not None and not np.isfinite(v)]
         if bad:
             raise NonFiniteEstimateError(f"{kind.value}: non-finite {', '.join(bad)}")
         lo, hi = confidence_interval(psi, used, n, ci_level)
         per_kind[kind] = KindInference(ci_lower=lo, ci_upper=hi, **fields)
 
-    return EstimateReport(psi_hat=psi, n=n, p_n_a=a_bar, per_kind=per_kind,
+    return EstimateReport(psi_hat=psi, n=n, p_n_a=cols.a_bar, per_kind=per_kind,
                           ci_level=ci_level, diagnostics=diagnostics)

@@ -27,7 +27,7 @@ import numpy as np
 from .data_model import (Dataset, EstimandKind, NuisanceValues, OutcomeKind, KIND_ORDER,
                          check_ci_level, check_seed)
 from .errors import DegenerateTreatmentError, TreatedError, ValidationError
-from .estimator import (_psi_hat_raw, _score_components, _tau_y_raw, _var_fh_raw,
+from .estimator import (_Columns, _score_components, _tau_y_raw, _var_fh_raw,
                         _var_sigma_bound_raw, estimate_all)
 from .mathutil import _chunked, blocked_matmul, expit
 from .nuisance import NuisanceConfig
@@ -208,11 +208,6 @@ def _draw_potentials(spec: DgpSpec, rng, mu0, mu1, sigma0, sigma1):
     return mu0 + sigma0 * z0, mu1 + sigma1 * z1
 
 
-def true_nuisance_values(spec: DgpSpec, x: np.ndarray) -> NuisanceValues:
-    """Exact nuisance evaluations at each row of x (clip_eps matches PI_CLIP)."""
-    return NuisanceValues(*_true_arrays(spec, x), clip_eps=PI_CLIP[0])
-
-
 def generate(spec: DgpSpec, n: int, seed) -> PotentialDataset:
     """Seeded draw of n i.i.d. units with complete potential outcomes.
 
@@ -225,7 +220,8 @@ def generate(spec: DgpSpec, n: int, seed) -> PotentialDataset:
     check_seed(seed)
     rng = np.random.default_rng(seed)
     x = _draw_x(spec, n, rng)
-    nu = true_nuisance_values(spec, x)
+    # The exact nuisances; clip_eps matches PI_CLIP.
+    nu = NuisanceValues(*_true_arrays(spec, x), clip_eps=PI_CLIP[0])
     a = (rng.random(n) < nu.pi_hat).astype(np.int64)
     y0, y1 = _draw_potentials(spec, rng, nu.mu0_hat, nu.mu1_hat, nu.sigma0_hat, nu.sigma1_hat)
     y = np.where(a == 1, y1, y0)
@@ -257,8 +253,7 @@ def true_sample_estimands(pd: PotentialDataset, psi_patt_true: float) -> dict:
 def psi_tilde(pd: PotentialDataset) -> float:
     """One-step functional with TRUE nuisances: the most precisely estimable
     sample variant; the estimator's point estimate on the exact nuisances."""
-    nu = pd.true_nuisances
-    return _psi_hat_raw(pd.dataset.y, pd.dataset.a, nu.pi_hat, nu.mu0_hat)
+    return _Columns(pd.dataset, pd.true_nuisances).psi
 
 
 def fh_sharpness_oracle(p: float, q: float, grid: int = 4001) -> float:
@@ -366,7 +361,8 @@ def psi_patt_true(spec: DgpSpec, draws: int = 10_000_000, seed=0,
 
 def _oracle_functionals(pi, mu0, mu1, sigma0, sigma1, a, y0, y1, y, *, psi, tau, p_a,
                         binary) -> dict:
-    """Per-batch variances of the six scores, the tau score and the bounds."""
+    """Per-batch variances of the six scores, the tau score and the bounds,
+    keyed by their ``OracleVariances`` field names."""
     # The tau score is tau_y + a (mu0 - tau) / p_a; tau_y dies before the
     # score components exist, so no extra column is live at peak memory.
     tau_y = _tau_y_raw(y, a, pi, mu0, p_a)
@@ -379,10 +375,10 @@ def _oracle_functionals(pi, mu0, mu1, sigma0, sigma1, a, y0, y1, y, *, psi, tau,
         "matt": v_matt, "tau_score": v_tau,
         "satt": v_matt + ((pi * (1.0 - a) / (1.0 - pi) * (y - mu0) ** 2) / p_a ** 2).mean(),
         "swatt": v_actt - ((pi ** 2 * (y1 - y0 - (mu1 - mu0)) ** 2) / p_a ** 2).mean(),
-        "sigma": _var_sigma_bound_raw(pi, sigma0, sigma1, p_a),
+        "sigma_bound": _var_sigma_bound_raw(pi, sigma0, sigma1, p_a),
     }
     if binary:
-        out["fh"] = _var_fh_raw(pi, mu0, mu1)
+        out["fh_bound"] = _var_fh_raw(pi, mu0, mu1)
     return out
 
 
@@ -412,14 +408,7 @@ class OracleVariances:
     draws: int
 
     def by_kind(self) -> dict:
-        return {
-            EstimandKind.PATT: self.patt,
-            EstimandKind.ACTT: self.actt,
-            EstimandKind.SWATT: self.swatt,
-            EstimandKind.CATT: self.catt,
-            EstimandKind.SATT: self.satt,
-            EstimandKind.MATT: self.matt,
-        }
+        return {kind: getattr(self, kind.value) for kind in KIND_ORDER}
 
 
 def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
@@ -437,34 +426,19 @@ def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
     result does not depend on the number of workers.
     """
     consts = _x_constants(spec, draws, seed, batch_size)
-    p_a = consts.p_a
-    binary = spec.outcome_kind is OutcomeKind.BINARY
 
     # Pass 2: joint draws, per-batch functionals, in batch order.
     sizes = _batch_sizes(draws, batch_size)
     functional = partial(_oracle_functionals, psi=consts.psi.value, tau=consts.tau.value,
-                         p_a=p_a, binary=binary)
-    batches = {k: [] for k in ("patt", "actt", "catt", "matt", "tau_score", "satt",
-                               "swatt", "sigma", "fh")}
+                         p_a=consts.p_a, binary=spec.outcome_kind is OutcomeKind.BINARY)
+    batches: dict = {}
     for out in _chunked(_joint_batches, (spec, sizes, seed, functional), len(sizes)):
         for key, value in out.items():
-            batches[key].append(value)
+            batches.setdefault(key, []).append(value)
 
-    return OracleVariances(
-        patt=_mc_value(batches["patt"]),
-        actt=_mc_value(batches["actt"]),
-        swatt=_mc_value(batches["swatt"]),
-        catt=_mc_value(batches["catt"]),
-        satt=_mc_value(batches["satt"]),
-        matt=_mc_value(batches["matt"]),
-        sigma_bound=_mc_value(batches["sigma"]),
-        fh_bound=_mc_value(batches["fh"]) if binary else None,
-        psi_patt=consts.psi,
-        tau=consts.tau,
-        tau_score=_mc_value(batches["tau_score"]),
-        p_a=p_a,
-        draws=draws,
-    )
+    values = {"fh_bound": None, **{key: _mc_value(v) for key, v in batches.items()}}
+    return OracleVariances(**values, psi_patt=consts.psi, tau=consts.tau, p_a=consts.p_a,
+                           draws=draws)
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,20 @@ def test_estimate_validation_error_exit2(tmp_path, capsys):
     assert payload["error_code"] == "DegenerateTreatment"
 
 
+def test_estimate_lone_sd_column_is_checked_then_unused(tmp_path, capsys):
+    # The sigma variant needs both sds: one sd column skips it, like none.
+    lone = "\n".join(line.rsplit(",", 1)[0] for line in WORKED_CSV.splitlines()) + "\n"
+    assert main(["estimate", "--input", _write(tmp_path, "lone.csv", lone)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["per_kind"]["swatt"]["conservative_sigma"] is None
+    assert out["diagnostics"]["nuisance_method"].endswith("sd=skip")
+    assert "v_sigma_bound" not in out["diagnostics"]
+    # A lone sd column is still validated like the others.
+    negative = lone.replace("0.2,0.5,1,2,1\n", "0.2,0.5,1,2,-1\n")
+    assert main(["estimate", "--input", _write(tmp_path, "neg.csv", negative)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error_code"] == "Validation"
+
+
 def test_estimate_numeric_error_exit3(tmp_path, capsys, monkeypatch):
     csv_path = _write(tmp_path, "data.csv", WORKED_CSV)
     import treated.cli as cli_mod

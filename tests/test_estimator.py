@@ -30,9 +30,8 @@ from treated import (
     var_patt,
     var_satt,
     var_sigma_bound,
-    var_swatt_conservative,
 )
-from treated.estimator import _psi_hat_raw, _tau_y_raw
+from treated.estimator import _psi_terms, _tau_y_raw
 from treated.mathutil import norm_quantile
 
 from conftest import STD_SPEC, make_worked_example, random_dataset_with_nuisances
@@ -113,7 +112,7 @@ def test_psi_hat_all_treated_reduction():
     # cancel and psi-hat reduces to mean(y - mu0).
     y = np.array([3.0, 1.0, 5.0])
     mu0 = np.array([1.0, 0.0, 2.0])
-    out = _psi_hat_raw(y, np.ones(3), np.full(3, 0.5), mu0, a_bar=1.0)
+    out = float(np.mean(_psi_terms(y, np.ones(3), np.full(3, 0.5), mu0, 1.0)))
     assert out == pytest.approx(np.mean(y - mu0), rel=1e-12)
 
 
@@ -237,19 +236,56 @@ def test_var_fh_binary():
         var_fh_binary(cont, nu)
 
 
+def _swatt(ds, nu):
+    report = estimate_all(ds, oracle=nu)
+    return report.per_kind[EstimandKind.SWATT], report.diagnostics
+
+
+# A binary 4-row example: sigma bound 0.00328125, FH bound 0.031875, Pn(a) = 0.5.
+_BINARY_DS = Dataset(y=[1.0, 0.0, 1.0, 0.0], a=[1, 0, 1, 0], x=np.empty((4, 0)),
+                     outcome_kind=OutcomeKind.BINARY)
+_BINARY_NU = NuisanceValues(pi_hat=[0.5, 0.5, 0.25, 0.25], mu0_hat=[0.2, 0.4, 0.5, 0.3],
+                            mu1_hat=[0.7, 0.6, 0.9, 0.5], sigma0_hat=[0.4, 0.5, 0.5, 0.45],
+                            sigma1_hat=[0.45, 0.5, 0.3, 0.5])
+
+
 def test_var_swatt_conservative_combinations():
-    cons = var_swatt_conservative(2.0, v_sigma=0.5, v_fh=0.3, p_n_a=0.5)
-    assert cons.simple == 2.0
-    assert cons.sigma == pytest.approx(1.5, rel=1e-12)
-    assert cons.fh == pytest.approx(2.0 - 0.3 / 0.25, rel=1e-12)
-    assert not cons.sigma_floored and not cons.fh_floored
-    assert cons.smallest() == pytest.approx(0.8, rel=1e-12)
+    # Both variants: actt less the sigma bound, actt less Pn(a)^-2 times the FH bound.
+    sw, diag = _swatt(_BINARY_DS, _BINARY_NU)
+    v_actt = var_actt(_BINARY_DS, _BINARY_NU, estimate_psi_hat(_BINARY_DS, _BINARY_NU))
+    assert sw.conservative_simple == v_actt
+    assert diag["v_sigma_bound"] == pytest.approx(0.00328125, rel=1e-12)
+    assert diag["v_fh_bound"] == pytest.approx(0.031875, rel=1e-12)
+    assert sw.conservative_sigma == pytest.approx(v_actt - 0.00328125, rel=1e-12)
+    assert sw.conservative_fh == pytest.approx(v_actt - 0.031875 / 0.25, rel=1e-12)
+    assert not diag["swatt_sigma_floored"] and not diag["swatt_fh_floored"]
+    assert sw.variance_used == min(sw.conservative_simple, sw.conservative_sigma,
+                                   sw.conservative_fh) == sw.conservative_fh
     # sigma bound of zero: conservative sigma equals simple
-    cons0 = var_swatt_conservative(2.0, v_sigma=0.0)
-    assert cons0.sigma == cons0.simple
-    # flooring at zero sets the flag
-    floored = var_swatt_conservative(1.0, v_sigma=1.5)
-    assert floored.sigma == 0.0 and floored.sigma_floored
+    ds, nu = make_worked_example()
+    equal_sds = NuisanceValues(pi_hat=nu.pi_hat, mu0_hat=nu.mu0_hat, mu1_hat=nu.mu1_hat,
+                               sigma0_hat=nu.sigma0_hat, sigma1_hat=nu.sigma0_hat)
+    sw0, diag0 = _swatt(ds, equal_sds)
+    assert diag0["v_sigma_bound"] == 0.0
+    assert sw0.conservative_sigma == sw0.conservative_simple
+    assert sw0.conservative_fh is None and "v_fh_bound" not in diag0
+    # flooring at zero sets the flag: a sigma bound that exceeds v_actt
+    wide = NuisanceValues(pi_hat=nu.pi_hat, mu0_hat=nu.mu0_hat, mu1_hat=nu.mu1_hat,
+                          sigma0_hat=nu.sigma0_hat, sigma1_hat=nu.sigma1_hat + 10.0)
+    floored, diag_floored = _swatt(ds, wide)
+    assert diag_floored["v_sigma_bound"] > floored.conservative_simple
+    assert floored.conservative_sigma == 0.0 and diag_floored["swatt_sigma_floored"]
+    assert floored.variance_used == 0.0 and not diag_floored["swatt_fh_floored"]
+    # Outcome means that fit every observed y exactly with a constant effect give
+    # v_actt = 0, so any positive bound floors both variants.
+    exact = NuisanceValues(pi_hat=[0.5, 0.5, 0.25, 0.25], mu0_hat=[0.5, 0.0, 0.5, 0.0],
+                           mu1_hat=[1.0, 0.5, 1.0, 0.5], sigma0_hat=[0.5, 0.0, 0.5, 0.0],
+                           sigma1_hat=[0.0, 0.5, 0.0, 0.5])
+    both, diag_both = _swatt(_BINARY_DS, exact)
+    assert both.conservative_simple == 0.0
+    assert diag_both["v_sigma_bound"] > 0.0 and diag_both["v_fh_bound"] > 0.0
+    assert both.conservative_sigma == both.conservative_fh == 0.0
+    assert diag_both["swatt_sigma_floored"] and diag_both["swatt_fh_floored"]
 
 
 # ---------------------------------------------------------------------------
@@ -350,18 +386,16 @@ def test_translation_invariance(seed, shift):
 def test_variance_nonnegativity(seed, binary):
     ds, nu = random_dataset_with_nuisances(seed, binary=binary)
     psi = estimate_psi_hat(ds, nu)
-    v_actt = var_actt(ds, nu, psi)
-    v_sigma = var_sigma_bound(ds, nu)
-    v_fh = var_fh_binary(ds, nu) if binary else None
-    cons = var_swatt_conservative(v_actt, v_sigma, v_fh, float(ds.a.mean()))
+    sw = estimate_all(ds, oracle=nu).per_kind[EstimandKind.SWATT]
     values = {
-        "v_patt": var_patt(ds, nu, psi), "v_actt": v_actt,
+        "v_patt": var_patt(ds, nu, psi), "v_actt": var_actt(ds, nu, psi),
         "v_catt": var_catt(ds, nu, psi), "v_matt": var_matt(ds, nu),
-        "v_satt": var_satt(ds, nu), "v_sigma_bound": v_sigma,
-        "swatt_conservative_simple": cons.simple, "swatt_conservative_sigma": cons.sigma,
+        "v_satt": var_satt(ds, nu), "v_sigma_bound": var_sigma_bound(ds, nu),
+        "swatt_conservative_simple": sw.conservative_simple,
+        "swatt_conservative_sigma": sw.conservative_sigma,
     }
     if binary:
-        values.update(v_fh_bound=v_fh, swatt_conservative_fh=cons.fh)
+        values.update(v_fh_bound=var_fh_binary(ds, nu), swatt_conservative_fh=sw.conservative_fh)
     for name, value in values.items():
         assert value is not None and value >= 0.0, name
 
@@ -426,6 +460,27 @@ def test_estimate_all_binary_reports_fh():
     assert sw.conservative_fh is not None
     assert report.diagnostics["v_fh_bound"] >= 0.0
     assert "swatt_conservative_fh_pn_inv" not in report.diagnostics
+
+
+@pytest.mark.parametrize("estimands", [[], ["patt"]], ids=["empty", "strings"])
+def test_estimate_all_no_estimand_kind_is_validation_error(estimands):
+    # Neither an empty list nor one without an EstimandKind names an estimand.
+    ds, nu = make_worked_example()
+    with pytest.raises(ValidationError, match="no estimands requested"):
+        estimate_all(ds, oracle=nu, estimands=estimands)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 200), d=st.integers(0, 3),
+       binary=st.booleans())
+def test_in_sample_matt_variance_at_most_satt(seed, n, d, binary):
+    # v_satt - v_matt = Pn[tau_y^2 (1/pi - 1)] + (Pn tau_y)^2 >= 0 for every input,
+    # so only rounding may put v_matt above v_satt.
+    ds, nu = random_dataset_with_nuisances(seed, n=n, d=d, binary=binary)
+    report = estimate_all(ds, oracle=nu, estimands=[EstimandKind.SATT, EstimandKind.MATT])
+    v_satt = report.per_kind[EstimandKind.SATT].variance
+    v_matt = report.per_kind[EstimandKind.MATT].variance
+    assert v_matt <= v_satt * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("binary", [False, True], ids=["continuous", "binary"])

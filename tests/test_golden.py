@@ -7,6 +7,8 @@ Each case runs ``treated.cli.main`` on the committed inputs in
 it moved when it re-records the file.
 """
 
+import fnmatch
+import json
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from treated import mathutil, nuisance
 from treated.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = GOLDEN.parent.parent / "README.md"
 CONTINUOUS_CSV = str(GOLDEN / "continuous.csv")
 BINARY_CSV = str(GOLDEN / "binary.csv")
 ORACLE_CSV = str(GOLDEN / "oracle_columns.csv")
@@ -93,3 +96,38 @@ def test_estimate_golden_bytes_for_worker_count(case, workers, capsys, monkeypat
     monkeypatch.setattr(nuisance, "FOLD_POOL_ROWS", 0)
     monkeypatch.setattr(mathutil, "_worker_count", lambda count: workers)
     _assert_golden(case, capsys)
+
+
+# The paths at which a success report may carry null in place of a number,
+# as README's CLI section lists them (dotted, ``*`` for any estimand).
+DOCUMENTED_NULLS = (
+    "psi_patt.se", "asymptotic_variances.*.se", "sigma_bound.se", "fh_bound.se",
+    "extras.psi_patt_se", "per_kind.*.empirical_var_scaled_se",
+    "per_kind.swatt.conservative_fh", "per_kind.swatt.conservative_sigma", "fh_bound",
+    "extras.mean_swatt_conservative_fh", "extras.mean_swatt_conservative_sigma",
+    "extras.satt_vs_patt",
+)
+
+
+def _null_paths(obj, path=()):
+    if obj is None:
+        yield ".".join(path)
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _null_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _null_paths(value, path + (str(i),))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_nulls_are_documented(case):
+    report = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
+    undocumented = [path for path in _null_paths(report)
+                    if not any(fnmatch.fnmatchcase(path, p) for p in DOCUMENTED_NULLS)]
+    assert undocumented == []
+
+
+def test_documented_nulls_are_in_readme():
+    readme = README.read_text(encoding="utf-8")
+    assert [p for p in DOCUMENTED_NULLS if f"`{p}`" not in readme] == []
