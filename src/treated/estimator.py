@@ -293,8 +293,9 @@ def estimate_all(dataset: Dataset, config: Optional[NuisanceConfig] = None,
     """Run nuisance estimation, the point estimate, and per-kind inference.
 
     ``oracle`` supplies known nuisances in place of fitted ones (see
-    ``compute_nuisances``). ``estimands`` restricts the report (default: all
-    six). mu1 is needed only when a requesting kind is present; conditional
+    ``compute_nuisances``). ``estimands``, a collection of ``EstimandKind``
+    members, restricts the report (default: all six); any other entry is a
+    ``ValidationError``. mu1 is needed only when a requesting kind is present; conditional
     sds only when swatt is requested, and oracle values without sds skip the
     sigma variant. The swatt interval uses the smallest available
     conservative variance.
@@ -302,9 +303,18 @@ def estimate_all(dataset: Dataset, config: Optional[NuisanceConfig] = None,
     check_ci_level(ci_level)
     if config is None:
         config = NuisanceConfig()
-    kinds = tuple(KIND_ORDER) if estimands is None else tuple(
-        k for k in KIND_ORDER if k in set(estimands)
-    )
+    if estimands is None:
+        kinds = KIND_ORDER
+    else:
+        try:
+            requested = list(estimands)
+        except TypeError as exc:
+            raise ValidationError(f"estimands must be a collection of EstimandKind "
+                                  f"members: {exc}") from exc
+        bad = [k for k in requested if not isinstance(k, EstimandKind)]
+        if bad:
+            raise ValidationError(f"estimands must be EstimandKind members, got {bad[0]!r}")
+        kinds = tuple(k for k in KIND_ORDER if k in requested)
     if not kinds:
         raise ValidationError("no estimands requested")
     need_mu1 = any(k in _MU1_KINDS for k in kinds)

@@ -16,6 +16,9 @@ _STD_NORMAL = NormalDist()
 # thread; a whole-array product wakes OpenBLAS's helper threads, which buy no
 # speed and spin against forked pool workers.
 BLOCK_ROWS = 2048
+# Most rows ``row_blocks`` keeps in one block. Up to it the blocked products
+# are the plain product, which they return without building the blocks.
+_ONE_BLOCK_ROWS = BLOCK_ROWS + 7
 # Fewest rows for which cross-fitting runs its folds in the pool; below it a
 # pool's start costs more than it saves. `treated estimate --nuisance fitted
 # --folds 5` on d = 2 covariates (2 vCPUs, median of 20 runs) took 363 ms
@@ -50,6 +53,8 @@ def row_blocks(n: int) -> list:
 def blocked_matmul(x, v) -> np.ndarray:
     """``x @ v`` for a matrix ``x`` and a vector ``v``, bit for bit, computed
     in row blocks."""
+    if x.shape[0] <= _ONE_BLOCK_ROWS:
+        return x @ v
     out = np.empty(x.shape[0])
     for rows in row_blocks(x.shape[0]):
         np.matmul(x[rows], v, out=out[rows])
@@ -62,6 +67,8 @@ def blocked_crossprod(x, y):
     Bit for bit the whole product when the rows fit in one block; above that
     the sums run in a different order, which moves the result by rounding.
     """
+    if x.shape[0] <= _ONE_BLOCK_ROWS:
+        return x.T @ y
     blocks = row_blocks(x.shape[0])
     total = x[blocks[0]].T @ y[blocks[0]]
     for rows in blocks[1:]:

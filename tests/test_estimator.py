@@ -462,11 +462,21 @@ def test_estimate_all_binary_reports_fh():
     assert "swatt_conservative_fh_pn_inv" not in report.diagnostics
 
 
-@pytest.mark.parametrize("estimands", [[], ["patt"]], ids=["empty", "strings"])
-def test_estimate_all_no_estimand_kind_is_validation_error(estimands):
-    # Neither an empty list nor one without an EstimandKind names an estimand.
+NOT_A_KIND = "estimands must be EstimandKind members"
+
+
+@pytest.mark.parametrize("estimands, message", [
+    ([], "no estimands requested"),
+    (["patt"], NOT_A_KIND),
+    ([EstimandKind.PATT, "matt"], NOT_A_KIND),
+    ([["patt"]], NOT_A_KIND),
+    (EstimandKind.PATT, "estimands must be a collection"),
+], ids=["empty", "strings", "mixed", "nested", "bare_kind"])
+def test_estimate_all_no_estimand_kind_is_validation_error(estimands, message):
+    # An empty list names no estimand, and an entry that is not an
+    # EstimandKind is refused, not dropped beside a valid one.
     ds, nu = make_worked_example()
-    with pytest.raises(ValidationError, match="no estimands requested"):
+    with pytest.raises(ValidationError, match=message):
         estimate_all(ds, oracle=nu, estimands=estimands)
 
 

@@ -609,6 +609,30 @@ def test_blocked_reductions_match_whole_product_to_rounding():
             assert np.all(np.abs(blocked - whole) <= bound), n
 
 
+@pytest.mark.parametrize("n", [1, 2047, 2055, 2056])
+def test_single_block_products_skip_the_blocks(n, monkeypatch):
+    # Up to BLOCK_ROWS + 7 rows row_blocks makes one block, and the blocked
+    # products return the plain product without building it; one row more
+    # makes two blocks, which they do build.
+    rng = np.random.default_rng(n)
+    x, v, coeffs = rng.standard_normal((n, 3)), rng.standard_normal(n), rng.standard_normal(3)
+    one_block = len(mathutil.row_blocks(n)) == 1
+    assert one_block == (n < 2056)
+    calls = []
+    real_row_blocks = mathutil.row_blocks
+
+    def counting_row_blocks(rows):
+        calls.append(rows)
+        return real_row_blocks(rows)
+
+    monkeypatch.setattr(mathutil, "row_blocks", counting_row_blocks)
+    assert mathutil.blocked_matmul(x, coeffs).tobytes() == (x @ coeffs).tobytes()
+    crossprod = mathutil.blocked_crossprod(x, v)
+    if one_block:
+        assert crossprod.tobytes() == (x.T @ v).tobytes()
+    assert calls == ([] if one_block else [n, n])
+
+
 def test_spec_roundtrip_through_dict():
     spec = _d1_spec(dependence=Dependence.ANTITONE, x_dist=XDist.UNIFORM01)
     data = spec.to_dict()
