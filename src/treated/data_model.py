@@ -1,13 +1,16 @@
 """Core domain types: observed data, estimand taxonomy, nuisance values, reports.
 
 All types are immutable after construction (arrays are copied and marked
-read-only) and therefore safe to share across concurrent readers.
+read-only) and therefore safe to share across concurrent readers. The package
+hands arrays it has just allocated to ``Dataset`` and ``NuisanceValues`` with
+``_owned=True``: they are marked read-only in place instead of copied, and
+every check still runs.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -21,9 +24,12 @@ from .errors import (
 )
 
 
-def _frozen_array(values, dtype=float, ndim=1) -> np.ndarray:
-    out = np.array(values, dtype=dtype, copy=True)
-    if ndim == 1:
+def _frozen_array(values, dtype=float, ndim=1, owned=False) -> np.ndarray:
+    """A read-only copy of ``values`` as a ``ndim``-d array of ``dtype``; when
+    ``owned``, ``values`` itself, an array of that dtype and shape which the
+    caller has just allocated and gives up."""
+    out = values if owned else np.array(values, dtype=dtype, copy=True)
+    if ndim == 1 and out.ndim != 1:
         out = out.reshape(-1)
     elif ndim == 2 and out.ndim == 1:
         out = out.reshape(-1, 1)
@@ -100,16 +106,19 @@ class Dataset:
     a: np.ndarray
     x: np.ndarray
     outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS
+    # Package-private: y, x and an int64 a were just allocated by the caller
+    # and are frozen in place (see ``_frozen_array``).
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        y = _frozen_array(self.y)
-        a_raw = np.array(self.a, dtype=float, copy=True).reshape(-1)
-        x = _frozen_array(self.x, ndim=2)
+    def __post_init__(self, _owned):
+        y = _frozen_array(self.y, owned=_owned)
+        a_raw = self.a if _owned else np.array(self.a, dtype=float, copy=True).reshape(-1)
+        x = _frozen_array(self.x, ndim=2, owned=_owned)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
         if not np.isin(a_raw, (0.0, 1.0)).all():
             raise ValidationError("treatment indicator a must contain only 0 or 1")
-        a = a_raw.astype(np.int64)
+        a = a_raw if _owned else a_raw.astype(np.int64)
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
         validate(self)
@@ -163,19 +172,22 @@ class NuisanceValues:
     sigma0_hat: Optional[np.ndarray] = None
     sigma1_hat: Optional[np.ndarray] = None
     clip_eps: float = 0.01
+    # Package-private: the arrays were just allocated by the caller and are
+    # frozen in place (see ``_frozen_array``).
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         if not 0.0 < self.clip_eps < 0.5:
             raise ValidationError(f"clip_eps must be in (0, 0.5), got {self.clip_eps}")
-        pi = _frozen_array(self.pi_hat)
-        mu0 = _frozen_array(self.mu0_hat)
+        pi = _frozen_array(self.pi_hat, owned=_owned)
+        mu0 = _frozen_array(self.mu0_hat, owned=_owned)
         object.__setattr__(self, "pi_hat", pi)
         object.__setattr__(self, "mu0_hat", mu0)
         n = pi.shape[0]
         for name in ("mu1_hat", "sigma0_hat", "sigma1_hat"):
             v = getattr(self, name)
             if v is not None:
-                v = _frozen_array(v)
+                v = _frozen_array(v, owned=_owned)
                 object.__setattr__(self, name, v)
                 if v.shape[0] != n:
                     raise LengthMismatchError(f"{name} has length {v.shape[0]}, expected {n}")

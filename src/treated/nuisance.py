@@ -289,8 +289,10 @@ def compute_nuisances(dataset: Dataset, config: NuisanceConfig,
     """Produce per-unit NuisanceValues: known (``oracle``) or fitted.
 
     Oracle values pass through unchanged except for pi clipping to
-    ``config.clip_eps``; their sds are used when needed and present. Without
-    an oracle every nuisance is fitted, in-sample (folds=1) or cross-fitted:
+    ``config.clip_eps``; their sds are used when needed and present. An oracle
+    that clipping cannot change (its own ``clip_eps`` is at least the
+    config's) and whose sds are all kept is returned as it is. Without an
+    oracle every nuisance is fitted, in-sample (folds=1) or cross-fitted:
     with K >= 2 folds the indices are partitioned by a seeded shuffle and each
     unit's predictions come from models fitted on its fold's complement, so a
     fold's predictions depend only on rows outside that fold (plus its own
@@ -307,6 +309,9 @@ def compute_nuisances(dataset: Dataset, config: NuisanceConfig,
             raise MissingOracleError("oracle mu1_hat required but not supplied")
         use_sigma = (need_sigma and oracle.sigma0_hat is not None
                      and oracle.sigma1_hat is not None)
+        if oracle.clip_eps >= eps and (use_sigma or oracle.sigma0_hat is None
+                                       and oracle.sigma1_hat is None):
+            return oracle
         return NuisanceValues(
             pi_hat=np.clip(oracle.pi_hat, eps, 1.0 - eps),
             mu0_hat=oracle.mu0_hat,

@@ -9,23 +9,26 @@ noise sds are floored at 0.05 unless ``exact_noise`` deliberately permits
 zero-noise outcomes for analytic test cases.
 
 Replication r of a study draws from a stream that is a pure function of
-(seed, r), and batch k of the oracle's joint pass from (seed, 2, k), so runs
-are reproducible regardless of execution order; aggregation happens in index
-order. Coverage for the sample/mixed estimands targets the per-replication
-realized value; the population effect targets its fixed Monte Carlo truth.
+(seed, r), batch k of the oracle's x-only pass from (seed, 1, k) and batch k
+of its joint pass from (seed, 2, k), so runs are reproducible regardless of
+execution order and worker count; aggregation happens in index order. The
+replications and the joint pass run in the fork pool (``mathutil._chunked``),
+the x-only pass only from ``X_POOL_DRAWS`` draws on. Coverage for the
+sample/mixed estimands targets the per-replication realized value; the
+population effect targets its fixed Monte Carlo truth.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .data_model import (Dataset, EstimandKind, NuisanceValues, OutcomeKind, KIND_ORDER,
-                         check_ci_level, check_seed)
+                         _frozen_array, check_ci_level, check_seed)
 from .errors import DegenerateTreatmentError, TreatedError, ValidationError
 from .estimator import (_Columns, _score_components, _tau_y_raw, _var_fh_raw,
                         _var_sigma_bound_raw, estimate_all)
@@ -36,6 +39,14 @@ SCHEMA_VERSION = 1
 PI_CLIP = (0.02, 0.98)
 BINARY_MEAN_CLAMP = (0.02, 0.98)
 NOISE_SD_FLOOR = 0.05
+# Fewest draws for which the x-only oracle pass runs its batches in the fork
+# pool; below it a pool's start costs more than it saves. `treated simulate
+# --n 200 --reps 2 --oracle-nuisances` on the d = 2 spec (2 vCPUs, medians of
+# 10-12 alternating runs) took 510 ms serial against 552 ms pooled at
+# --patt-draws 1e6, 594 against 583 ms at 2e6 and 854 against 710 ms at 5e6.
+# Warm and in-process the pool pays from about 1e6 draws: a command forks its
+# workers cold.
+X_POOL_DRAWS = 2_000_000
 
 
 class XDist(enum.Enum):
@@ -160,12 +171,12 @@ class PotentialDataset:
     y0: np.ndarray
     y1: np.ndarray
     true_nuisances: NuisanceValues
+    # Package-private, as for ``Dataset``: y0 and y1 are frozen in place.
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         for name in ("y0", "y1"):
-            v = np.array(getattr(self, name), dtype=float, copy=True).reshape(-1)
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), owned=_owned))
 
 
 class McValue(NamedTuple):
@@ -213,7 +224,8 @@ def generate(spec: DgpSpec, n: int, seed) -> PotentialDataset:
 
     Treatment is drawn from Bernoulli(pi(x)) independently of the potential
     outcomes given x, so ignorability holds by construction, and the observed
-    outcome is exactly a*y1 + (1-a)*y0.
+    outcome is exactly a*y1 + (1-a)*y0. Every array is allocated here and
+    handed over uncopied; the constructors still check all of them.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -221,12 +233,12 @@ def generate(spec: DgpSpec, n: int, seed) -> PotentialDataset:
     rng = np.random.default_rng(seed)
     x = _draw_x(spec, n, rng)
     # The exact nuisances; clip_eps matches PI_CLIP.
-    nu = NuisanceValues(*_true_arrays(spec, x), clip_eps=PI_CLIP[0])
+    nu = NuisanceValues(*_true_arrays(spec, x), clip_eps=PI_CLIP[0], _owned=True)
     a = (rng.random(n) < nu.pi_hat).astype(np.int64)
     y0, y1 = _draw_potentials(spec, rng, nu.mu0_hat, nu.mu1_hat, nu.sigma0_hat, nu.sigma1_hat)
     y = np.where(a == 1, y1, y0)
-    dataset = Dataset(y=y, a=a, x=x, outcome_kind=spec.outcome_kind)
-    return PotentialDataset(dataset=dataset, y0=y0, y1=y1, true_nuisances=nu)
+    dataset = Dataset(y=y, a=a, x=x, outcome_kind=spec.outcome_kind, _owned=True)
+    return PotentialDataset(dataset=dataset, y0=y0, y1=y1, true_nuisances=nu, _owned=True)
 
 
 def true_sample_estimands(pd: PotentialDataset, psi_patt_true: float) -> dict:
@@ -307,6 +319,17 @@ def _child_seed(seed, *tail):
     return base + [int(t) for t in tail]
 
 
+def _x_batches(spec: DgpSpec, sizes, seed, lo, hi):
+    """Yield the sums of pi, pi (mu1 - mu0) and pi mu0 over each batch k in
+    [lo, hi): ``sizes[k]`` x-only draws from the (seed, 1, k) stream."""
+    for k in range(lo, hi):
+        x = _draw_x(spec, sizes[k], np.random.default_rng(_child_seed(seed, 1, k)))
+        pi = spec.propensity(x)
+        mu0 = spec.mu(0, x)
+        yield (float(pi.sum()), float((pi * (spec.mu(1, x) - mu0)).sum()),
+               float((pi * mu0).sum()))
+
+
 def _joint_batches(spec: DgpSpec, sizes, seed, functional, lo, hi):
     """Yield ``functional(pi, mu0, mu1, sigma0, sigma1, a, y0, y1, y)`` for each batch
     k in [lo, hi): ``sizes[k]`` complete draws from the (seed, 2, k) stream; ``a`` is
@@ -316,8 +339,8 @@ def _joint_batches(spec: DgpSpec, sizes, seed, functional, lo, hi):
     for k in range(lo, hi):
         rng = np.random.default_rng(_child_seed(seed, 2, k))
         m = sizes[k]
-        x = _draw_x(spec, m, rng)
-        pi, mu0, mu1, sigma0, sigma1 = _true_arrays(spec, x)
+        # x dies here: a pool forked after the x-only pass has none to copy.
+        pi, mu0, mu1, sigma0, sigma1 = _true_arrays(spec, _draw_x(spec, m, rng))
         a = (rng.random(m) < pi).astype(float)
         y0, y1 = _draw_potentials(spec, rng, mu0, mu1, sigma0, sigma1)
         yield functional(pi, mu0, mu1, sigma0, sigma1, a, y0, y1, np.where(a == 1.0, y1, y0))
@@ -330,17 +353,18 @@ class _XConstants(NamedTuple):
 
 
 def _x_constants(spec: DgpSpec, draws: int, seed, batch_size: int) -> _XConstants:
-    """Population constants from x-only draws, with batch-means errors."""
-    rng = np.random.default_rng(_child_seed(seed, 1))
+    """Population constants from x-only draws, with batch-means errors; from
+    ``X_POOL_DRAWS`` draws on, the batches run in the fork pool."""
+    check_seed(seed)
+    sizes = _batch_sizes(draws, batch_size)
+    args = (spec, sizes, seed)
+    if draws >= X_POOL_DRAWS:
+        sums = _chunked(_x_batches, args, len(sizes))
+    else:
+        sums = _x_batches(*args, 0, len(sizes))
     s_pi = s_pidelta = s_pimu0 = 0.0
     psi_batches, tau_batches = [], []
-    for m in _batch_sizes(draws, batch_size):
-        x = _draw_x(spec, m, rng)
-        pi = spec.propensity(x)
-        mu0 = spec.mu(0, x)
-        b_pi = float(pi.sum())
-        b_pidelta = float((pi * (spec.mu(1, x) - mu0)).sum())
-        b_pimu0 = float((pi * mu0).sum())
+    for b_pi, b_pidelta, b_pimu0 in sums:
         s_pi += b_pi
         s_pidelta += b_pidelta
         s_pimu0 += b_pimu0
@@ -355,7 +379,8 @@ def _x_constants(spec: DgpSpec, draws: int, seed, batch_size: int) -> _XConstant
 
 def psi_patt_true(spec: DgpSpec, draws: int = 10_000_000, seed=0,
                   batch_size: int = 1_000_000) -> McValue:
-    """Brute-force Monte Carlo of E[pi (mu1 - mu0)] / E[pi] over x draws."""
+    """Brute-force Monte Carlo of E[pi (mu1 - mu0)] / E[pi] over x draws: pass 1
+    of ``oracle_asymptotic_variances``, with its streams and pool."""
     return _x_constants(spec, draws, seed, batch_size).psi
 
 
@@ -416,14 +441,16 @@ def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
     """Monte Carlo over complete draws with TRUE nuisances.
 
     Pass 1 estimates the population constants (treated share, effect, control
-    mean among treated) from x-only draws, in this process. Pass 2 draws full
-    joint replicates, evaluates the per-draw score components, the control-mean
-    (tau) score and the identified conditional-variance terms, and aggregates
-    per batch; values are batch means and the attached standard errors are
-    batch-means errors. Pass 2 runs its batches in one forked worker process
-    per CPU in the affinity mask, each on a contiguous block of batches; batch
-    k draws from its own stream and the batches are aggregated in order, so the
-    result does not depend on the number of workers.
+    mean among treated) from x-only draws. Pass 2 draws full joint replicates,
+    evaluates the per-draw score components, the control-mean (tau) score and
+    the identified conditional-variance terms, and aggregates per batch; values
+    are batch means and the attached standard errors are batch-means errors.
+    Each pass runs its batches in one forked worker process per CPU in the
+    affinity mask, each on a contiguous block of batches; pass 1 does so from
+    ``X_POOL_DRAWS`` draws on and runs in this process below that. Batch k of
+    pass p draws from its own (seed, p, k) stream and the batches are
+    aggregated in order, so the result does not depend on the number of
+    workers.
     """
     consts = _x_constants(spec, draws, seed, batch_size)
 
@@ -546,7 +573,8 @@ def _replications(spec, n, seed, psi_patt_value, config, oracle_nuisances, ci_le
             swatt_fh=sw.conservative_fh,
             floored=bool(report.diagnostics.get("swatt_sigma_floored")
                          or report.diagnostics.get("swatt_fh_floored")),
-            gap=np.sqrt(n) * (report.psi_hat - psi_tilde(pd)),
+            # On the exact nuisances psi_hat is psi_tilde's own computation.
+            gap=0.0 if oracle_nuisances else np.sqrt(n) * (report.psi_hat - psi_tilde(pd)),
         )
 
 

@@ -215,6 +215,30 @@ def test_oracle_passthrough_with_clipping():
     assert np.array_equal(out.sigma0_hat, oracle.sigma0_hat)
 
 
+@pytest.mark.parametrize("oracle_eps, config_eps, need_sigma, sds, as_is", [
+    (0.02, 0.01, True, "both", True),
+    (0.01, 0.01, True, "both", True),
+    (0.02, 0.01, True, "none", True),
+    (0.02, 0.05, True, "both", False),  # the config clips harder
+    (0.02, 0.01, False, "both", False),  # the sds are not needed
+    (0.02, 0.01, True, "sigma0", False),  # a lone sd is dropped
+])
+def test_oracle_returned_as_is_only_when_nothing_changes(oracle_eps, config_eps, need_sigma,
+                                                          sds, as_is):
+    n = 50
+    ds = _dataset(n=n, seed=3)
+    pi = np.linspace(oracle_eps, 1.0 - oracle_eps, n)
+    sd = np.ones(n)
+    oracle = NuisanceValues(pi_hat=pi, mu0_hat=np.zeros(n), mu1_hat=np.ones(n),
+                            sigma0_hat=None if sds == "none" else sd,
+                            sigma1_hat=sd if sds == "both" else None, clip_eps=oracle_eps)
+    out = compute_nuisances(ds, NuisanceConfig(clip_eps=config_eps), oracle=oracle,
+                            need_sigma=need_sigma)
+    assert (out is oracle) == as_is
+    assert out.pi_hat.tobytes() == np.clip(pi, config_eps, 1.0 - config_eps).tobytes()
+    assert (out.sigma0_hat is not None) == (need_sigma and sds == "both")
+
+
 def test_oracle_mu1_required_only_when_needed():
     ds = _dataset(n=20, seed=1)
     oracle = NuisanceValues(pi_hat=np.full(20, 0.5), mu0_hat=np.zeros(20))

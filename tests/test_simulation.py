@@ -11,6 +11,7 @@ from treated import (
     DgpSpec,
     EstimandKind,
     NuisanceConfig,
+    NonFiniteError,
     NuisanceValues,
     OutcomeKind,
     ValidationError,
@@ -83,6 +84,30 @@ def test_generate_exact_noise_switch():
     pd = generate(spec, 200, seed=2)
     assert np.array_equal(pd.y0, spec.mu(0, pd.dataset.x))
     assert np.array_equal(pd.y1, spec.mu(1, pd.dataset.x))
+
+
+def test_generate_arrays_are_read_only():
+    # generate hands its arrays to the data types uncopied; they freeze them.
+    pd = generate(_d1_spec(), 300, seed=3)
+    nu = pd.true_nuisances
+    arrays = (pd.y0, pd.y1, pd.dataset.y, pd.dataset.a, pd.dataset.x, nu.pi_hat,
+              nu.mu0_hat, nu.mu1_hat, nu.sigma0_hat, nu.sigma1_hat)
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+    assert pd.dataset.a.dtype == np.int64
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_spec_fails_its_replication_as_non_finite():
+    # The mean map overflows to inf above x = 0.8. The uncopied arrays still
+    # pass the finiteness check, so the replication fails as before.
+    spec = _d1_spec(mu0_coeffs=[1e308, 1e308])
+    with pytest.raises(NonFiniteError, match="mu0_hat must be finite"):
+        generate(spec, 200, seed=0)
+    with pytest.raises(ValidationError, match="first: rep 0: mu0_hat must be finite"):
+        run_monte_carlo(spec, n=200, reps=2, seed=0, psi_patt=McValue(1.0, 0.0))
 
 
 def test_generate_rejects_nonpositive_n():
@@ -489,6 +514,21 @@ def test_unexpected_replication_error_reaches_caller(workers, monkeypatch):
         run_monte_carlo(_d1_spec(), n=200, reps=8, seed=8, psi_patt=McValue(1.0, 0.0))
 
 
+def test_population_constants_do_not_depend_on_worker_count(monkeypatch):
+    # With the threshold at 0 the x-only pass runs its batches in the pool at
+    # every size. Batch k draws from its own (seed, 1, k) stream and the sums
+    # are added in batch order, so the constants and everything pass 2 builds
+    # on them are bit for bit the same at any worker count.
+    monkeypatch.setattr(simulation, "X_POOL_DRAWS", 0)
+    spec = _d1_spec()
+    results = []
+    for workers in (1, 2):
+        _with_workers(monkeypatch, workers)
+        results.append(repr((psi_patt_true(spec, draws=64_000, seed=3),
+                             oracle_asymptotic_variances(spec, draws=64_000, seed=3))))
+    assert results[0] == results[1]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_unexpected_oracle_error_reaches_caller(workers, monkeypatch):
     # An exception in a batch of the oracle's joint pass must surface from a
@@ -504,6 +544,22 @@ def test_unexpected_oracle_error_reaches_caller(workers, monkeypatch):
     _with_workers(monkeypatch, workers)
     with pytest.raises(RuntimeError, match="broken batch"):
         oracle_asymptotic_variances(_d1_spec(), draws=16_000, seed=8)
+
+
+def test_oracle_study_makes_no_psi_tilde_call(monkeypatch):
+    # On the exact nuisances psi_hat is psi_tilde's own computation, so an
+    # oracle study records a gap of 0 without it; a fitted study still calls it.
+    def no_psi_tilde(pd):
+        raise AssertionError("psi_tilde called")
+
+    monkeypatch.setattr(simulation, "psi_tilde", no_psi_tilde)
+    _with_workers(monkeypatch, 1)
+    kwargs = dict(n=200, reps=3, seed=4, psi_patt=McValue(1.0, 0.0))
+    rep = run_monte_carlo(_d1_spec(), oracle_nuisances=True, **kwargs)
+    assert rep.failed_reps == 0
+    assert rep.extras["psi_tilde_rms_scaled_gap"] == 0.0
+    with pytest.raises(AssertionError, match="psi_tilde called"):
+        run_monte_carlo(_d1_spec(), oracle_nuisances=False, **kwargs)
 
 
 def test_monte_carlo_rejects_bad_n_before_the_patt_oracle(monkeypatch):
