@@ -1,9 +1,9 @@
 """Core domain types: observed data, estimand taxonomy, nuisance values, reports.
 
 All types are immutable after construction (arrays are copied and marked
-read-only) and therefore safe to share across concurrent readers. The package
-hands arrays it has just allocated to ``Dataset`` and ``NuisanceValues`` with
-``_owned=True``: they are marked read-only in place instead of copied, and
+read-only) and therefore safe to share across concurrent readers. With the
+package-private ``_owned=True`` the arrays, which the caller has just
+allocated and gives up, are marked read-only in place instead of copied, and
 every check still runs.
 """
 
@@ -106,9 +106,7 @@ class Dataset:
     a: np.ndarray
     x: np.ndarray
     outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS
-    # Package-private: y, x and an int64 a were just allocated by the caller
-    # and are frozen in place (see ``_frozen_array``).
-    _owned: InitVar[bool] = False
+    _owned: InitVar[bool] = False  # package-private; a must then be int64
 
     def __post_init__(self, _owned):
         y = _frozen_array(self.y, owned=_owned)
@@ -172,9 +170,7 @@ class NuisanceValues:
     sigma0_hat: Optional[np.ndarray] = None
     sigma1_hat: Optional[np.ndarray] = None
     clip_eps: float = 0.01
-    # Package-private: the arrays were just allocated by the caller and are
-    # frozen in place (see ``_frozen_array``).
-    _owned: InitVar[bool] = False
+    _owned: InitVar[bool] = False  # package-private, as for Dataset
 
     def __post_init__(self, _owned):
         if not 0.0 < self.clip_eps < 0.5:

@@ -171,8 +171,7 @@ class PotentialDataset:
     y0: np.ndarray
     y1: np.ndarray
     true_nuisances: NuisanceValues
-    # Package-private, as for ``Dataset``: y0 and y1 are frozen in place.
-    _owned: InitVar[bool] = False
+    _owned: InitVar[bool] = False  # package-private, as for Dataset
 
     def __post_init__(self, _owned):
         for name in ("y0", "y1"):
