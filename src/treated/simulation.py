@@ -338,7 +338,8 @@ def _joint_batches(spec: DgpSpec, sizes, seed, functional, lo, hi):
     for k in range(lo, hi):
         rng = np.random.default_rng(_child_seed(seed, 2, k))
         m = sizes[k]
-        # x dies here: a pool forked after the x-only pass has none to copy.
+        # x is not bound: it dies once the nuisances exist, so it is not live
+        # at the functional's peak memory.
         pi, mu0, mu1, sigma0, sigma1 = _true_arrays(spec, _draw_x(spec, m, rng))
         a = (rng.random(m) < pi).astype(float)
         y0, y1 = _draw_potentials(spec, rng, mu0, mu1, sigma0, sigma1)
