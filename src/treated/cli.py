@@ -482,7 +482,10 @@ def main(argv=None) -> int:
         _emit_error("ParseError", "invalid command line arguments")
         return 1
     try:
-        return args.func(args)
+        # Overflow surfaces as a checked non-finite value; numpy's warnings would
+        # only add stderr lines. Forked pool workers inherit this state.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except CliParseError as exc:
         _emit_error("ParseError", str(exc))
         return 1

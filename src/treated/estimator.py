@@ -66,68 +66,41 @@ __all__ = [
 ]
 
 
-def _check_lengths(dataset: Dataset, nuis: NuisanceValues):
-    if nuis.n != dataset.n:
-        raise LengthMismatchError(
-            f"nuisance values have length {nuis.n}, dataset has {dataset.n}"
-        )
-
-
-def _require_mu1(nuis: NuisanceValues) -> np.ndarray:
-    if nuis.mu1_hat is None:
-        raise MissingMu1Error("mu1_hat is required for this quantity")
-    return nuis.mu1_hat
-
-
-# ---------------------------------------------------------------------------
-# Kernels on raw arrays, shared with the brute-force oracle, which evaluates
-# them with true nuisances and population constants. ``_psi_terms`` and
-# ``_tau_y_raw`` are also unit-tested directly on algebraic edge cases (e.g.
-# the all-treated reduction) that the validated Dataset type rejects.
-
-def _psi_terms(y, a, pi, mu0, a_bar):
-    return (a - pi) * (y - mu0) / (a_bar * (1.0 - pi))
-
-
-def _tau_y_raw(y, a, pi, mu0, a_bar):
-    return (y - mu0) * (1.0 - a) * pi / (a_bar * (1.0 - pi))
-
-
-def _score_components(y, a, pi, mu0, mu1, psi, a_bar):
-    """Per-unit outcome, assignment and covariate score terms
-    ``(psi_y, psi_a, psi_x)``; ``a`` is the float treatment indicator."""
-    contrast = mu1 - mu0 - psi
-    psi_y = (y - np.where(a == 1, mu1, mu0)) * (a - (1.0 - a) * pi / (1.0 - pi)) / a_bar
-    psi_a = (a - pi) * contrast / a_bar
-    psi_x = pi * contrast / a_bar
-    return psi_y, psi_a, psi_x
-
-
-def _var_sigma_bound_raw(pi, sigma0, sigma1, a_bar) -> float:
-    return float(np.mean(pi ** 2 * (sigma1 - sigma0) ** 2) / a_bar ** 2)
-
-
-def _var_fh_raw(pi, mu0, mu1) -> float:
-    delta = np.abs(np.clip(mu1, 0.0, 1.0) - np.clip(mu0, 0.0, 1.0))
-    return float(np.mean(pi ** 2 * (delta - delta ** 2)))
-
-
 class _Columns:
-    """Per-unit columns of one (dataset, nuisances) pair and every quantity
-    the estimator reads off them; each is built on first use and only once."""
+    """The formula table: per-unit columns of one sample and every quantity
+    read off them, each built on first use and only once; ``a`` is the float
+    treatment indicator. The estimator fills it through ``of``. The brute-force
+    oracle fills it with true nuisances, E[pi] as ``a_bar`` and the population
+    effect as ``psi``. Built directly it also takes inputs the validated
+    Dataset rejects, such as all-treated data."""
 
-    def __init__(self, dataset: Dataset, nuis: NuisanceValues, psi=None):
-        _check_lengths(dataset, nuis)
-        self.nuis, self.y, self.pi, self.mu0 = nuis, dataset.y, nuis.pi_hat, nuis.mu0_hat
-        self.binary = dataset.outcome_kind is OutcomeKind.BINARY
-        self.a = dataset.a.astype(float)
-        self.a_bar = float(self.a.mean())
+    def __init__(self, y, a, pi, mu0, mu1=None, sigma0=None, sigma1=None, *, binary, a_bar,
+                 psi=None):
+        self.y, self.a, self.pi, self.mu0 = y, a, pi, mu0
+        self.mu1, self.sigma0, self.sigma1 = mu1, sigma0, sigma1
+        self.binary, self.a_bar = binary, a_bar
         if psi is not None:
             self.psi = psi
 
+    @classmethod
+    def of(cls, dataset: Dataset, nuis: NuisanceValues, psi=None) -> "_Columns":
+        if nuis.n != dataset.n:
+            raise LengthMismatchError(
+                f"nuisance values have length {nuis.n}, dataset has {dataset.n}"
+            )
+        a = dataset.a.astype(float)
+        return cls(dataset.y, a, nuis.pi_hat, nuis.mu0_hat, nuis.mu1_hat, nuis.sigma0_hat,
+                   nuis.sigma1_hat, binary=dataset.outcome_kind is OutcomeKind.BINARY,
+                   a_bar=float(a.mean()), psi=psi)
+
+    def _require_mu1(self) -> np.ndarray:
+        if self.mu1 is None:
+            raise MissingMu1Error("mu1_hat is required for this quantity")
+        return self.mu1
+
     @cached_property
     def terms(self):
-        return _psi_terms(self.y, self.a, self.pi, self.mu0, self.a_bar)
+        return (self.a - self.pi) * (self.y - self.mu0) / (self.a_bar * (1.0 - self.pi))
 
     @cached_property
     def psi(self) -> float:
@@ -135,12 +108,17 @@ class _Columns:
 
     @cached_property
     def comp(self):
-        return _score_components(self.y, self.a, self.pi, self.mu0, _require_mu1(self.nuis),
-                                 self.psi, self.a_bar)
+        """Per-unit outcome, assignment and covariate scores ``(psi_y, psi_a, psi_x)``."""
+        y, a, pi, mu0, mu1 = self.y, self.a, self.pi, self.mu0, self._require_mu1()
+        contrast = mu1 - mu0 - self.psi
+        psi_y = (y - np.where(a == 1, mu1, mu0)) * (a - (1.0 - a) * pi / (1.0 - pi)) / self.a_bar
+        psi_a = (a - pi) * contrast / self.a_bar
+        psi_x = pi * contrast / self.a_bar
+        return psi_y, psi_a, psi_x
 
     @cached_property
     def tau_y(self):
-        return _tau_y_raw(self.y, self.a, self.pi, self.mu0, self.a_bar)
+        return (self.y - self.mu0) * (1.0 - self.a) * self.pi / (self.a_bar * (1.0 - self.pi))
 
     @cached_property
     def v_patt(self) -> float:
@@ -167,16 +145,16 @@ class _Columns:
 
     @cached_property
     def v_sigma_bound(self) -> float:
-        if self.nuis.sigma0_hat is None or self.nuis.sigma1_hat is None:
+        if self.sigma0 is None or self.sigma1 is None:
             raise MissingSigmaError("sigma0_hat and sigma1_hat are required")
-        return _var_sigma_bound_raw(self.pi, self.nuis.sigma0_hat, self.nuis.sigma1_hat,
-                                    self.a_bar)
+        return float(np.mean(self.pi ** 2 * (self.sigma1 - self.sigma0) ** 2) / self.a_bar ** 2)
 
     @cached_property
     def v_fh_bound(self) -> float:
         if not self.binary:
             raise NotBinaryOutcomeError("the sharp bound applies to binary outcomes only")
-        return _var_fh_raw(self.pi, self.mu0, _require_mu1(self.nuis))
+        delta = np.abs(np.clip(self._require_mu1(), 0.0, 1.0) - np.clip(self.mu0, 0.0, 1.0))
+        return float(np.mean(self.pi ** 2 * (delta - delta ** 2)))
 
     @cached_property
     def swatt(self):
@@ -189,7 +167,7 @@ class _Columns:
         and carry the bounds.
         """
         less, bounds = {}, {}
-        if self.nuis.sigma0_hat is not None and self.nuis.sigma1_hat is not None:
+        if self.sigma0 is not None and self.sigma1 is not None:
             bounds["v_sigma_bound"] = less["sigma"] = self.v_sigma_bound
         if self.binary:
             bounds["v_fh_bound"] = self.v_fh_bound
@@ -210,7 +188,7 @@ class _Columns:
 
 def estimate_psi_hat(dataset: Dataset, nuis: NuisanceValues) -> float:
     """Doubly robust point estimate Pn[(a - pi)(y - mu0) / (Pn(a) (1 - pi))]."""
-    return _Columns(dataset, nuis).psi
+    return _Columns.of(dataset, nuis).psi
 
 
 def if_components(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> IfComponents:
@@ -219,7 +197,7 @@ def if_components(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> IfC
     Requires ``mu1_hat``: the assignment and covariate components carry the
     fitted effect contrast mu1 - mu0.
     """
-    c = _Columns(dataset, nuis, psi_hat)
+    c = _Columns.of(dataset, nuis, psi_hat)
     return IfComponents(*c.comp, tau_y=c.tau_y)
 
 
@@ -229,33 +207,33 @@ def var_patt(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> float:
     Deliberately computed without mu1 so that population-effect inference
     never requires a treated-arm outcome model.
     """
-    return _Columns(dataset, nuis, psi_hat).v_patt
+    return _Columns.of(dataset, nuis, psi_hat).v_patt
 
 
 def var_actt(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> float:
     """Sample variance of the outcome + assignment score components."""
-    return _Columns(dataset, nuis, psi_hat).v_actt
+    return _Columns.of(dataset, nuis, psi_hat).v_actt
 
 
 def var_catt(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> float:
     """Sample variance of the outcome score component."""
-    return _Columns(dataset, nuis, psi_hat).v_catt
+    return _Columns.of(dataset, nuis, psi_hat).v_catt
 
 
 def var_matt(dataset: Dataset, nuis: NuisanceValues) -> float:
     """Sample variance of the control-residual component; needs only pi and mu0."""
-    return _Columns(dataset, nuis).v_matt
+    return _Columns.of(dataset, nuis).v_matt
 
 
 def var_satt(dataset: Dataset, nuis: NuisanceValues) -> float:
     """Plug-in mean Pn[ pi (1-a) / (1-pi)^2 * ((y - mu0) / Pn(a))^2 ]."""
-    return _Columns(dataset, nuis).v_satt
+    return _Columns.of(dataset, nuis).v_satt
 
 
 def var_sigma_bound(dataset: Dataset, nuis: NuisanceValues) -> float:
     """Pn(a)^-2 Pn[ pi^2 (sigma1 - sigma0)^2 ], the identified part of the
     conditional effect-variance that sharpens the swatt interval."""
-    return _Columns(dataset, nuis).v_sigma_bound
+    return _Columns.of(dataset, nuis).v_sigma_bound
 
 
 def var_fh_binary(dataset: Dataset, nuis: NuisanceValues) -> float:
@@ -263,7 +241,7 @@ def var_fh_binary(dataset: Dataset, nuis: NuisanceValues) -> float:
 
     Fitted means are clamped to [0, 1] first, so the integrand is nonnegative.
     """
-    return _Columns(dataset, nuis).v_fh_bound
+    return _Columns.of(dataset, nuis).v_fh_bound
 
 
 def confidence_interval(psi_hat: float, variance: float, n: int, level: float):
@@ -322,7 +300,7 @@ def estimate_all(dataset: Dataset, config: Optional[NuisanceConfig] = None,
 
     nuis = compute_nuisances(dataset, config, oracle=oracle,
                              need_mu1=need_mu1, need_sigma=need_sigma)
-    cols = _Columns(dataset, nuis)
+    cols = _Columns.of(dataset, nuis)
     psi, n = cols.psi, dataset.n
 
     per_kind: dict = {}

@@ -38,6 +38,8 @@ _FINAL_DECREMENT = 1e-12
 # at most this share of 1 + |ll| counts as no worse: near the optimum the
 # log-likelihood is flat to rounding, and a full step must not hang on noise.
 _LL_ROUNDING = 1e-13
+# Ridge term on the standardized slope block of every fit.
+_RIDGE = 1e-8
 
 
 class HeavyResidualWarning(UserWarning):
@@ -50,7 +52,6 @@ class NuisanceConfig:
 
     folds: int = 1
     clip_eps: float = 0.01
-    ridge_lambda: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -58,8 +59,6 @@ class NuisanceConfig:
             raise ValidationError(f"folds must be >= 1, got {self.folds}")
         if not 0.0 < self.clip_eps < 0.5:
             raise ValidationError(f"clip_eps must be in (0, 0.5), got {self.clip_eps}")
-        if self.ridge_lambda < 0:
-            raise ValidationError("ridge_lambda must be nonnegative")
         check_seed(self.seed)
 
 
@@ -119,14 +118,13 @@ def _design(x: np.ndarray):
 def _fit_logistic(a: np.ndarray, x: np.ndarray, config: NuisanceConfig) -> PropensityModel:
     mean, scale, design = _design(x)
     d = design.shape[1] - 1
-    lam = config.ridge_lambda
     a = a.astype(float)
 
     def penalized_ll(beta):
         eta = blocked_matmul(design, beta)
         ll = bernoulli_loglik(a, eta)
         if d > 0:
-            ll -= 0.5 * lam * float(beta[1:] @ beta[1:])
+            ll -= 0.5 * _RIDGE * float(beta[1:] @ beta[1:])
         return ll, eta
 
     beta = np.zeros(d + 1)
@@ -140,10 +138,10 @@ def _fit_logistic(a: np.ndarray, x: np.ndarray, config: NuisanceConfig) -> Prope
         grad = blocked_crossprod(design, a - p)
         hess = blocked_crossprod(design, design * w[:, None])
         if d > 0:
-            grad[1:] -= lam * beta[1:]
-            hess[np.arange(1, d + 1), np.arange(1, d + 1)] += lam
+            grad[1:] -= _RIDGE * beta[1:]
+            hess[np.arange(1, d + 1), np.arange(1, d + 1)] += _RIDGE
         # Levenberg-style floor keeps the solve well-posed under saturation.
-        hess[np.diag_indices_from(hess)] += max(lam, 1e-10)
+        hess[np.diag_indices_from(hess)] += max(_RIDGE, 1e-10)
         try:
             delta = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
@@ -196,8 +194,7 @@ class _ArmDesign:
     design, so they share it; only the target differs.
     """
 
-    def __init__(self, y: np.ndarray, x: np.ndarray, rows: np.ndarray, arm: int,
-                 config: NuisanceConfig):
+    def __init__(self, y: np.ndarray, x: np.ndarray, rows: np.ndarray, arm: int):
         d = x.shape[1]
         if rows.size < d + 1:
             raise InsufficientArmDataError(
@@ -206,7 +203,7 @@ class _ArmDesign:
         self.y, self.x = y[rows], x[rows]
         self.mean, self.scale, self.design = _design(self.x)
         self.gram = blocked_crossprod(self.design, self.design)
-        self.gram[np.arange(1, d + 1), np.arange(1, d + 1)] += config.ridge_lambda
+        self.gram[np.arange(1, d + 1), np.arange(1, d + 1)] += _RIDGE
 
     def _solve(self, target: np.ndarray) -> _AffineModel:
         try:
@@ -225,14 +222,14 @@ class _ArmDesign:
 def fit_outcome_mean(dataset: Dataset, arm: int, config: NuisanceConfig) -> MeanModel:
     """Ridge least squares of y on (1, x) over units with a == arm."""
     rows = _arm_rows(dataset.a, arm)
-    return _ArmDesign(dataset.y, dataset.x, rows, arm, config).fit_mean()
+    return _ArmDesign(dataset.y, dataset.x, rows, arm).fit_mean()
 
 
 def fit_conditional_sd(dataset: Dataset, arm: int, mean_model: MeanModel,
                        config: NuisanceConfig) -> SdModel:
     """Regress squared residuals on (1, x) within the arm; predict sqrt(max(0, fit))."""
     rows = _arm_rows(dataset.a, arm)
-    return _ArmDesign(dataset.y, dataset.x, rows, arm, config).fit_sd(mean_model)
+    return _ArmDesign(dataset.y, dataset.x, rows, arm).fit_sd(mean_model)
 
 
 def _fold_blocks(n: int, folds: int, seed: int) -> list:
@@ -255,7 +252,7 @@ def _fold_fits(y, a, x, blocks, config, need_mu1, need_sigma, lo, hi):
         x_b = x[block]
         fold = {"pi_hat": _fit_logistic(a_c, x[train], config).predict(x_b)}
         for arm in (0, 1) if need_mu1 or need_sigma else (0,):
-            arm_design = _ArmDesign(y, x, np.flatnonzero(train & (a == arm)), arm, config)
+            arm_design = _ArmDesign(y, x, np.flatnonzero(train & (a == arm)), arm)
             mean_fit = arm_design.fit_mean()
             if arm == 0 or need_mu1:
                 fold[f"mu{arm}_hat"] = mean_fit.predict(x_b)

@@ -22,16 +22,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import InitVar, dataclass, field
-from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .data_model import (Dataset, EstimandKind, NuisanceValues, OutcomeKind, KIND_ORDER,
                          _frozen_array, check_ci_level, check_seed)
-from .errors import DegenerateTreatmentError, TreatedError, ValidationError
-from .estimator import (_Columns, _score_components, _tau_y_raw, _var_fh_raw,
-                        _var_sigma_bound_raw, estimate_all)
+from .errors import (DegenerateTreatmentError, NonFiniteEstimateError, TreatedError,
+                     ValidationError)
+from .estimator import _Columns, estimate_all
 from .mathutil import _chunked, blocked_matmul, expit
 from .nuisance import NuisanceConfig
 
@@ -47,6 +46,9 @@ NOISE_SD_FLOOR = 0.05
 # Warm and in-process the pool pays from about 1e6 draws: a command forks its
 # workers cold.
 X_POOL_DRAWS = 2_000_000
+# Default draws per oracle batch. The batch size decides the streams, so
+# psi_patt_true shares it to stay the oracle's pass 1.
+BATCH_DRAWS = 500_000
 
 
 class XDist(enum.Enum):
@@ -264,7 +266,7 @@ def true_sample_estimands(pd: PotentialDataset, psi_patt_true: float) -> dict:
 def psi_tilde(pd: PotentialDataset) -> float:
     """One-step functional with TRUE nuisances: the most precisely estimable
     sample variant; the estimator's point estimate on the exact nuisances."""
-    return _Columns(pd.dataset, pd.true_nuisances).psi
+    return _Columns.of(pd.dataset, pd.true_nuisances).psi
 
 
 def fh_sharpness_oracle(p: float, q: float, grid: int = 4001) -> float:
@@ -329,21 +331,21 @@ def _x_batches(spec: DgpSpec, sizes, seed, lo, hi):
                float((pi * mu0).sum()))
 
 
-def _joint_batches(spec: DgpSpec, sizes, seed, functional, lo, hi):
-    """Yield ``functional(pi, mu0, mu1, sigma0, sigma1, a, y0, y1, y)`` for each batch
-    k in [lo, hi): ``sizes[k]`` complete draws from the (seed, 2, k) stream; ``a`` is
-    float. Draws stay bound until the next batch replaces them one by one, and the
-    functional's temporaries die on return: this keeps both the peak memory and the
-    page faults per batch low."""
+def _joint_batches(spec: DgpSpec, sizes, seed, consts, lo, hi):
+    """Yield ``_oracle_functionals`` for each batch k in [lo, hi): ``sizes[k]``
+    complete draws from the (seed, 2, k) stream. Draws stay bound until the next
+    batch replaces them one by one, and the functionals' temporaries die on
+    return: this keeps both the peak memory and the page faults per batch low."""
     for k in range(lo, hi):
         rng = np.random.default_rng(_child_seed(seed, 2, k))
         m = sizes[k]
         # x is not bound: it dies once the nuisances exist, so it is not live
-        # at the functional's peak memory.
+        # at the functionals' peak memory.
         pi, mu0, mu1, sigma0, sigma1 = _true_arrays(spec, _draw_x(spec, m, rng))
         a = (rng.random(m) < pi).astype(float)
         y0, y1 = _draw_potentials(spec, rng, mu0, mu1, sigma0, sigma1)
-        yield functional(pi, mu0, mu1, sigma0, sigma1, a, y0, y1, np.where(a == 1.0, y1, y0))
+        yield _oracle_functionals(spec, consts, pi, mu0, mu1, sigma0, sigma1, a, y0, y1,
+                                  np.where(a == 1.0, y1, y0))
 
 
 class _XConstants(NamedTuple):
@@ -378,32 +380,36 @@ def _x_constants(spec: DgpSpec, draws: int, seed, batch_size: int) -> _XConstant
 
 
 def psi_patt_true(spec: DgpSpec, draws: int = 10_000_000, seed=0,
-                  batch_size: int = 1_000_000) -> McValue:
+                  batch_size: int = BATCH_DRAWS) -> McValue:
     """Brute-force Monte Carlo of E[pi (mu1 - mu0)] / E[pi] over x draws: pass 1
     of ``oracle_asymptotic_variances``, with its streams and pool."""
     return _x_constants(spec, draws, seed, batch_size).psi
 
 
-def _oracle_functionals(pi, mu0, mu1, sigma0, sigma1, a, y0, y1, y, *, psi, tau, p_a,
-                        binary) -> dict:
+def _oracle_functionals(spec: DgpSpec, consts: _XConstants, pi, mu0, mu1, sigma0, sigma1, a,
+                        y0, y1, y) -> dict:
     """Per-batch variances of the six scores, the tau score and the bounds,
-    keyed by their ``OracleVariances`` field names."""
+    keyed by their ``OracleVariances`` field names. The patt component sum, the
+    satt decomposition and the swatt truth from (y0, y1) are not read off the
+    estimator's table: they check its closed-form patt and plug-in satt."""
+    p_a = consts.p_a
+    c = _Columns(y, a, pi, mu0, mu1, sigma0, sigma1, a_bar=p_a, psi=consts.psi.value,
+                 binary=spec.outcome_kind is OutcomeKind.BINARY)
     # The tau score is tau_y + a (mu0 - tau) / p_a; tau_y dies before the
     # score components exist, so no extra column is live at peak memory.
-    tau_y = _tau_y_raw(y, a, pi, mu0, p_a)
-    v_matt, v_tau = np.var(tau_y), np.var(tau_y + a * (mu0 - tau) / p_a)
-    del tau_y
-    psi_y, psi_a, psi_x = _score_components(y, a, pi, mu0, mu1, psi, p_a)
-    v_actt = np.var(psi_y + psi_a)
+    v_tau = np.var(c.tau_y + a * (mu0 - consts.tau.value) / p_a)
+    v_matt = c.v_matt
+    del c.tau_y
+    psi_y, psi_a, psi_x = c.comp
     out = {
-        "patt": np.var(psi_y + psi_a + psi_x), "actt": v_actt, "catt": np.var(psi_y),
+        "patt": np.var(psi_y + psi_a + psi_x), "actt": c.v_actt, "catt": c.v_catt,
         "matt": v_matt, "tau_score": v_tau,
         "satt": v_matt + ((pi * (1.0 - a) / (1.0 - pi) * (y - mu0) ** 2) / p_a ** 2).mean(),
-        "swatt": v_actt - ((pi ** 2 * (y1 - y0 - (mu1 - mu0)) ** 2) / p_a ** 2).mean(),
-        "sigma_bound": _var_sigma_bound_raw(pi, sigma0, sigma1, p_a),
+        "swatt": c.v_actt - ((pi ** 2 * (y1 - y0 - (mu1 - mu0)) ** 2) / p_a ** 2).mean(),
+        "sigma_bound": c.v_sigma_bound,
     }
-    if binary:
-        out["fh_bound"] = _var_fh_raw(pi, mu0, mu1)
+    if c.binary:
+        out["fh_bound"] = c.v_fh_bound
     return out
 
 
@@ -437,7 +443,7 @@ class OracleVariances:
 
 
 def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
-                                batch_size: int = 500_000) -> OracleVariances:
+                                batch_size: int = BATCH_DRAWS) -> OracleVariances:
     """Monte Carlo over complete draws with TRUE nuisances.
 
     Pass 1 estimates the population constants (treated share, effect, control
@@ -450,16 +456,19 @@ def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
     ``X_POOL_DRAWS`` draws on and runs in this process below that. Batch k of
     pass p draws from its own (seed, p, k) stream and the batches are
     aggregated in order, so the result does not depend on the number of
-    workers.
+    workers. A non-finite population constant stops the oracle before pass 2.
     """
     consts = _x_constants(spec, draws, seed, batch_size)
+    bad = [f"{name}={value}" for name, value in
+           (("p_a", consts.p_a), ("psi_patt", consts.psi.value), ("tau", consts.tau.value))
+           if not np.isfinite(value)]
+    if bad:
+        raise NonFiniteEstimateError(f"oracle pass 1: non-finite {', '.join(bad)}")
 
     # Pass 2: joint draws, per-batch functionals, in batch order.
     sizes = _batch_sizes(draws, batch_size)
-    functional = partial(_oracle_functionals, psi=consts.psi.value, tau=consts.tau.value,
-                         p_a=consts.p_a, binary=spec.outcome_kind is OutcomeKind.BINARY)
     batches: dict = {}
-    for out in _chunked(_joint_batches, (spec, sizes, seed, functional), len(sizes)):
+    for out in _chunked(_joint_batches, (spec, sizes, seed, consts), len(sizes)):
         for key, value in out.items():
             batches.setdefault(key, []).append(value)
 
@@ -512,10 +521,7 @@ class McReport:
 def _paired_verdict(errors, k_small, k_large, n) -> OrderingVerdict:
     e1 = errors[k_small] - errors[k_small].mean()
     e2 = errors[k_large] - errors[k_large].mean()
-    d = e1 ** 2 - e2 ** 2
-    reps = d.size
-    se = float(d.std(ddof=1) / np.sqrt(reps))
-    mean = float(d.mean())
+    mean, se = _mc_value(e1 ** 2 - e2 ** 2)
     return OrderingVerdict(
         kind_small=k_small,
         kind_large=k_large,
@@ -624,9 +630,8 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
     per_kind = {}
     for i, k in enumerate(kinds):
         e = err_arrays[k]
-        centered_sq = (e - e.mean()) ** 2
         v = float(e.var(ddof=1)) if ok > 1 else 0.0
-        v_se = float(centered_sq.std(ddof=1) / np.sqrt(ok)) if ok > 1 else float("nan")
+        v_se = _mc_value((e - e.mean()) ** 2).se
         per_kind[k] = McKindStats(
             empirical_var_scaled=n * v,
             empirical_var_scaled_se=n * v_se,

@@ -586,6 +586,32 @@ def test_oracle_non_finite_value_exit3(tmp_path, capsys, monkeypatch):
     assert json.loads(captured.err.strip())["error_code"] == "NonFiniteEstimate"
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("command, code, error_code, message", [
+    (["oracle", "--draws", "1000"], 3, "NonFiniteEstimate",
+     "oracle pass 1: non-finite psi_patt=nan, tau=nan"),
+    (["simulate", "--n", "200", "--reps", "3", "--patt-draws", "1000"], 2, "Validation",
+     "every replication failed; nothing to aggregate (first: rep 0: mu0_hat must be finite)"),
+], ids=["oracle", "simulate"])
+def test_overflowing_spec_writes_one_stderr_line(tmp_path, workers, command, code, error_code,
+                                                  message):
+    # The control mean overflows to inf above x = 0.8. Whatever numpy meets on
+    # the way, in this process or in a forked worker, stderr carries only the
+    # JSON error line. A child process, so that workers write to its stderr.
+    spec = _spec_json()
+    spec["mu0_coeffs"] = [1e308, 1e308]
+    spec_path = _write(tmp_path, "spec.json", json.dumps(spec))
+    run = ("import sys, treated.cli, treated.mathutil; "
+           f"treated.mathutil._worker_count = lambda count: {workers}; "
+           "sys.exit(treated.cli.main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", run, command[0], "--spec", spec_path,
+                           *command[1:]], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0]) == {"error_code": error_code, "message": message}
+
+
 def test_oracle_homogeneous_effect_psi_equals_constant(tmp_path, capsys):
     spec = _spec_json()
     spec["mu1_coeffs"] = [3.5, 1.0]  # mu1 - mu0 = 2.5 everywhere

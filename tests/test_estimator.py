@@ -31,7 +31,7 @@ from treated import (
     var_satt,
     var_sigma_bound,
 )
-from treated.estimator import _psi_terms, _tau_y_raw
+from treated.estimator import _Columns
 from treated.mathutil import norm_quantile
 
 from conftest import STD_SPEC, make_worked_example, random_dataset_with_nuisances
@@ -112,7 +112,7 @@ def test_psi_hat_all_treated_reduction():
     # cancel and psi-hat reduces to mean(y - mu0).
     y = np.array([3.0, 1.0, 5.0])
     mu0 = np.array([1.0, 0.0, 2.0])
-    out = float(np.mean(_psi_terms(y, np.ones(3), np.full(3, 0.5), mu0, 1.0)))
+    out = _Columns(y, np.ones(3), np.full(3, 0.5), mu0, binary=False, a_bar=1.0).psi
     assert out == pytest.approx(np.mean(y - mu0), rel=1e-12)
 
 
@@ -188,8 +188,8 @@ def test_var_catt_matt_worked_example():
 def test_var_matt_all_treated_kernel():
     # all-treated tau_y is identically zero; direct kernel check since the
     # validated Dataset type cannot represent this input
-    tau = _tau_y_raw(np.array([1.0, 2.0]), np.ones(2), np.full(2, 0.5),
-                     np.zeros(2), 1.0)
+    tau = _Columns(np.array([1.0, 2.0]), np.ones(2), np.full(2, 0.5), np.zeros(2),
+                   binary=False, a_bar=1.0).tau_y
     assert np.all(tau == 0.0)
 
 

@@ -317,13 +317,14 @@ def test_fold_too_small():
         compute_nuisances(ds, NuisanceConfig(folds=5))
 
 
-def test_singular_least_squares_is_a_numeric_error():
+def test_singular_least_squares_is_a_numeric_error(monkeypatch):
     # Without the ridge term a duplicated covariate makes the normal
     # equations exactly singular; numpy's LinAlgError must not escape.
     base = _dataset(n=80, d=1, seed=5)
     ds = Dataset(y=base.y, a=base.a, x=np.column_stack([base.x, base.x]))
+    monkeypatch.setattr(nuisance, "_RIDGE", 0.0)
     with pytest.raises(SingularSystemError):
-        estimate_all(ds, NuisanceConfig(ridge_lambda=0.0))
+        estimate_all(ds, NuisanceConfig())
 
 
 def test_overflowing_fitted_sd_is_a_numeric_error():
@@ -468,7 +469,7 @@ def _reference_fit_logistic(a, x, lam):
 
 
 def _reference_compute_nuisances(ds, config, need_mu1, need_sigma):
-    y, a, x, n, lam = ds.y, ds.a, ds.x, ds.n, config.ridge_lambda
+    y, a, x, n, lam = ds.y, ds.a, ds.x, ds.n, nuisance._RIDGE
     fitted = {"pi_hat": np.empty(n), "mu0_hat": np.empty(n)}
     if need_mu1:
         fitted["mu1_hat"] = np.empty(n)
@@ -516,13 +517,13 @@ def test_shared_arm_design_matches_the_separate_fits_bit_for_bit(folds, d, kind)
                 assert (value is None) == (name not in expected)
                 if value is not None:
                     assert value.tobytes() == expected[name].tobytes(), name
-    _, trace = _reference_fit_logistic(ds.a, ds.x, config.ridge_lambda)
+    _, trace = _reference_fit_logistic(ds.a, ds.x, nuisance._RIDGE)
     assert fit_propensity(ds, config).ll_trace == trace
     for arm in (0, 1):
         rows = np.flatnonzero(ds.a == arm)
-        mean_ref = _reference_fit_linear(ds.x[rows], ds.y[rows], config.ridge_lambda)
+        mean_ref = _reference_fit_linear(ds.x[rows], ds.y[rows], nuisance._RIDGE)
         sq_resid = (ds.y[rows] - _reference_linear(mean_ref, ds.x[rows])) ** 2
-        sd_ref = _reference_fit_linear(ds.x[rows], sq_resid, config.ridge_lambda)
+        sd_ref = _reference_fit_linear(ds.x[rows], sq_resid, nuisance._RIDGE)
         mean_fit = fit_outcome_mean(ds, arm, config)
         assert mean_fit.affine.coef.tobytes() == mean_ref[2].tobytes()
         sd_fit = fit_conditional_sd(ds, arm, mean_fit, config)

@@ -12,6 +12,7 @@ from treated import (
     EstimandKind,
     NuisanceConfig,
     NonFiniteError,
+    NonFiniteEstimateError,
     NuisanceValues,
     OutcomeKind,
     ValidationError,
@@ -108,6 +109,20 @@ def test_overflowing_spec_fails_its_replication_as_non_finite():
         generate(spec, 200, seed=0)
     with pytest.raises(ValidationError, match="first: rep 0: mu0_hat must be finite"):
         run_monte_carlo(spec, n=200, reps=2, seed=0, psi_patt=McValue(1.0, 0.0))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_spec_stops_the_oracle_after_pass_1(monkeypatch):
+    # The population constants come out non-finite; the oracle names them
+    # instead of running the joint pass on them.
+    def no_joint_pass(*args):
+        raise AssertionError("joint pass ran")
+
+    monkeypatch.setattr(simulation, "_joint_batches", no_joint_pass)
+    spec = _d1_spec(mu0_coeffs=[1e308, 1e308])
+    with pytest.raises(NonFiniteEstimateError,
+                       match=r"^oracle pass 1: non-finite psi_patt=nan, tau=nan$"):
+        oracle_asymptotic_variances(spec, draws=1000, seed=0)
 
 
 def test_generate_rejects_nonpositive_n():
@@ -289,6 +304,25 @@ def test_psi_patt_true_matches_gauss_hermite_quadrature():
     got = psi_patt_true(spec, draws=4_000_000, seed=6, batch_size=250_000)
     assert got.value == pytest.approx(quad, abs=5 * got.se)
     assert abs(got.value - quad) < 5e-3
+
+
+def test_psi_patt_true_is_the_oracle_pass_1_at_the_default_sizes(monkeypatch):
+    # Above 16 batches of the default size the batch size decides the x-only
+    # streams, so only a shared default makes psi_patt_true the oracle's pass 1.
+    class PassOne(Exception):
+        pass
+
+    real = simulation._x_constants
+
+    def stop_after_pass_1(*args):
+        raise PassOne(real(*args).psi)
+
+    spec = _d1_spec()
+    expected = psi_patt_true(spec, seed=3)
+    monkeypatch.setattr(simulation, "_x_constants", stop_after_pass_1)
+    with pytest.raises(PassOne) as stopped:
+        oracle_asymptotic_variances(spec, seed=3)
+    assert stopped.value.args[0] == expected
 
 
 def test_psi_patt_true_se_halves_when_draws_quadruple():
