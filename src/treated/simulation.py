@@ -397,8 +397,7 @@ def _oracle_functionals(spec: DgpSpec, consts: _XConstants, pi, mu0, mu1, sigma0
                  binary=spec.outcome_kind is OutcomeKind.BINARY)
     # The tau score is tau_y + a (mu0 - tau) / p_a; tau_y dies before the
     # score components exist, so no extra column is live at peak memory.
-    v_tau = np.var(c.tau_y + a * (mu0 - consts.tau.value) / p_a)
-    v_matt = c.v_matt
+    v_matt, v_tau = c.v_matt, np.var(c.tau_y + a * (mu0 - consts.tau.value) / p_a)
     del c.tau_y
     psi_y, psi_a, psi_x = c.comp
     out = {
@@ -459,9 +458,8 @@ def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
     workers. A non-finite population constant stops the oracle before pass 2.
     """
     consts = _x_constants(spec, draws, seed, batch_size)
-    bad = [f"{name}={value}" for name, value in
-           (("p_a", consts.p_a), ("psi_patt", consts.psi.value), ("tau", consts.tau.value))
-           if not np.isfinite(value)]
+    named = (("p_a", consts.p_a), ("psi_patt", consts.psi.value), ("tau", consts.tau.value))
+    bad = [f"{name}={value}" for name, value in named if not np.isfinite(value)]
     if bad:
         raise NonFiniteEstimateError(f"oracle pass 1: non-finite {', '.join(bad)}")
 
@@ -631,10 +629,9 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
     for i, k in enumerate(kinds):
         e = err_arrays[k]
         v = float(e.var(ddof=1)) if ok > 1 else 0.0
-        v_se = _mc_value((e - e.mean()) ** 2).se
         per_kind[k] = McKindStats(
             empirical_var_scaled=n * v,
-            empirical_var_scaled_se=n * v_se,
+            empirical_var_scaled_se=n * _mc_value((e - e.mean()) ** 2).se,
             mean_variance_estimate=float(np.mean([rec.variances[i] for rec in done])),
             coverage=float(np.mean([rec.hits[i] for rec in done])),
             ci_level=ci_level,
