@@ -47,8 +47,14 @@ NOISE_SD_FLOOR = 0.05
 # workers cold.
 X_POOL_DRAWS = 2_000_000
 # Default draws per oracle batch. The batch size decides the streams, so
-# psi_patt_true shares it to stay the oracle's pass 1.
-BATCH_DRAWS = 500_000
+# psi_patt_true shares it to stay the oracle's pass 1, and it is a constant:
+# one derived from the machine would make the bytes depend on it. `treated
+# oracle --draws 1e7` on the d = 2 spec (2 vCPUs, medians of 10 alternating
+# runs; wall time, then the largest process's peak RSS) took 2.24 s and
+# 118 MiB at 500,000 draws, 2.21 s and 76 MiB at 262,144, 2.15 s and 54 MiB
+# at 125,000, 2.04 s and 43.5 MiB at 65,536, 2.08 s and 39 MiB at 32,768, and
+# 2.12 s and 36 MiB at 16,384. A joint-pass batch holds about 15 columns.
+BATCH_DRAWS = 65_536
 
 
 class XDist(enum.Enum):
@@ -220,6 +226,17 @@ def _draw_potentials(spec: DgpSpec, rng, mu0, mu1, sigma0, sigma1):
     return mu0 + sigma0 * z0, mu1 + sigma1 * z1
 
 
+def _draw_units(spec: DgpSpec, n: int, rng):
+    """Draw n complete units in the order every stream uses: x, then its true
+    (pi, mu0, mu1, sigma0, sigma1), the treatment, then (y0, y1). Returns
+    ``(x, true, a, y0, y1)`` with ``a`` boolean."""
+    x = _draw_x(spec, n, rng)
+    true = _true_arrays(spec, x)
+    a = rng.random(n) < true[0]
+    y0, y1 = _draw_potentials(spec, rng, *true[1:])
+    return x, true, a, y0, y1
+
+
 def generate(spec: DgpSpec, n: int, seed) -> PotentialDataset:
     """Seeded draw of n i.i.d. units with complete potential outcomes.
 
@@ -231,14 +248,11 @@ def generate(spec: DgpSpec, n: int, seed) -> PotentialDataset:
     if n < 1:
         raise ValidationError("n must be >= 1")
     check_seed(seed)
-    rng = np.random.default_rng(seed)
-    x = _draw_x(spec, n, rng)
+    x, true, a, y0, y1 = _draw_units(spec, n, np.random.default_rng(seed))
     # The exact nuisances; clip_eps matches PI_CLIP.
-    nu = NuisanceValues(*_true_arrays(spec, x), clip_eps=PI_CLIP[0], _owned=True)
-    a = (rng.random(n) < nu.pi_hat).astype(np.int64)
-    y0, y1 = _draw_potentials(spec, rng, nu.mu0_hat, nu.mu1_hat, nu.sigma0_hat, nu.sigma1_hat)
-    y = np.where(a == 1, y1, y0)
-    dataset = Dataset(y=y, a=a, x=x, outcome_kind=spec.outcome_kind, _owned=True)
+    nu = NuisanceValues(*true, clip_eps=PI_CLIP[0], _owned=True)
+    dataset = Dataset(y=np.where(a, y1, y0), a=a.astype(np.int64), x=x,
+                      outcome_kind=spec.outcome_kind, _owned=True)
     return PotentialDataset(dataset=dataset, y0=y0, y1=y1, true_nuisances=nu, _owned=True)
 
 
@@ -333,19 +347,12 @@ def _x_batches(spec: DgpSpec, sizes, seed, lo, hi):
 
 def _joint_batches(spec: DgpSpec, sizes, seed, consts, lo, hi):
     """Yield ``_oracle_functionals`` for each batch k in [lo, hi): ``sizes[k]``
-    complete draws from the (seed, 2, k) stream. Draws stay bound until the next
-    batch replaces them one by one, and the functionals' temporaries die on
-    return: this keeps both the peak memory and the page faults per batch low."""
+    complete draws from the (seed, 2, k) stream."""
     for k in range(lo, hi):
-        rng = np.random.default_rng(_child_seed(seed, 2, k))
-        m = sizes[k]
-        # x is not bound: it dies once the nuisances exist, so it is not live
-        # at the functionals' peak memory.
-        pi, mu0, mu1, sigma0, sigma1 = _true_arrays(spec, _draw_x(spec, m, rng))
-        a = (rng.random(m) < pi).astype(float)
-        y0, y1 = _draw_potentials(spec, rng, mu0, mu1, sigma0, sigma1)
-        yield _oracle_functionals(spec, consts, pi, mu0, mu1, sigma0, sigma1, a, y0, y1,
-                                  np.where(a == 1.0, y1, y0))
+        true, a, y0, y1 = _draw_units(spec, sizes[k],
+                                      np.random.default_rng(_child_seed(seed, 2, k)))[1:]
+        yield _oracle_functionals(spec, consts, *true, a.astype(float), y0, y1,
+                                  np.where(a, y1, y0))
 
 
 class _XConstants(NamedTuple):
@@ -395,15 +402,11 @@ def _oracle_functionals(spec: DgpSpec, consts: _XConstants, pi, mu0, mu1, sigma0
     p_a = consts.p_a
     c = _Columns(y, a, pi, mu0, mu1, sigma0, sigma1, a_bar=p_a, psi=consts.psi.value,
                  binary=spec.outcome_kind is OutcomeKind.BINARY)
-    # The tau score is tau_y + a (mu0 - tau) / p_a; tau_y dies before the
-    # score components exist, so no extra column is live at peak memory.
-    v_matt, v_tau = c.v_matt, np.var(c.tau_y + a * (mu0 - consts.tau.value) / p_a)
-    del c.tau_y
     psi_y, psi_a, psi_x = c.comp
     out = {
         "patt": np.var(psi_y + psi_a + psi_x), "actt": c.v_actt, "catt": c.v_catt,
-        "matt": v_matt, "tau_score": v_tau,
-        "satt": v_matt + ((pi * (1.0 - a) / (1.0 - pi) * (y - mu0) ** 2) / p_a ** 2).mean(),
+        "matt": c.v_matt, "tau_score": np.var(c.tau_y + a * (mu0 - consts.tau.value) / p_a),
+        "satt": c.v_matt + ((pi * (1.0 - a) / (1.0 - pi) * (y - mu0) ** 2) / p_a ** 2).mean(),
         "swatt": c.v_actt - ((pi ** 2 * (y1 - y0 - (mu1 - mu0)) ** 2) / p_a ** 2).mean(),
         "sigma_bound": c.v_sigma_bound,
     }

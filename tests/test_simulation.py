@@ -1,5 +1,8 @@
 import dataclasses
+import json
 import os
+import pathlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -561,6 +564,24 @@ def test_population_constants_do_not_depend_on_worker_count(monkeypatch):
         results.append(repr((psi_patt_true(spec, draws=64_000, seed=3),
                              oracle_asymptotic_variances(spec, draws=64_000, seed=3))))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("name", ["continuous_spec.json", "binary_spec.json"])
+def test_one_oracle_batch_peaks_under_20_columns(name):
+    # Each pool worker holds one joint-pass batch at a time, so one batch at
+    # the default size bounds a worker's numpy memory: at most 20 columns of
+    # 65,536 draws, 10 MiB.
+    path = pathlib.Path(__file__).parent / "golden" / name
+    spec = DgpSpec.from_dict(json.loads(path.read_text()))
+    consts = simulation._x_constants(spec, 64_000, 0, simulation.BATCH_DRAWS)
+    batch = simulation._joint_batches(spec, [simulation.BATCH_DRAWS], 0, consts, 0, 1)
+    tracemalloc.start()
+    try:
+        next(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 65_536 * 8
 
 
 @pytest.mark.parametrize("workers", [1, 2])
