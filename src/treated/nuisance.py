@@ -268,7 +268,10 @@ def _residual_diagnostic(y, rows, mu_at_rows) -> bool:
         return False
     q75, q25 = np.percentile(resid, [75, 25])
     iqr = q75 - q25
-    if iqr > 0 and resid.max() > 10.0 * iqr:
+    # An exact fit leaves residuals of the ridge term's and rounding's size,
+    # about 1e-9 |y|, and an IQR as small: the floor keeps it quiet.
+    floor = np.sqrt(np.finfo(float).eps) * np.abs(y[rows]).max()
+    if iqr > 0 and resid.max() > 10.0 * max(iqr, floor):
         warnings.warn(
             "max outcome residual exceeds 10x the residual IQR; the bounded-"
             "residual condition behind the variance theory may be strained",

@@ -363,6 +363,27 @@ def test_heavy_residual_warning():
         compute_nuisances(ds, NuisanceConfig(), need_mu1=False, need_sigma=False)
 
 
+def test_exact_fit_raises_no_heavy_residual_warning():
+    # Both arms fit exactly; the treated residuals are the ridge term's 5e-9
+    # and their IQR is 2e-16, which the bare 10x-IQR rule flagged.
+    ds = Dataset(y=[1.0, 2.0, 3.0, 5.0, 4.0], a=[0, 0, 1, 1, 0],
+                 x=[[0.0], [1.0], [0.0], [1.0], [3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compute_nuisances(ds, NuisanceConfig())
+
+
+def test_one_outlier_among_exact_residuals_warns():
+    from treated.nuisance import HeavyResidualWarning, _residual_diagnostic
+
+    # Nine residuals at the ridge term's size, an IQR of 5e-11, and one of 1.0.
+    y = np.arange(1.0, 11.0)
+    mu = y - np.linspace(5e-9, 5.1e-9, y.size)
+    mu[-1] -= 1.0
+    with pytest.warns(HeavyResidualWarning):
+        assert _residual_diagnostic(y, np.arange(y.size), mu)
+
+
 def test_binary_outcome_raises_no_heavy_residual_warning():
     # With 10% prevalence the 0/1 residuals have a zero or tiny IQR, which the
     # 10x-IQR rule used to flag on every fit.
