@@ -53,7 +53,7 @@ X_POOL_DRAWS = 2_000_000
 # runs; wall time, then the largest process's peak RSS) took 2.24 s and
 # 118 MiB at 500,000 draws, 2.21 s and 76 MiB at 262,144, 2.15 s and 54 MiB
 # at 125,000, 2.04 s and 43.5 MiB at 65,536, 2.08 s and 39 MiB at 32,768, and
-# 2.12 s and 36 MiB at 16,384. A joint-pass batch holds about 15 columns.
+# 2.12 s and 36 MiB at 16,384. A joint-pass batch peaks at 16-17 columns.
 BATCH_DRAWS = 65_536
 
 
