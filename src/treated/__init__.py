@@ -11,7 +11,6 @@ from .data_model import (
     Dataset,
     EstimandKind,
     EstimateReport,
-    IfComponents,
     KindInference,
     NuisanceValues,
     OutcomeKind,
@@ -36,26 +35,8 @@ from .errors import (
     TreatedError,
     ValidationError,
 )
-from .estimator import (
-    confidence_interval,
-    estimate_all,
-    estimate_psi_hat,
-    if_components,
-    var_actt,
-    var_catt,
-    var_fh_binary,
-    var_matt,
-    var_patt,
-    var_satt,
-    var_sigma_bound,
-)
-from .nuisance import (
-    NuisanceConfig,
-    compute_nuisances,
-    fit_conditional_sd,
-    fit_outcome_mean,
-    fit_propensity,
-)
+from .estimator import confidence_interval, estimate_all
+from .nuisance import NuisanceConfig, compute_nuisances
 from .simulation import (
     Dependence,
     DgpSpec,
@@ -64,7 +45,6 @@ from .simulation import (
     OracleVariances,
     PotentialDataset,
     XDist,
-    fh_sharpness_oracle,
     generate,
     oracle_asymptotic_variances,
     psi_patt_true,

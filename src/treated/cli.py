@@ -45,7 +45,7 @@ class CliParseError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Canonical JSON: insertion-ordered keys, 17-significant-digit floats.
+# Canonical JSON: ordered keys, two-space indent, 17-significant-digit floats.
 
 def _format_float(x: float) -> str:
     if not math.isfinite(x):
@@ -57,11 +57,11 @@ def _format_float(x: float) -> str:
     return s
 
 
-def dumps_canonical(obj, indent: int = 2) -> str:
+def dumps_canonical(obj) -> str:
     out = io.StringIO()
 
     def emit(o, depth):
-        pad = " " * (indent * depth)
+        pad = "  " * depth
         if o is None:
             out.write("null")
         elif isinstance(o, (bool, np.bool_)):
@@ -79,7 +79,7 @@ def dumps_canonical(obj, indent: int = 2) -> str:
             out.write("{\n")
             items = list(o.items())
             for i, (k, v) in enumerate(items):
-                out.write(pad + " " * indent + json.dumps(str(k)) + ": ")
+                out.write(pad + "  " + json.dumps(str(k)) + ": ")
                 emit(v, depth + 1)
                 out.write(",\n" if i < len(items) - 1 else "\n")
             out.write(pad + "}")
@@ -90,7 +90,7 @@ def dumps_canonical(obj, indent: int = 2) -> str:
                 return
             out.write("[\n")
             for i, v in enumerate(seq):
-                out.write(pad + " " * indent)
+                out.write(pad + "  ")
                 emit(v, depth + 1)
                 out.write(",\n" if i < len(seq) - 1 else "\n")
             out.write(pad + "]")

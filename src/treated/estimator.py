@@ -51,21 +51,6 @@ from .errors import (
 from .mathutil import norm_quantile
 from .nuisance import NuisanceConfig, compute_nuisances
 
-__all__ = [
-    "estimate_psi_hat",
-    "if_components",
-    "var_patt",
-    "var_actt",
-    "var_catt",
-    "var_matt",
-    "var_satt",
-    "var_sigma_bound",
-    "var_fh_binary",
-    "confidence_interval",
-    "estimate_all",
-]
-
-
 class _Columns:
     """The formula table: per-unit columns of one sample and every quantity
     read off them, each built on first use and only once; ``a`` is the float
@@ -184,7 +169,8 @@ class _Columns:
 
 
 # ---------------------------------------------------------------------------
-# Public operations. Each reads one quantity off ``_Columns``.
+# Per-quantity operations, each reading one quantity off ``_Columns``. The
+# package does not export them; the benchmark's tracer wraps them here by name.
 
 def estimate_psi_hat(dataset: Dataset, nuis: NuisanceValues) -> float:
     """Doubly robust point estimate Pn[(a - pi)(y - mu0) / (Pn(a) (1 - pi))]."""

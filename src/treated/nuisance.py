@@ -10,7 +10,7 @@ degrade gracefully instead of erroring. Fitting is a pure function of
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -70,7 +70,7 @@ class _AffineModel:
     scale: np.ndarray
     coef: np.ndarray  # (d+1,): intercept then standardized-column slopes
 
-    def linear(self, x: np.ndarray) -> np.ndarray:
+    def predict(self, x: np.ndarray) -> np.ndarray:
         z = (np.asarray(x, dtype=float) - self.mean) / self.scale
         return self.coef[0] + blocked_matmul(z, self.coef[1:])
 
@@ -82,16 +82,8 @@ class PropensityModel:
     ll_trace: tuple  # accepted penalized log-likelihood values, one per iteration
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        p = expit(self.affine.linear(x))
+        p = expit(self.affine.predict(x))
         return np.clip(p, self.clip_eps, 1.0 - self.clip_eps)
-
-
-@dataclass(frozen=True, eq=False)
-class MeanModel:
-    affine: _AffineModel
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.affine.linear(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +93,7 @@ class SdModel:
     affine: _AffineModel
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.maximum(0.0, self.affine.linear(x)))
+        return np.sqrt(np.maximum(0.0, self.affine.predict(x)))
 
 
 def _design(x: np.ndarray):
@@ -212,20 +204,20 @@ class _ArmDesign:
             raise SingularSystemError(f"singular least-squares system: {exc}") from exc
         return _AffineModel(self.mean, self.scale, coef)
 
-    def fit_mean(self) -> MeanModel:
-        return MeanModel(self._solve(self.y))
+    def fit_mean(self) -> _AffineModel:
+        return self._solve(self.y)
 
-    def fit_sd(self, mean_model: MeanModel) -> SdModel:
+    def fit_sd(self, mean_model: _AffineModel) -> SdModel:
         return SdModel(self._solve((self.y - mean_model.predict(self.x)) ** 2))
 
 
-def fit_outcome_mean(dataset: Dataset, arm: int, config: NuisanceConfig) -> MeanModel:
+def fit_outcome_mean(dataset: Dataset, arm: int, config: NuisanceConfig) -> _AffineModel:
     """Ridge least squares of y on (1, x) over units with a == arm."""
     rows = _arm_rows(dataset.a, arm)
     return _ArmDesign(dataset.y, dataset.x, rows, arm).fit_mean()
 
 
-def fit_conditional_sd(dataset: Dataset, arm: int, mean_model: MeanModel,
+def fit_conditional_sd(dataset: Dataset, arm: int, mean_model: _AffineModel,
                        config: NuisanceConfig) -> SdModel:
     """Regress squared residuals on (1, x) within the arm; predict sqrt(max(0, fit))."""
     rows = _arm_rows(dataset.a, arm)
@@ -271,10 +263,11 @@ def _residual_diagnostic(y, rows, mu_at_rows) -> bool:
     # An exact fit leaves residuals of the ridge term's and rounding's size,
     # about 1e-9 |y|, and an IQR as small: the floor keeps it quiet.
     floor = np.sqrt(np.finfo(float).eps) * np.abs(y[rows]).max()
-    if iqr > 0 and resid.max() > 10.0 * max(iqr, floor):
+    if resid.max() > q75 + 10.0 * max(iqr, floor):
         warnings.warn(
-            "max outcome residual exceeds 10x the residual IQR; the bounded-"
-            "residual condition behind the variance theory may be strained",
+            "max outcome residual exceeds the upper residual quartile by more "
+            "than 10x the residual IQR; the bounded-residual condition behind "
+            "the variance theory may be strained",
             HeavyResidualWarning,
             stacklevel=3,
         )
@@ -288,17 +281,18 @@ def compute_nuisances(dataset: Dataset, config: NuisanceConfig,
                       need_sigma: bool = True) -> NuisanceValues:
     """Produce per-unit NuisanceValues: known (``oracle``) or fitted.
 
-    Oracle values pass through unchanged except for pi clipping to
-    ``config.clip_eps``; their sds are used when needed and present. An oracle
-    that clipping cannot change (its own ``clip_eps`` is at least the
-    config's) and whose sds are all kept is returned as it is. Without an
-    oracle every nuisance is fitted, in-sample (folds=1) or cross-fitted:
-    with K >= 2 folds the indices are partitioned by a seeded shuffle and each
-    unit's predictions come from models fitted on its fold's complement, so a
-    fold's predictions depend only on rows outside that fold (plus its own
-    covariates). From ``FOLD_POOL_ROWS`` rows on, the folds are fitted in one
-    forked worker process per CPU in the affinity mask, each on a contiguous
-    run of folds; the result does not depend on the number of workers.
+    An oracle whose own ``clip_eps`` is at least the config's is returned as
+    it is, since clipping cannot change it; otherwise it comes back with pi
+    clipped to ``config.clip_eps`` and every other value unchanged. The
+    estimator reads the oracle's sds only when swatt is requested and both are
+    present. Without an oracle every nuisance is fitted, in-sample (folds=1)
+    or cross-fitted: with K >= 2 folds the indices are partitioned by a seeded
+    shuffle and each unit's predictions come from models fitted on its fold's
+    complement, so a fold's predictions depend only on rows outside that fold
+    (plus its own covariates). From ``FOLD_POOL_ROWS`` rows on, the folds are
+    fitted in one forked worker process per CPU in the affinity mask, each on
+    a contiguous run of folds; the result does not depend on the number of
+    workers.
     """
     n = dataset.n
     eps = config.clip_eps
@@ -307,19 +301,9 @@ def compute_nuisances(dataset: Dataset, config: NuisanceConfig,
             raise ValidationError(f"oracle has {oracle.n} rows, dataset has {n}")
         if need_mu1 and oracle.mu1_hat is None:
             raise MissingOracleError("oracle mu1_hat required but not supplied")
-        use_sigma = (need_sigma and oracle.sigma0_hat is not None
-                     and oracle.sigma1_hat is not None)
-        if oracle.clip_eps >= eps and (use_sigma or oracle.sigma0_hat is None
-                                       and oracle.sigma1_hat is None):
+        if oracle.clip_eps >= eps:
             return oracle
-        return NuisanceValues(
-            pi_hat=np.clip(oracle.pi_hat, eps, 1.0 - eps),
-            mu0_hat=oracle.mu0_hat,
-            mu1_hat=oracle.mu1_hat,
-            sigma0_hat=oracle.sigma0_hat if use_sigma else None,
-            sigma1_hat=oracle.sigma1_hat if use_sigma else None,
-            clip_eps=eps,
-        )
+        return replace(oracle, pi_hat=np.clip(oracle.pi_hat, eps, 1.0 - eps), clip_eps=eps)
 
     y, a, x = dataset.y, dataset.a, dataset.x
     n_treated = int(a.sum())

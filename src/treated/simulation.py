@@ -28,8 +28,7 @@ import numpy as np
 
 from .data_model import (Dataset, EstimandKind, NuisanceValues, OutcomeKind, KIND_ORDER,
                          _frozen_array, check_ci_level, check_seed)
-from .errors import (DegenerateTreatmentError, NonFiniteEstimateError, TreatedError,
-                     ValidationError)
+from .errors import NonFiniteEstimateError, TreatedError, ValidationError
 from .estimator import _Columns, estimate_all
 from .mathutil import _chunked, blocked_matmul, expit
 from .nuisance import NuisanceConfig
@@ -46,7 +45,7 @@ NOISE_SD_FLOOR = 0.05
 # Warm and in-process the pool pays from about 1e6 draws: a command forks its
 # workers cold.
 X_POOL_DRAWS = 2_000_000
-# Default draws per oracle batch. The batch size decides the streams, so
+# Draws per oracle batch. The batch size decides the streams, so
 # psi_patt_true shares it to stay the oracle's pass 1, and it is a constant:
 # one derived from the machine would make the bytes depend on it. `treated
 # oracle --draws 1e7` on the d = 2 spec (2 vCPUs, medians of 10 alternating
@@ -262,8 +261,6 @@ def true_sample_estimands(pd: PotentialDataset, psi_patt_true: float) -> dict:
     a = ds.a.astype(float)
     nuis = pd.true_nuisances
     n_treated = a.sum()
-    if n_treated == 0:
-        raise DegenerateTreatmentError("no treated units: satt/catt/matt undefined")
     pi = nuis.pi_hat
     delta_mu = nuis.mu1_hat - nuis.mu0_hat
     delta_y = pd.y1 - pd.y0
@@ -283,34 +280,15 @@ def psi_tilde(pd: PotentialDataset) -> float:
     return _Columns.of(pd.dataset, pd.true_nuisances).psi
 
 
-def fh_sharpness_oracle(p: float, q: float, grid: int = 4001) -> float:
-    """Exhaustively maximize E[y1*y0] over joint Bernoulli pmfs with margins (p, q).
-
-    The joint law is a one-parameter family indexed by the overlap cell p11;
-    the oracle scans a dense inclusive grid of candidate overlaps and keeps
-    the largest one with all four cells nonnegative. Certifies that the sharp
-    upper bound min(p, q) is attained.
-    """
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        raise ValidationError("margins must lie in [0, 1]")
-    lo = max(0.0, p + q - 1.0)
-    hi = min(p, q)
-    best = -np.inf
-    for p11 in np.linspace(lo, hi, grid):
-        cells = (p11, p - p11, q - p11, 1.0 - p - q + p11)
-        if all(c >= -1e-15 for c in cells):
-            best = max(best, p11)
-    return float(best)
-
-
 # ---------------------------------------------------------------------------
 # Brute-force oracles for the population constants and asymptotic variances.
 
-def _batch_sizes(draws: int, batch_size: int):
-    """Batch lengths covering ``draws``; at least 16 batches when draws allow."""
+def _batch_sizes(draws: int):
+    """Batch lengths covering ``draws``: ``BATCH_DRAWS`` each, fewer when that
+    leaves under 16 batches."""
     if draws < 1:
         raise ValidationError("draws must be >= 1")
-    batch_size = min(batch_size, max(1, draws // 16))
+    batch_size = min(BATCH_DRAWS, max(1, draws // 16))
     sizes = [batch_size] * (draws // batch_size)
     if draws % batch_size:
         sizes.append(draws % batch_size)
@@ -361,11 +339,11 @@ class _XConstants(NamedTuple):
     tau: McValue  # E[pi mu0] / E[pi]
 
 
-def _x_constants(spec: DgpSpec, draws: int, seed, batch_size: int) -> _XConstants:
+def _x_constants(spec: DgpSpec, draws: int, seed) -> _XConstants:
     """Population constants from x-only draws, with batch-means errors; from
     ``X_POOL_DRAWS`` draws on, the batches run in the fork pool."""
     check_seed(seed)
-    sizes = _batch_sizes(draws, batch_size)
+    sizes = _batch_sizes(draws)
     args = (spec, sizes, seed)
     if draws >= X_POOL_DRAWS:
         sums = _chunked(_x_batches, args, len(sizes))
@@ -386,11 +364,10 @@ def _x_constants(spec: DgpSpec, draws: int, seed, batch_size: int) -> _XConstant
     )
 
 
-def psi_patt_true(spec: DgpSpec, draws: int = 10_000_000, seed=0,
-                  batch_size: int = BATCH_DRAWS) -> McValue:
+def psi_patt_true(spec: DgpSpec, draws: int = 10_000_000, seed=0) -> McValue:
     """Brute-force Monte Carlo of E[pi (mu1 - mu0)] / E[pi] over x draws: pass 1
     of ``oracle_asymptotic_variances``, with its streams and pool."""
-    return _x_constants(spec, draws, seed, batch_size).psi
+    return _x_constants(spec, draws, seed).psi
 
 
 def _oracle_functionals(spec: DgpSpec, consts: _XConstants, pi, mu0, mu1, sigma0, sigma1, a,
@@ -444,8 +421,8 @@ class OracleVariances:
         return {kind: getattr(self, kind.value) for kind in KIND_ORDER}
 
 
-def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
-                                batch_size: int = BATCH_DRAWS) -> OracleVariances:
+def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000,
+                                seed=0) -> OracleVariances:
     """Monte Carlo over complete draws with TRUE nuisances.
 
     Pass 1 estimates the population constants (treated share, effect, control
@@ -460,14 +437,14 @@ def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000, seed=0,
     aggregated in order, so the result does not depend on the number of
     workers. A non-finite population constant stops the oracle before pass 2.
     """
-    consts = _x_constants(spec, draws, seed, batch_size)
+    consts = _x_constants(spec, draws, seed)
     named = (("p_a", consts.p_a), ("psi_patt", consts.psi.value), ("tau", consts.tau.value))
     bad = [f"{name}={value}" for name, value in named if not np.isfinite(value)]
     if bad:
         raise NonFiniteEstimateError(f"oracle pass 1: non-finite {', '.join(bad)}")
 
     # Pass 2: joint draws, per-batch functionals, in batch order.
-    sizes = _batch_sizes(draws, batch_size)
+    sizes = _batch_sizes(draws)
     batches: dict = {}
     for out in _chunked(_joint_batches, (spec, sizes, seed, consts), len(sizes)):
         for key, value in out.items():
@@ -540,7 +517,6 @@ class _Replication(NamedTuple):
     errors: tuple
     hits: tuple
     variances: tuple
-    swatt_simple: float
     swatt_sigma: Optional[float]
     swatt_fh: Optional[float]
     floored: bool
@@ -575,7 +551,6 @@ def _replications(spec, n, seed, psi_patt_value, config, oracle_nuisances, ci_le
             hits=tuple(inf.ci_lower <= t <= inf.ci_upper for inf, t in zip(per_kind, truth)),
             variances=tuple(inf.variance if inf.variance is not None else inf.variance_used
                             for inf in per_kind),
-            swatt_simple=sw.conservative_simple,
             swatt_sigma=sw.conservative_sigma,
             swatt_fh=sw.conservative_fh,
             floored=bool(report.diagnostics.get("swatt_sigma_floored")
@@ -664,7 +639,8 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
         "psi_tilde_rms_scaled_gap": float(np.sqrt(np.mean(gaps ** 2))),
         "mean_psi_hat": float(np.mean(psi_hats)),
         "sd_psi_hat": float(np.std(psi_hats, ddof=1)) if ok > 1 else 0.0,
-        "mean_swatt_conservative_simple": float(np.mean([rec.swatt_simple for rec in done])),
+        # The simple variant is the actt variance, replication by replication.
+        "mean_swatt_conservative_simple": per_kind[EstimandKind.ACTT].mean_variance_estimate,
         "mean_swatt_conservative_sigma": float(np.mean(swatt_sigma)) if swatt_sigma else None,
         "mean_swatt_conservative_fh": float(np.mean(swatt_fh)) if swatt_fh else None,
         "swatt_floored_count": sum(rec.floored for rec in done),

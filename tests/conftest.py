@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from treated import DgpSpec, oracle_asymptotic_variances
+from treated import DgpSpec, ValidationError, oracle_asymptotic_variances
 
 # Selected with --hypothesis-profile=ci: the same examples on every run, so CI
 # results repeat exactly. Local runs keep the default profile and explore new
@@ -78,3 +78,23 @@ def random_dataset_with_nuisances(seed, n=50, d=2, binary=False):
     nuis = NuisanceValues(pi_hat=pi, mu0_hat=mu0, mu1_hat=mu1,
                           sigma0_hat=sigma0, sigma1_hat=sigma1, clip_eps=0.01)
     return dataset, nuis
+
+
+def fh_sharpness_oracle(p: float, q: float, grid: int = 4001) -> float:
+    """Exhaustively maximize E[y1*y0] over joint Bernoulli pmfs with margins (p, q).
+
+    The joint law is a one-parameter family indexed by the overlap cell p11;
+    the oracle scans a dense inclusive grid of candidate overlaps and keeps
+    the largest one with all four cells nonnegative. Certifies that the sharp
+    upper bound min(p, q) is attained.
+    """
+    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
+        raise ValidationError("margins must lie in [0, 1]")
+    lo = max(0.0, p + q - 1.0)
+    hi = min(p, q)
+    best = -np.inf
+    for p11 in np.linspace(lo, hi, grid):
+        cells = (p11, p - p11, q - p11, 1.0 - p - q + p11)
+        if all(c >= -1e-15 for c in cells):
+            best = max(best, p11)
+    return float(best)

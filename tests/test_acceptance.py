@@ -23,18 +23,15 @@ from treated import (
     NuisanceValues,
     OutcomeKind,
     XDist,
-    estimate_psi_hat,
-    fh_sharpness_oracle,
     generate,
-    if_components,
     oracle_asymptotic_variances,
     run_monte_carlo,
-    var_fh_binary,
-    var_satt,
 )
+from treated.estimator import estimate_psi_hat, if_components, var_fh_binary, var_satt
 from treated.simulation import _child_seed
 
-from conftest import STD_SPEC, make_worked_example, random_dataset_with_nuisances
+from conftest import (STD_SPEC, fh_sharpness_oracle, make_worked_example,
+                      random_dataset_with_nuisances)
 
 KINDS_FIVE = (EstimandKind.PATT, EstimandKind.ACTT, EstimandKind.CATT,
               EstimandKind.SATT, EstimandKind.MATT)

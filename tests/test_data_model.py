@@ -7,7 +7,6 @@ from treated import (
     Dataset,
     DegenerateTreatmentError,
     EstimandKind,
-    IfComponents,
     LengthMismatchError,
     NonBinaryOutcomeError,
     NonFiniteError,
@@ -17,6 +16,7 @@ from treated import (
     ValidationError,
     validate,
 )
+from treated.data_model import IfComponents
 
 
 def test_validate_passes_and_is_identity():

@@ -20,18 +20,10 @@ from treated import (
     compute_nuisances,
     confidence_interval,
     estimate_all,
-    estimate_psi_hat,
     generate,
-    if_components,
-    var_actt,
-    var_catt,
-    var_fh_binary,
-    var_matt,
-    var_patt,
-    var_satt,
-    var_sigma_bound,
 )
-from treated.estimator import _Columns
+from treated.estimator import (_Columns, estimate_psi_hat, if_components, var_actt, var_catt,
+                               var_fh_binary, var_matt, var_patt, var_satt, var_sigma_bound)
 from treated.mathutil import norm_quantile
 
 from conftest import STD_SPEC, make_worked_example, random_dataset_with_nuisances

@@ -19,13 +19,11 @@ from treated import (
     SingularSystemError,
     compute_nuisances,
     estimate_all,
-    fit_conditional_sd,
-    fit_outcome_mean,
-    fit_propensity,
 )
 from treated import mathutil, nuisance
 from treated.cli import main
 from treated.mathutil import bernoulli_loglik, expit
+from treated.nuisance import fit_conditional_sd, fit_outcome_mean, fit_propensity
 
 def _expit_two_branch(t):
     """The masked two-branch logistic, the reference for ``expit``."""
@@ -220,8 +218,8 @@ def test_oracle_passthrough_with_clipping():
     (0.01, 0.01, True, "both", True),
     (0.02, 0.01, True, "none", True),
     (0.02, 0.05, True, "both", False),  # the config clips harder
-    (0.02, 0.01, False, "both", False),  # the sds are not needed
-    (0.02, 0.01, True, "sigma0", False),  # a lone sd is dropped
+    (0.02, 0.01, False, "both", True),  # unneeded sds are kept
+    (0.02, 0.01, True, "sigma0", True),  # so is a lone sd
 ])
 def test_oracle_returned_as_is_only_when_nothing_changes(oracle_eps, config_eps, need_sigma,
                                                           sds, as_is):
@@ -236,7 +234,11 @@ def test_oracle_returned_as_is_only_when_nothing_changes(oracle_eps, config_eps,
                             need_sigma=need_sigma)
     assert (out is oracle) == as_is
     assert out.pi_hat.tobytes() == np.clip(pi, config_eps, 1.0 - config_eps).tobytes()
-    assert (out.sigma0_hat is not None) == (need_sigma and sds == "both")
+
+    def sds(nu):
+        return [None if v is None else v.tobytes() for v in (nu.sigma0_hat, nu.sigma1_hat)]
+
+    assert sds(out) == sds(oracle)
 
 
 def test_oracle_mu1_required_only_when_needed():
@@ -382,6 +384,16 @@ def test_one_outlier_among_exact_residuals_warns():
     mu[-1] -= 1.0
     with pytest.warns(HeavyResidualWarning):
         assert _residual_diagnostic(y, np.arange(y.size), mu)
+    # Nine exact residuals leave an IQR of 0; the outlier still warns.
+    y = np.zeros(10)
+    y[-1] = 1.0
+    with pytest.warns(HeavyResidualWarning):
+        assert _residual_diagnostic(y, np.arange(y.size), np.zeros(10))
+    # Two equal residuals are no outlier.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not _residual_diagnostic(np.array([1.0, 0.0]), np.arange(2),
+                                        np.array([0.0, 1.0]))
 
 
 def test_binary_outcome_raises_no_heavy_residual_warning():
@@ -546,7 +558,7 @@ def test_shared_arm_design_matches_the_separate_fits_bit_for_bit(folds, d, kind)
         sq_resid = (ds.y[rows] - _reference_linear(mean_ref, ds.x[rows])) ** 2
         sd_ref = _reference_fit_linear(ds.x[rows], sq_resid, nuisance._RIDGE)
         mean_fit = fit_outcome_mean(ds, arm, config)
-        assert mean_fit.affine.coef.tobytes() == mean_ref[2].tobytes()
+        assert mean_fit.coef.tobytes() == mean_ref[2].tobytes()
         sd_fit = fit_conditional_sd(ds, arm, mean_fit, config)
         assert sd_fit.affine.coef.tobytes() == sd_ref[2].tobytes()
 

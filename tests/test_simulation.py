@@ -21,8 +21,6 @@ from treated import (
     ValidationError,
     XDist,
     estimate_all,
-    estimate_psi_hat,
-    fh_sharpness_oracle,
     generate,
     oracle_asymptotic_variances,
     psi_patt_true,
@@ -31,9 +29,10 @@ from treated import (
     true_sample_estimands,
 )
 from treated import mathutil, nuisance, simulation
+from treated.estimator import estimate_psi_hat
 from treated.simulation import McValue, PotentialDataset, _child_seed
 
-from conftest import STD_SPEC
+from conftest import STD_SPEC, fh_sharpness_oracle
 
 
 def _d1_spec(**overrides):
@@ -294,7 +293,7 @@ def test_psi_patt_true_constant_effect_exact():
     assert got.value == pytest.approx(2.5, rel=1e-12)
 
 
-def test_psi_patt_true_matches_gauss_hermite_quadrature():
+def test_psi_patt_true_matches_gauss_hermite_quadrature(monkeypatch):
     # Independent oracle: 200-node Gauss-Hermite integration of the exact
     # integrand (clipping included, though inactive on any plausible node).
     spec = _d1_spec()
@@ -304,14 +303,16 @@ def test_psi_patt_true_matches_gauss_hermite_quadrature():
     pi = spec.propensity(x)
     delta = spec.mu(1, x) - spec.mu(0, x)
     quad = float((w * pi * delta).sum() / (w * pi).sum())
-    got = psi_patt_true(spec, draws=4_000_000, seed=6, batch_size=250_000)
+    monkeypatch.setattr(simulation, "BATCH_DRAWS", 250_000)
+    got = psi_patt_true(spec, draws=4_000_000, seed=6)
     assert got.value == pytest.approx(quad, abs=5 * got.se)
     assert abs(got.value - quad) < 5e-3
 
 
 def test_psi_patt_true_is_the_oracle_pass_1_at_the_default_sizes(monkeypatch):
-    # Above 16 batches of the default size the batch size decides the x-only
-    # streams, so only a shared default makes psi_patt_true the oracle's pass 1.
+    # Above 16 batches of BATCH_DRAWS the batch size decides the x-only
+    # streams; both read the one constant, so psi_patt_true is the oracle's
+    # pass 1.
     class PassOne(Exception):
         pass
 
@@ -328,10 +329,11 @@ def test_psi_patt_true_is_the_oracle_pass_1_at_the_default_sizes(monkeypatch):
     assert stopped.value.args[0] == expected
 
 
-def test_psi_patt_true_se_halves_when_draws_quadruple():
+def test_psi_patt_true_se_halves_when_draws_quadruple(monkeypatch):
     spec = _d1_spec()
-    base = psi_patt_true(spec, draws=500_000, seed=7, batch_size=5_000)
-    quad = psi_patt_true(spec, draws=2_000_000, seed=8, batch_size=5_000)
+    monkeypatch.setattr(simulation, "BATCH_DRAWS", 5_000)
+    base = psi_patt_true(spec, draws=500_000, seed=7)
+    quad = psi_patt_true(spec, draws=2_000_000, seed=8)
     ratio = quad.se / base.se
     assert 0.5 * 0.8 < ratio < 0.5 * 1.2
 
@@ -568,12 +570,12 @@ def test_population_constants_do_not_depend_on_worker_count(monkeypatch):
 
 @pytest.mark.parametrize("name", ["continuous_spec.json", "binary_spec.json"])
 def test_one_oracle_batch_peaks_under_20_columns(name):
-    # Each pool worker holds one joint-pass batch at a time, so one batch at
-    # the default size bounds a worker's numpy memory: at most 20 columns of
+    # Each pool worker holds one joint-pass batch at a time, so one batch of
+    # BATCH_DRAWS bounds a worker's numpy memory: at most 20 columns of
     # 65,536 draws, 10 MiB.
     path = pathlib.Path(__file__).parent / "golden" / name
     spec = DgpSpec.from_dict(json.loads(path.read_text()))
-    consts = simulation._x_constants(spec, 64_000, 0, simulation.BATCH_DRAWS)
+    consts = simulation._x_constants(spec, 64_000, 0)
     batch = simulation._joint_batches(spec, [simulation.BATCH_DRAWS], 0, consts, 0, 1)
     tracemalloc.start()
     try:
