@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import json
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treated.cli
+import treated.mathutil
 from treated.cli import CliParseError, dumps_canonical, main, read_csv_dataset, report_to_dict
 from treated import (Dataset, IrlsDivergedError, NonFiniteEstimateError, OutcomeKind,
                      TreatedError, estimate_all)
@@ -342,6 +344,139 @@ def test_golden_csvs_take_the_loadtxt_path(monkeypatch):
     expected = [_read_outcome(_reference_read_csv, golden / name) for name in names]
     monkeypatch.setattr(treated.cli, "_scan_columns", scan)
     assert [_read_outcome(read_csv_dataset, golden / name) for name in names] == expected
+
+
+# ---------------------------------------------------------------------------
+# The byte-range reader: the tests above again, with every file sent through
+# it, in this process and on a pool of two workers.
+
+@contextlib.contextmanager
+def _ranged_reader(workers):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(treated.cli, "INGEST_POOL_BYTES", 0)
+        patch.setattr(treated.mathutil, "_worker_count", lambda count: workers)
+        yield
+
+
+@pytest.fixture(params=[1, 2], ids=["1 worker", "2 workers"])
+def ranged_reader(request):
+    with _ranged_reader(request.param):
+        yield
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@settings(max_examples=60, deadline=None)
+@given(text=_csv_text())
+def test_ranged_reader_matches_the_cell_by_cell_scan(csv_path, workers, text):
+    csv_path.write_text(text, encoding="utf-8", newline="")
+    expected = _read_outcome(_reference_read_csv, csv_path)
+    with _ranged_reader(workers):
+        assert _read_outcome(read_csv_dataset, csv_path) == expected
+
+
+@pytest.mark.parametrize("token", _ODD_TOKENS)
+def test_ranged_reader_matches_the_scan_on_one_odd_cell(ranged_reader, tmp_path, token):
+    test_reader_matches_the_scan_on_one_odd_cell(tmp_path, token)
+
+
+def test_ranged_reader_reads_a_quoted_line_break_like_the_scan(ranged_reader, tmp_path):
+    test_quoted_line_break_reads_like_the_scan(tmp_path)
+
+
+def test_ranged_reader_reads_a_byte_order_mark_like_the_plain_file(ranged_reader, tmp_path):
+    test_byte_order_mark_reads_like_the_plain_file(tmp_path)
+
+
+def test_ranged_reader_peak_memory_is_a_few_tables(ranged_reader, tmp_path):
+    test_reader_peak_memory_is_a_few_tables(tmp_path)
+
+
+def _ranged_file(tmp_path, rows=400, end="\n"):
+    """A d = 1 CSV whose rows all take 14 bytes, and its cut points."""
+    lines = ["y,a,x1"] + [f"{1000 + i % 9000},{i % 2},0.{i % 1000:03d}" for i in range(rows)]
+    path = tmp_path / "ranged.csv"
+    path.write_bytes(end.join(lines).encode() + end.encode())
+    with open(path, "rb") as fh:
+        cuts = treated.cli._cut_points(fh, path.stat().st_size)
+    return path, cuts
+
+
+def _whole_file_outcome(path):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(treated.cli, "INGEST_POOL_BYTES", float("inf"))
+        return _read_outcome(read_csv_dataset, path)
+
+
+def test_ranged_reader_cuts_after_line_ends(tmp_path):
+    path, cuts = _ranged_file(tmp_path)
+    data = path.read_bytes()
+    assert len(cuts) == treated.cli._INGEST_RANGES + 1
+    assert cuts[0] == 0 and cuts[-1] == len(data)
+    assert all(data[cut - 1:cut] == b"\n" for cut in cuts[1:])
+
+
+def test_ranged_reader_parses_clean_files_itself(ranged_reader, tmp_path, monkeypatch):
+    def whole_file(fh):
+        raise AssertionError("the whole-file reader ran")
+
+    golden = pathlib.Path(__file__).parent / "golden"
+    paths = [golden / name for name in
+             ("binary.csv", "continuous.csv", "oracle_columns.csv", "oracle_pi_mu0.csv")]
+    paths.append(_ranged_file(tmp_path)[0])
+    expected = [_read_outcome(_reference_read_csv, path) for path in paths]
+    monkeypatch.setattr(treated.cli, "_loadtxt_columns", whole_file)
+    assert [_read_outcome(read_csv_dataset, path) for path in paths] == expected
+
+
+def test_ranged_reader_reads_the_whole_file_when_no_mapping_can_be_made(ranged_reader, tmp_path,
+                                                                        monkeypatch):
+    def no_memory(*args):
+        raise OSError(12, "Cannot allocate memory")
+
+    path, _ = _ranged_file(tmp_path)
+    expected = _read_outcome(_reference_read_csv, path)
+    monkeypatch.setattr(treated.cli.mmap, "mmap", no_memory)
+    assert _read_outcome(read_csv_dataset, path) == expected
+
+
+def test_ranged_reader_reads_a_byte_order_mark_after_a_cut_like_the_scan(ranged_reader,
+                                                                          tmp_path):
+    path, cuts = _ranged_file(tmp_path)
+    data = bytearray(path.read_bytes())
+    # "\ufeff1" takes the 4 bytes of the cell "1xyz" it replaces: no cut moves.
+    data[cuts[3]:cuts[3] + 4] = "\ufeff1".encode()
+    path.write_bytes(bytes(data))
+    outcome = _read_outcome(read_csv_dataset, path)
+    assert outcome == _read_outcome(_reference_read_csv, path) == _whole_file_outcome(path)
+    assert outcome[1].endswith(f"column 'y': bad number {chr(0xFEFF) + '1'!r}")
+
+
+def test_ranged_reader_numbers_a_bad_cell_in_the_last_range_like_the_scan(ranged_reader,
+                                                                          tmp_path):
+    path, _ = _ranged_file(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"0.399\n", b"0.3x9\n"))
+    outcome = _read_outcome(read_csv_dataset, path)
+    assert outcome == _read_outcome(_reference_read_csv, path)
+    assert outcome == (CliParseError, "row 401, column 'x1': bad number '0.3x9'")
+
+
+def test_ranged_reader_words_a_long_line_in_a_later_range_like_the_whole_file(ranged_reader,
+                                                                              tmp_path):
+    path, _ = _ranged_file(tmp_path)
+    wide = b"0." + b"1" * (csv.field_size_limit() + 1) + b"\n"
+    path.write_bytes(path.read_bytes().replace(b"0.399\n", wide))
+    outcome = _read_outcome(read_csv_dataset, path)
+    assert outcome == _whole_file_outcome(path)
+    assert outcome == (CliParseError, f"cannot parse {path}: field larger than field limit "
+                                      f"({csv.field_size_limit()})")
+
+
+def test_ranged_reader_reads_carriage_return_line_ends_like_the_scan(ranged_reader, tmp_path):
+    path, cuts = _ranged_file(tmp_path, end="\r")
+    assert cuts == [0, path.stat().st_size]
+    outcome = _read_outcome(read_csv_dataset, path)
+    assert outcome == _read_outcome(_reference_read_csv, path)
+    assert outcome["y"] == (np.dtype(float).str, (400,), np.arange(1000.0, 1400.0).tobytes())
 
 
 def test_estimate_validation_error_exit2(tmp_path, capsys):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from treated import mathutil, nuisance
+from treated import cli, mathutil, nuisance
 from treated.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -90,10 +90,11 @@ def test_oracle_golden_bytes_for_worker_count(case, workers, capsys, monkeypatch
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("estimate_")))
 def test_estimate_golden_bytes_for_worker_count(case, workers, capsys, monkeypatch):
-    # Cross-fitting fits its folds in the same pool from a row threshold on;
-    # with the threshold at 0 every fitted case takes the pool path, and each
-    # count reproduces the same committed bytes.
+    # Cross-fitting runs its fits, and the reader its byte ranges, in the same
+    # pool from a size threshold on; with both thresholds at 0 every case
+    # takes the pool paths, and each count reproduces the same committed bytes.
     monkeypatch.setattr(nuisance, "FOLD_POOL_ROWS", 0)
+    monkeypatch.setattr(cli, "INGEST_POOL_BYTES", 0)
     monkeypatch.setattr(mathutil, "_worker_count", lambda count: workers)
     _assert_golden(case, capsys)
 

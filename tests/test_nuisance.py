@@ -1,3 +1,4 @@
+import itertools
 import json
 import warnings
 
@@ -396,6 +397,18 @@ def test_one_outlier_among_exact_residuals_warns():
                                         np.array([0.0, 1.0]))
 
 
+def test_residual_quartiles_match_numpys_percentile_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for trial in range(600):
+        n = int(rng.integers(1, 40)) if trial % 3 else int(rng.integers(40, 5000))
+        values = np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-12, 12)
+        if trial % 4 == 0:
+            values = np.round(values)  # ties, as from integer outcomes
+        q75, q25 = np.percentile(values, [75, 25])
+        got = nuisance._quartiles(values.copy())
+        assert np.array([q75, q25, values.max()]).tobytes() == np.array(got).tobytes(), n
+
+
 def test_binary_outcome_raises_no_heavy_residual_warning():
     # With 10% prevalence the 0/1 residuals have a zero or tiny IQR, which the
     # 10x-IQR rule used to flag on every fit.
@@ -441,6 +454,27 @@ def _reference_design(x):
     scale = x.std(axis=0)
     scale = np.where(scale > 0, scale, 1.0)
     return mean, scale, np.column_stack([np.ones(x.shape[0]), (x - mean) / scale])
+
+
+def _layouts(x):
+    """x as a C-contiguous, an F-contiguous and a column-strided array."""
+    wide = np.repeat(x, 2, axis=1)
+    return {"C": np.ascontiguousarray(x), "F": np.asfortranarray(x), "strided": wide[:, ::2]}
+
+
+@pytest.mark.parametrize("n", [1, 2047, 2056, 70_000])
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
+def test_design_matches_numpys_reductions_bit_for_bit(n, d):
+    rng = np.random.default_rng(1000 * d + n)
+    x = rng.standard_normal((n, d)) * rng.uniform(0.1, 100.0, d) + rng.uniform(-50, 50, d)
+    if d >= 2:
+        x[:, 1] = 2.5  # a constant column keeps unit scale
+    for layout, arr in _layouts(x).items():
+        got = nuisance._design(arr)
+        expected = _reference_design(arr)
+        for name, g, e in zip(("mean", "scale", "design"), got, expected):
+            assert (g.shape, g.strides, g.tobytes()) == (e.shape, e.strides, e.tobytes()), \
+                (layout, name)
 
 
 def _reference_fit_linear(x, target, lam):
@@ -574,21 +608,24 @@ def _with_fold_pool(monkeypatch, workers):
 
 
 def test_fold_pool_values_do_not_depend_on_worker_count(monkeypatch):
-    # 70,000 rows: many 2048-row blocks in every fit.
+    # 70,000 rows: many 2048-row blocks in every fit. Three workers split the
+    # 15 fits of 5 folds 5/5/5, across fold boundaries; one fold has 3 fits.
     ds = _dataset(n=70_000, d=2, seed=8)
-    config = NuisanceConfig(folds=5, seed=3)
-    for need_mu1 in (True, False):
-        for need_sigma in (True, False):
-            got = []
-            for workers in (1, 2):
-                _with_fold_pool(monkeypatch, workers)
-                got.append(compute_nuisances(ds, config, need_mu1=need_mu1,
-                                             need_sigma=need_sigma))
-            for name in ("pi_hat", "mu0_hat", "mu1_hat", "sigma0_hat", "sigma1_hat"):
-                serial, pooled = (getattr(values, name) for values in got)
-                assert (serial is None) == (pooled is None), name
+    for config, need_mu1, need_sigma in itertools.product(
+            (NuisanceConfig(folds=5, seed=3), NuisanceConfig(folds=1)), (True, False),
+            (True, False)):
+        got = []
+        for workers in (1, 2, 3):
+            _with_fold_pool(monkeypatch, workers)
+            got.append(compute_nuisances(ds, config, need_mu1=need_mu1,
+                                         need_sigma=need_sigma))
+        for name in ("pi_hat", "mu0_hat", "mu1_hat", "sigma0_hat", "sigma1_hat"):
+            serial, *pooled = (getattr(values, name) for values in got)
+            for values in pooled:
+                assert (serial is None) == (values is None), name
                 if serial is not None:
-                    assert serial.tobytes() == pooled.tobytes(), (name, need_mu1, need_sigma)
+                    assert serial.tobytes() == values.tobytes(), (name, config.folds,
+                                                                  need_mu1, need_sigma)
 
 
 def _third_fold_lacks_treated_units(tmp_path):
@@ -609,7 +646,7 @@ def _third_fold_lacks_treated_units(tmp_path):
     return Dataset(y=y, a=a, x=x), NuisanceConfig(folds=folds, seed=seed), str(path)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_failing_fold_error_does_not_depend_on_worker_count(workers, monkeypatch, tmp_path,
                                                             capsys):
     ds, config, path = _third_fold_lacks_treated_units(tmp_path)
@@ -618,6 +655,12 @@ def test_failing_fold_error_does_not_depend_on_worker_count(workers, monkeypatch
         compute_nuisances(ds, config)
     assert type(raised.value) is InsufficientArmDataError
     assert str(raised.value) == "arm 1 has 1 units, need at least 3"
+    # With one fold, the last of its three fits fails: arm 1 has 2 of 3 units.
+    a = np.zeros(ds.n, dtype=int)
+    a[:2] = 1
+    with pytest.raises(InsufficientArmDataError) as raised:
+        compute_nuisances(Dataset(y=ds.y, a=a, x=ds.x), NuisanceConfig(folds=1))
+    assert str(raised.value) == "arm 1 has 2 units, need at least 3"
     code = main(["estimate", "--input", path, "--folds", "5", "--seed", "4"])
     assert code == 2
     payload = json.loads(capsys.readouterr().err.strip())
