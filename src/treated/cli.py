@@ -19,7 +19,6 @@ import io
 import json
 import math
 import mmap
-import os
 import sys
 import warnings
 from typing import Optional
@@ -114,13 +113,15 @@ _ORACLE_COLUMNS = ("pi", "mu0", "mu1", "sigma0", "sigma1")
 def read_csv_dataset(path: str, outcome_kind: OutcomeKind):
     """Parse the CSV schema into a Dataset plus any oracle nuisance columns."""
     try:
-        columns = _ranged_columns(path)
-        if columns is None:
-            with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-                columns = _loadtxt_columns(fh)
-                if columns is None:
-                    fh.seek(0)
-                    columns = _scan_columns(fh.read())
+        with open(path, "rb") as fh:
+            buffer = _read_buffer(fh)
+        try:
+            columns = _loadtxt_columns(buffer)
+            if columns is None:
+                columns = _scan_columns(str(buffer, "utf-8-sig"))
+        finally:
+            if not isinstance(buffer, bytes):
+                buffer.close()  # unmap the file
     except OSError as exc:
         raise CliParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -134,6 +135,15 @@ def read_csv_dataset(path: str, outcome_kind: OutcomeKind):
          else np.empty((len(y), 0)))
     dataset = Dataset(y=y, a=a, x=x, outcome_kind=outcome_kind)
     return dataset, columns
+
+
+def _read_buffer(fh):
+    """The open file's bytes: a read-only mapping of the file, or where it
+    cannot be mapped (a pipe, an empty file) everything read from it once."""
+    try:
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError):
+        return fh.read()
 
 
 def _check_header(header: list) -> list:
@@ -158,61 +168,79 @@ def _check_header(header: list) -> list:
     return ["y", "a", *expected_x, *(name for name in _ORACLE_COLUMNS if name in header)]
 
 
-def _read_header(fh) -> tuple:
-    """The header line's names and the column names in reading order; raises
-    ValueError on a header the whole-file readers must see."""
-    line = fh.readline()
+def _read_header(buffer) -> tuple:
+    """The header line's names, the column names in reading order and the
+    offset where the body starts; raises ValueError on a header the scan must
+    see."""
+    line = next(_lines(buffer, 0, len(buffer)), "")
     # A quoted header may span lines; an empty file has no header line.
     if not line or '"' in line:
         raise ValueError("no plain header line")
-    header = [h.strip() for h in next(csv.reader([line.rstrip("\r\n")]))]
-    return header, _check_header(header)
+    header = [h.strip() for h in next(csv.reader([line.removeprefix("\ufeff").rstrip("\r\n")]))]
+    return header, _check_header(header), len(line.encode())
 
 
-def _loadtxt(lines) -> np.ndarray:
-    """The cells of ``lines`` as a 2-d float table, in one np.loadtxt call."""
+def _lines(buffer, lo: int, hi: int):
+    """The lines of ``buffer[lo:hi]``, split at ``\n``, ``\r\n`` or ``\r``,
+    decoded a block at a time; each block ends at the first line end at
+    least csv's field limit past its start. A line over that limit raises
+    ValueError."""
+    limit = csv.field_size_limit()
+    while lo < hi:
+        # After a "\r" a "\n" would have been found first: no "\r\n" is split.
+        cut = (buffer.find(b"\n", lo + limit, hi) + 1 or buffer.find(b"\r", lo + limit, hi) + 1
+               or hi)
+        lines = io.StringIO(str(buffer[lo:cut], "utf-8"), newline="").readlines()
+        if max(map(len, lines)) > limit:
+            raise ValueError("line over the csv field limit")
+        yield from lines
+        lo = cut
+
+
+def _loadtxt(buffer, lo: int, hi: int, quotechar) -> np.ndarray:
+    """The cells of ``buffer[lo:hi]`` as a 2-d float table, in one np.loadtxt
+    call.
+
+    loadtxt refuses every cell that float() would read differently (digit
+    separators, non-ASCII digits, a stray quote, ...), so a body it accepts
+    gives the scan's numbers bit for bit.
+    """
     with warnings.catch_warnings():
         # On a body with no data loadtxt warns instead of raising.
         warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(_short_lines(lines), dtype=float, delimiter=",",
-                          comments=None, quotechar='"', ndmin=2)
+        return np.loadtxt(_lines(buffer, lo, hi), dtype=float, delimiter=",", comments=None,
+                          quotechar=quotechar, ndmin=2)
 
 
-def _short_lines(lines):
-    """The remaining lines; a line over csv's field limit raises ValueError."""
-    limit = csv.field_size_limit()
-    for line in lines:
-        if len(line) > limit:
-            raise ValueError("line over the csv field limit")
-        yield line
+def _loadtxt_columns(buffer) -> Optional[dict]:
+    """Parse the body with np.loadtxt; None leaves the file to the scan.
 
-
-def _table_columns(table: np.ndarray, header: list, names: list) -> Optional[dict]:
+    A buffer of at least ``INGEST_POOL_BYTES`` is parsed in byte ranges (see
+    ``_ranged_table``); below that, or where a range refuses, the body is
+    one range parsed here, the only case that may quote a cell. Anything the
+    scan would word as an error, a bad header or a line over csv's field
+    limit included, is left to it. So is a decoding error: decoding the whole
+    file reports it at its offset in the file, not in a line.
+    """
+    try:
+        header, names, body = _read_header(buffer)
+    except (ValueError, CliParseError, csv.Error):
+        return None
+    table = None
+    if len(buffer) >= INGEST_POOL_BYTES:
+        table = _ranged_table(buffer, body, len(header))
+    if table is None:
+        try:
+            table = _loadtxt(buffer, body, len(buffer), quotechar='"')
+        except ValueError:
+            return None
     if table.shape[0] == 0 or table.shape[1] != len(header):
         return None
     return {name: table[:, header.index(name)] for name in names}
 
 
-def _loadtxt_columns(fh) -> Optional[dict]:
-    """Parse the body of the open file in one np.loadtxt call; None leaves the file to the scan.
-
-    loadtxt refuses every cell that float() would read differently (digit
-    separators, non-ASCII digits, a stray quote, ...), so a body it accepts
-    whole gives the scan's arrays bit for bit. Anything the scan would word
-    as an error, a bad header or a line over csv's field limit included, is
-    left to it. So is a decoding error: reading the whole file again reports
-    it at its offset in the file, not in the chunk being decoded.
-    """
-    try:
-        header, names = _read_header(fh)
-        table = _loadtxt(fh)
-    except (ValueError, CliParseError, csv.Error):
-        return None
-    return _table_columns(table, header, names)
-
-
-# Files of at least this many bytes are parsed in byte ranges on the pool
-# (see _ranged_columns); below it a pool's start costs more than it saves.
+# Buffers of at least this many bytes are parsed in byte ranges on the pool
+# (see _ranged_table); below it a pool's start costs more than it saves.
 # On d = 2 files (2 vCPUs, median of 15 runs), `treated estimate --nuisance
 # fitted --folds 5` took 503 ms ranged against 475 ms whole-file on 2.0 MB
 # (33,000 rows), and 611 against 671 ms on 4.0 MB (66,000 rows).
@@ -220,81 +248,59 @@ def _loadtxt_columns(fh) -> Optional[dict]:
 # imports, took 94 against 71 ms on 2.0 MB, 129 against 141 ms on 4.0 MB and
 # 213 against 239 ms on 8.0 MB.
 INGEST_POOL_BYTES = 4_000_000
-# Byte ranges of a pooled parse. Their ends do not depend on the worker count,
-# and a worker holds the text of one range at a time.
+# Byte ranges of a pooled parse. Their ends do not depend on the worker count.
 _INGEST_RANGES = 8
-# Bytes read at a time while looking for the line end after a cut.
-_CUT_SCAN_BYTES = 1 << 16
 
 
-def _cut_points(fh, size: int) -> list:
-    """Offsets [0, ..., size] splitting the open binary file into about
-    ``_INGEST_RANGES`` ranges of whole lines: each inner cut falls just after
-    a ``\n``, the first at or after its even share of the file."""
-    cuts = [0]
+def _cut_points(buffer, start: int) -> list:
+    """Offsets [start, ..., len(buffer)] splitting ``buffer[start:]`` into
+    about ``_INGEST_RANGES`` ranges of whole lines: each inner cut falls just
+    after a ``\n``, the first at or after its even share of the buffer."""
+    size = len(buffer)
+    cuts = [start]
     for i in range(1, _INGEST_RANGES):
-        pos = max(size * i // _INGEST_RANGES, cuts[-1])
-        fh.seek(pos)
-        while chunk := fh.read(_CUT_SCAN_BYTES):
-            end = chunk.find(b"\n")
-            if end >= 0:
-                cuts.append(pos + end + 1)
-                break
-            pos += len(chunk)
-        else:
+        end = buffer.find(b"\n", max(size * i // _INGEST_RANGES, cuts[-1]))
+        if end < 0:
             break  # no line end after this point: the last range runs to the end
+        cuts.append(end + 1)
     if cuts[-1] != size:
         cuts.append(size)
     return cuts
 
 
-def _slot(buffer, slots: list, width: int, i: int) -> np.ndarray:
+def _slot(out, slots: list, width: int, i: int) -> np.ndarray:
     """Rows [slots[i], slots[i+1]) of the ``width``-column float table in
-    ``buffer``: a view, so the buffer cannot close while it lives."""
-    return np.frombuffer(buffer, dtype=float, count=(slots[i + 1] - slots[i]) * width,
+    ``out``: a view, so ``out`` cannot close while it lives."""
+    return np.frombuffer(out, dtype=float, count=(slots[i + 1] - slots[i]) * width,
                          offset=8 * width * slots[i]).reshape(-1, width)
 
 
-def _parse_ranges(path, cuts, slots, width, buffer, lo, hi):
-    """For each byte range [cuts[i], cuts[i+1]) with i in [lo, hi), the first
-    without the header line, write its table to ``_slot(..., i)`` and yield
-    its row count; yield None for a range that fails to decode, holds a
-    quote, has the wrong width or too many rows, or that np.loadtxt refuses,
-    and then stop."""
-    with open(path, "rb") as fh:
-        fh.seek(cuts[lo])
-        for i in range(lo, hi):
-            raw = fh.read(cuts[i + 1] - cuts[i])
-            # Only the file's first range may start with the byte-order mark.
-            text = io.TextIOWrapper(io.BytesIO(raw), newline="",
-                                    encoding="utf-8-sig" if i == 0 else "utf-8")
-            try:
-                if b'"' in raw:
-                    raise ValueError("a quoted cell may span ranges")
-                if i == 0:
-                    text.readline()
-                table = _loadtxt(text)
-            except (ValueError, UnicodeDecodeError):
-                yield None
-                return
-            rows = table.shape[0]
-            if rows and (table.shape[1] != width or rows > slots[i + 1] - slots[i]):
-                yield None
-                return
-            _slot(buffer, slots, width, i)[:rows] = table
-            yield rows
+def _parse_ranges(buffer, cuts, slots, width, out, lo, hi):
+    """For each byte range [cuts[i], cuts[i+1]) of ``buffer`` with i in
+    [lo, hi), write its table to ``_slot(out, ..., i)`` and yield its row
+    count; yield None for a range that np.loadtxt refuses (a quote among
+    them), that has the wrong width or too many rows, and then stop."""
+    for i in range(lo, hi):
+        try:
+            table = _loadtxt(buffer, cuts[i], cuts[i + 1], quotechar=None)
+        except ValueError:
+            yield None
+            return
+        rows = table.shape[0]
+        if rows and (table.shape[1] != width or rows > slots[i + 1] - slots[i]):
+            yield None
+            return
+        _slot(out, slots, width, i)[:rows] = table
+        yield rows
 
 
-def _ranged_columns(path: str) -> Optional[dict]:
-    """Parse a file of at least ``INGEST_POOL_BYTES`` in byte ranges on the
-    pool; None leaves it to the whole-file path.
+def _ranged_table(buffer, body: int, width: int) -> Optional[np.ndarray]:
+    """The body ``buffer[body:]`` parsed in byte ranges on the pool, their
+    tables joined in order; None when a range refuses.
 
-    Each range goes through the whole-file path's np.loadtxt call and the
-    tables are joined in order, so the numbers are the same bit for bit. Only
-    the first range drops a byte-order mark. A range that holds a quote (a
-    quoted cell may span a cut), fails to decode or that loadtxt refuses
-    sends the file back, so errors keep their wording and row numbers. This
-    process reads the header and the bytes around each cut, never the text.
+    Each range goes through the same np.loadtxt call as the one-range parse,
+    without quotes (a quoted cell may span a cut), so the numbers are the
+    same bit for bit. Workers inherit the buffer at fork.
 
     Workers write their rows to an anonymous shared mapping made before they
     fork and send back only row counts: arrays sent through the pool are
@@ -303,34 +309,20 @@ def _ranged_columns(path: str) -> Optional[dict]:
     row of ``width`` cells takes at least ``2 * width`` bytes with its line
     end, which bounds each range's slot; pages no row reaches stay untouched.
     """
-    try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if size < INGEST_POOL_BYTES:
-                return None
-            cuts = _cut_points(fh, size)
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            header, names = _read_header(fh)
-    except (OSError, ValueError, CliParseError, csv.Error):
-        return None
-    width = len(header)
+    cuts = _cut_points(buffer, body)
     slots = [0]
     for lo, hi in zip(cuts, cuts[1:]):
         slots.append(slots[-1] + (hi - lo + 1) // (2 * width))
-    if slots[-1] == 0:
-        return None
     try:
-        buffer = mmap.mmap(-1, 8 * width * slots[-1])
-    except OSError:  # the slots' bound cannot be reserved: read the file whole
+        out = mmap.mmap(-1, 8 * width * slots[-1])
+    except OSError:  # the slots' bound is 0 or cannot be reserved: parse one range
         return None
-    with buffer:
-        args = (path, cuts, slots, width, buffer)
-        counts = list(_chunked(_parse_ranges, args, len(cuts) - 1))
+    with out:
+        counts = list(_chunked(_parse_ranges, (buffer, cuts, slots, width, out), len(cuts) - 1))
         if None in counts:
             return None
-        table = np.concatenate([_slot(buffer, slots, width, i)[:rows]
-                                for i, rows in enumerate(counts)])
-    return _table_columns(table, header, names)
+        return np.concatenate([_slot(out, slots, width, i)[:rows]
+                               for i, rows in enumerate(counts)])
 
 
 def _scan_columns(text: str) -> dict:

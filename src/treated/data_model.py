@@ -208,34 +208,6 @@ class NuisanceValues:
         return self.pi_hat.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class IfComponents:
-    """Per-unit plug-in values of the score decomposition.
-
-    ``psi_y + psi_a + psi_x`` reproduces the closed-form per-unit score exactly
-    (up to floating-point rounding); ``tau_y`` is the control-residual
-    component driving the literal estimands.
-    """
-
-    psi_y: np.ndarray
-    psi_a: np.ndarray
-    psi_x: np.ndarray
-    tau_y: np.ndarray
-
-    def __post_init__(self):
-        arrays = {k: _frozen_array(getattr(self, k)) for k in ("psi_y", "psi_a", "psi_x", "tau_y")}
-        n = arrays["psi_y"].shape[0]
-        for name, arr in arrays.items():
-            if arr.shape[0] != n:
-                raise LengthMismatchError("influence components must share length")
-            object.__setattr__(self, name, arr)
-
-    @property
-    def psi_dot(self) -> np.ndarray:
-        """Per-unit plug-in score, summed from its three components."""
-        return self.psi_y + self.psi_a + self.psi_x
-
-
 @dataclass(frozen=True)
 class KindInference:
     """Variance and confidence interval reported for one estimand.

@@ -33,7 +33,6 @@ from .data_model import (
     Dataset,
     EstimandKind,
     EstimateReport,
-    IfComponents,
     KindInference,
     NuisanceValues,
     OutcomeKind,
@@ -177,14 +176,16 @@ def estimate_psi_hat(dataset: Dataset, nuis: NuisanceValues) -> float:
     return _Columns.of(dataset, nuis).psi
 
 
-def if_components(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> IfComponents:
-    """Per-unit plug-in values of the outcome/assignment/covariate score split.
+def if_components(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> tuple:
+    """Per-unit plug-in values ``(psi_y, psi_a, psi_x, tau_y)`` of the score split.
 
-    Requires ``mu1_hat``: the assignment and covariate components carry the
-    fitted effect contrast mu1 - mu0.
+    ``psi_y + psi_a + psi_x`` reproduces the closed-form per-unit score up to
+    rounding; ``tau_y`` is the control-residual component driving the
+    literal estimands. Requires ``mu1_hat``: the assignment and covariate
+    components carry the fitted effect contrast mu1 - mu0.
     """
     c = _Columns.of(dataset, nuis, psi_hat)
-    return IfComponents(*c.comp, tau_y=c.tau_y)
+    return (*c.comp, c.tau_y)
 
 
 def var_patt(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> float:

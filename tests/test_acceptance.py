@@ -114,12 +114,12 @@ def test_criterion_02_influence_decomposition():
     for seed in range(1000):
         ds, nu = random_dataset_with_nuisances(seed, n=50)
         psi = estimate_psi_hat(ds, nu)
-        comp = if_components(ds, nu, psi)
+        psi_y, psi_a, psi_x, _ = if_components(ds, nu, psi)
         a = ds.a.astype(float)
         closed = (a - nu.pi_hat) * (ds.y - nu.mu0_hat) / (a.mean() * (1 - nu.pi_hat)) \
             - a * psi / a.mean()
         scale = max(1.0, float(np.abs(closed).max()))
-        worst = max(worst, float(np.abs(comp.psi_dot - closed).max()) / scale)
+        worst = max(worst, float(np.abs(psi_y + psi_a + psi_x - closed).max()) / scale)
     elapsed = time.monotonic() - start
     _criterion(2, "psi_y+psi_a+psi_x equals closed-form score to 1e-10 relative "
                   "on 1000 random datasets",

@@ -2,9 +2,11 @@ import contextlib
 import csv
 import dataclasses
 import json
+import os
 import pathlib
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -317,8 +319,9 @@ def test_byte_order_mark_reads_like_the_plain_file(tmp_path):
 
 
 def test_reader_peak_memory_is_a_few_tables(tmp_path):
-    # The body is streamed into loadtxt, so the reader holds the parsed
-    # table and its columns, never a copy of the text.
+    # loadtxt is fed a block of lines at a time from the file's memory map,
+    # which tracemalloc does not count, so the reader holds the parsed table
+    # and its columns, never a copy of the text.
     n = 50_000
     rng = np.random.default_rng(3)
     table = np.column_stack([rng.standard_normal(n), rng.integers(0, 2, n),
@@ -392,13 +395,11 @@ def test_ranged_reader_peak_memory_is_a_few_tables(ranged_reader, tmp_path):
 
 
 def _ranged_file(tmp_path, rows=400, end="\n"):
-    """A d = 1 CSV whose rows all take 14 bytes, and its cut points."""
+    """A d = 1 CSV whose rows all take 13 bytes, and its cut points."""
     lines = ["y,a,x1"] + [f"{1000 + i % 9000},{i % 2},0.{i % 1000:03d}" for i in range(rows)]
     path = tmp_path / "ranged.csv"
     path.write_bytes(end.join(lines).encode() + end.encode())
-    with open(path, "rb") as fh:
-        cuts = treated.cli._cut_points(fh, path.stat().st_size)
-    return path, cuts
+    return path, treated.cli._cut_points(path.read_bytes(), 0)
 
 
 def _whole_file_outcome(path):
@@ -416,21 +417,24 @@ def test_ranged_reader_cuts_after_line_ends(tmp_path):
 
 
 def test_ranged_reader_parses_clean_files_itself(ranged_reader, tmp_path, monkeypatch):
-    def whole_file(fh):
-        raise AssertionError("the whole-file reader ran")
+    loadtxt = treated.cli._loadtxt
+
+    def ranges_only(buffer, lo, hi, quotechar):
+        assert quotechar is None, "the body was read as one range"
+        return loadtxt(buffer, lo, hi, quotechar)
 
     golden = pathlib.Path(__file__).parent / "golden"
     paths = [golden / name for name in
              ("binary.csv", "continuous.csv", "oracle_columns.csv", "oracle_pi_mu0.csv")]
     paths.append(_ranged_file(tmp_path)[0])
     expected = [_read_outcome(_reference_read_csv, path) for path in paths]
-    monkeypatch.setattr(treated.cli, "_loadtxt_columns", whole_file)
+    monkeypatch.setattr(treated.cli, "_loadtxt", ranges_only)
     assert [_read_outcome(read_csv_dataset, path) for path in paths] == expected
 
 
 def test_ranged_reader_reads_the_whole_file_when_no_mapping_can_be_made(ranged_reader, tmp_path,
                                                                         monkeypatch):
-    def no_memory(*args):
+    def no_memory(*args, **kwargs):
         raise OSError(12, "Cannot allocate memory")
 
     path, _ = _ranged_file(tmp_path)
@@ -478,6 +482,78 @@ def test_ranged_reader_reads_carriage_return_line_ends_like_the_scan(ranged_read
     assert outcome == _read_outcome(_reference_read_csv, path)
     assert outcome["y"] == (np.dtype(float).str, (400,), np.arange(1000.0, 1400.0).tobytes())
 
+
+def test_ranged_reader_words_a_wider_range_like_the_scan(ranged_reader, tmp_path):
+    path, cuts = _ranged_file(tmp_path)
+    data = path.read_bytes()
+    # "0,123" takes the bytes of the cell "0.123": every row of range 5 gets
+    # a fourth cell and no cut moves, so loadtxt reads that range as a
+    # 4-column table.
+    wide = data[cuts[5]:cuts[6]].replace(b",0.", b",0,")
+    path.write_bytes(data[:cuts[5]] + wide + data[cuts[6]:])
+    assert treated.cli._cut_points(path.read_bytes(), 0) == cuts
+    outcome = _read_outcome(read_csv_dataset, path)
+    first_row = data[:cuts[5]].count(b"\n") + 1
+    assert outcome == _read_outcome(_reference_read_csv, path)
+    assert outcome == (CliParseError, f"row {first_row} has 4 cells, expected 3")
+
+
+# ---------------------------------------------------------------------------
+# Piped input: the reader takes a pipe's bytes once, so a file it must read
+# again (here through the cell-by-cell scan) reads like the same bytes on disk.
+
+_PIPED = {"clean": WORKED_CSV,
+          "digit separator": WORKED_CSV.replace("3,0.25", "3,1_0"),
+          "bad cell": WORKED_CSV.replace(",0.2,", ",bad,")}
+_DEV_FD = pytest.mark.skipif(not pathlib.Path("/dev/fd").is_dir(), reason="no /dev/fd")
+
+
+def _piped(data: bytes, read):
+    """``read`` of a /dev/fd path whose reads come from a pipe fed by a thread."""
+    r, w = os.pipe()
+
+    def write():
+        with open(w, "wb") as fh, contextlib.suppress(BrokenPipeError):
+            fh.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return read(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        writer.join()
+
+
+@_DEV_FD
+@pytest.mark.parametrize("name", _PIPED)
+@pytest.mark.parametrize("workers", [None, 2], ids=["one range", "ranged, 2 workers"])
+def test_piped_input_reads_like_a_regular_file(tmp_path, name, workers):
+    path = _write(tmp_path, "data.csv", _PIPED[name])
+    with (_ranged_reader(workers) if workers else contextlib.nullcontext()):
+        piped = _piped(pathlib.Path(path).read_bytes(),
+                       lambda fd_path: _read_outcome(read_csv_dataset, fd_path))
+        assert piped == _read_outcome(read_csv_dataset, path)
+    assert isinstance(piped, tuple) == (name == "bad cell")
+
+
+@_DEV_FD
+@pytest.mark.parametrize("name", _PIPED)
+def test_estimate_reads_a_csv_on_stdin_like_a_regular_file(tmp_path, name):
+    path = _write(tmp_path, "data.csv", _PIPED[name])
+
+    def estimate(source, **stdin):
+        proc = subprocess.run([sys.executable, "-m", "treated", "estimate", "--input", source],
+                              capture_output=True, **stdin)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    regular = estimate(path, stdin=subprocess.DEVNULL)
+    assert estimate("/dev/stdin", input=pathlib.Path(path).read_bytes()) == regular
+    assert regular[0] == (1 if name == "bad cell" else 0)
+
+
+# ---------------------------------------------------------------------------
+# estimate, continued: validation and numeric errors, and the options.
 
 def test_estimate_validation_error_exit2(tmp_path, capsys):
     csv_path = _write(tmp_path, "degenerate.csv", "y,a\n1,1\n2,1\n")

@@ -16,7 +16,6 @@ from treated import (
     ValidationError,
     validate,
 )
-from treated.data_model import IfComponents
 
 
 def test_validate_passes_and_is_identity():
@@ -129,7 +128,3 @@ def test_nuisance_length_mismatch_rejected():
     with pytest.raises(LengthMismatchError):
         NuisanceValues(pi_hat=[0.5, 0.5], mu0_hat=[0.0, 0.0], mu1_hat=[0.0])
 
-
-def test_if_components_share_length():
-    with pytest.raises(LengthMismatchError):
-        IfComponents(psi_y=[1.0, 2.0], psi_a=[1.0], psi_x=[0.0, 0.0], tau_y=[0.0, 0.0])

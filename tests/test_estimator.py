@@ -112,23 +112,23 @@ def test_if_components_worked_example():
     ds, nu = make_worked_example()
     psi = estimate_psi_hat(ds, nu)
     comp = if_components(ds, nu, psi)
-    for name in ("psi_y", "psi_a", "psi_x", "tau_y"):
+    for name, values in zip(("psi_y", "psi_a", "psi_x", "tau_y"), comp):
         expected = [float(v) for v in ORACLE[name]]
-        assert getattr(comp, name) == pytest.approx(expected, rel=1e-12), name
+        assert values == pytest.approx(expected, rel=1e-12), name
 
 
 def test_if_components_trivial_rows():
     ds, nu = make_worked_example()
     psi = estimate_psi_hat(ds, nu)
-    comp = if_components(ds, nu, psi)
+    tau_y = if_components(ds, nu, psi)[3]
     # treated units have tau_y = 0
-    assert comp.tau_y[ds.a == 1] == pytest.approx([0.0, 0.0], abs=0.0)
+    assert tau_y[ds.a == 1] == pytest.approx([0.0, 0.0], abs=0.0)
     # a unit whose fitted contrast equals psi has zero assignment/covariate parts
     nu2 = NuisanceValues(pi_hat=nu.pi_hat, mu0_hat=nu.mu0_hat,
                          mu1_hat=nu.mu0_hat + psi, clip_eps=0.01)
-    comp2 = if_components(ds, nu2, psi)
-    assert comp2.psi_a == pytest.approx(np.zeros(4), abs=1e-15)
-    assert comp2.psi_x == pytest.approx(np.zeros(4), abs=1e-15)
+    _, psi_a, psi_x, _ = if_components(ds, nu2, psi)
+    assert psi_a == pytest.approx(np.zeros(4), abs=1e-15)
+    assert psi_x == pytest.approx(np.zeros(4), abs=1e-15)
 
 
 def test_if_components_requires_mu1():
@@ -165,8 +165,8 @@ def test_var_actt_homogeneous_fitted_effect_reduces_to_var_psi_y():
     psi = 1.0
     nu2 = NuisanceValues(pi_hat=nu.pi_hat, mu0_hat=nu.mu0_hat,
                          mu1_hat=nu.mu0_hat + psi, clip_eps=0.01)
-    comp = if_components(ds, nu2, psi)
-    assert var_actt(ds, nu2, psi) == pytest.approx(float(np.var(comp.psi_y)), rel=1e-12)
+    psi_y = if_components(ds, nu2, psi)[0]
+    assert var_actt(ds, nu2, psi) == pytest.approx(float(np.var(psi_y)), rel=1e-12)
     assert var_catt(ds, nu2, psi) == pytest.approx(var_actt(ds, nu2, psi), rel=1e-12)
 
 
@@ -315,13 +315,13 @@ def test_ci_rejects_bad_level_and_variance(level, variance):
 def test_decomposition_identity(seed, n):
     ds, nu = random_dataset_with_nuisances(seed, n=n)
     psi = estimate_psi_hat(ds, nu)
-    comp = if_components(ds, nu, psi)
+    psi_y, psi_a, psi_x, _ = if_components(ds, nu, psi)
     a = ds.a.astype(float)
     abar = a.mean()
     closed = (a - nu.pi_hat) * (ds.y - nu.mu0_hat) / (abar * (1 - nu.pi_hat)) \
         - a * psi / abar
     scale = max(1.0, float(np.abs(closed).max()))
-    assert np.abs(comp.psi_dot - closed).max() <= 1e-10 * scale
+    assert np.abs(psi_y + psi_a + psi_x - closed).max() <= 1e-10 * scale
 
 
 @settings(max_examples=30, deadline=None)
@@ -633,13 +633,13 @@ def test_orthogonality_of_components_at_truth(std_oracle):
     # With true nuisances and the true effect, the empirical inner products of
     # the score components are within 3 MC standard errors of zero.
     pd = generate(STD_SPEC, 200_000, seed=57)
-    comp = if_components(pd.dataset, pd.true_nuisances, std_oracle.psi_patt.value)
-    for u, v in [(comp.psi_y, comp.psi_a), (comp.psi_y, comp.psi_x),
-                 (comp.psi_a, comp.psi_x)]:
+    psi_y, psi_a, psi_x, tau_y = if_components(pd.dataset, pd.true_nuisances,
+                                               std_oracle.psi_patt.value)
+    for u, v in [(psi_y, psi_a), (psi_y, psi_x), (psi_a, psi_x)]:
         prod = u * v
         se = prod.std(ddof=1) / np.sqrt(prod.size)
         assert abs(prod.mean()) <= 3 * se
     # tau_y is supported on controls, so its product with any treated-only
     # term is identically zero.
     treated_term = pd.dataset.a * (pd.true_nuisances.mu0_hat - pd.y0)
-    assert np.all(comp.tau_y * treated_term == 0.0)
+    assert np.all(tau_y * treated_term == 0.0)

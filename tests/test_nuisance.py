@@ -86,6 +86,29 @@ def test_irls_penalized_loglik_monotone():
     assert np.all(np.diff(trace) >= -1e-10)
 
 
+
+def test_irls_step_halving_keeps_the_penalized_loglik_from_falling(monkeypatch):
+    # On this seeded sample of cubed covariates with a steep slope, full
+    # Newton steps overshoot and the fit halves them.
+    n = 20
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((n, 2)) ** 3
+    a = (rng.random(n) < expit(3.0 * x.sum(axis=1))).astype(int)
+    a[0], a[1] = 1, 0
+    calls = []
+
+    def counted(a, eta):
+        calls.append(1)
+        return bernoulli_loglik(a, eta)
+
+    monkeypatch.setattr(nuisance, "bernoulli_loglik", counted)
+    trace = np.array(fit_propensity(Dataset(y=np.zeros(n), a=a, x=x), NuisanceConfig()).ll_trace)
+    # One evaluation at the start and one per accepted step: any more were
+    # candidates the fit halved.
+    assert len(calls) > trace.size
+    rounding = nuisance._LL_ROUNDING * (1.0 + np.abs(trace[:-1]))
+    assert np.all(np.diff(trace) >= -rounding)
+
 def test_large_n_independent_treatment_recovers_null_coefficients():
     # Monte Carlo oracle: at pi = 0.5 with standard normal X the asymptotic
     # sd of each logistic coefficient is sqrt(1 / (0.25 n)) = 2 / sqrt(n).

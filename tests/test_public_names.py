@@ -32,7 +32,6 @@ LIBRARY = {
 # Not exported, but module-level names where the benchmark's tracer and fitter
 # timings look them up.
 HOOK_TARGETS = {
-    "treated.data_model": {"IfComponents"},
     "treated.estimator": {"estimate_psi_hat", "if_components", "var_patt", "var_actt",
                           "var_catt", "var_matt", "var_satt", "var_sigma_bound",
                           "var_fh_binary"},

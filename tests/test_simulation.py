@@ -194,6 +194,27 @@ def test_binary_generation_margins_and_dependence():
     assert abs(pd.y0.mean() - p0.mean()) < 3 * np.sqrt(0.25 / 100_000)
 
 
+
+@pytest.mark.parametrize("dependence, joint", [
+    (Dependence.COMONOTONE, min(0.6, 0.7)),
+    (Dependence.INDEPENDENT, 0.6 * 0.7),
+    (Dependence.ANTITONE, max(0.0, 0.6 + 0.7 - 1.0)),
+])
+def test_binary_dependence_sets_the_joint_success_probability(dependence, joint):
+    # With d = 0 the arm means are the constants 0.6 and 0.7; the dependence
+    # regime fixes P(y0 = 1, y1 = 1) at the upper Frechet bound, the product,
+    # or the lower Frechet bound.
+    spec = DgpSpec(d=0, propensity_coeffs=[0.0], mu0_coeffs=[0.6], mu1_coeffs=[0.7],
+                   noise0_sd_coeffs=[1.0], noise1_sd_coeffs=[1.0],
+                   outcome_kind=OutcomeKind.BINARY, dependence=dependence)
+    n = 100_000
+    pd = generate(spec, n, seed=11)
+    both = float(np.mean(pd.y0 * pd.y1))
+    assert abs(both - joint) <= 4 * np.sqrt(joint * (1 - joint) / n)
+    assert abs(pd.y0.mean() - 0.6) <= 4 * np.sqrt(0.24 / n)
+    assert abs(pd.y1.mean() - 0.7) <= 4 * np.sqrt(0.21 / n)
+
+
 # ---------------------------------------------------------------------------
 # true_sample_estimands / psi_tilde: exact three-row arithmetic.
 
