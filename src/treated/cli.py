@@ -27,7 +27,7 @@ import numpy as np
 
 from .data_model import Dataset, EstimandKind, EstimateReport, NuisanceValues, OutcomeKind, KIND_ORDER
 from .errors import NonFiniteEstimateError, NumericError, TreatedError, ValidationError
-from .mathutil import _chunked
+from .mathutil import _chunked, shared_empty
 from .nuisance import NuisanceConfig
 from .estimator import estimate_all
 from .simulation import (
@@ -268,61 +268,51 @@ def _cut_points(buffer, start: int) -> list:
     return cuts
 
 
-def _slot(out, slots: list, width: int, i: int) -> np.ndarray:
-    """Rows [slots[i], slots[i+1]) of the ``width``-column float table in
-    ``out``: a view, so ``out`` cannot close while it lives."""
-    return np.frombuffer(out, dtype=float, count=(slots[i + 1] - slots[i]) * width,
-                         offset=8 * width * slots[i]).reshape(-1, width)
-
-
-def _parse_ranges(buffer, cuts, slots, width, out, lo, hi):
+def _parse_ranges(buffer, cuts, slots, table, lo, hi):
     """For each byte range [cuts[i], cuts[i+1]) of ``buffer`` with i in
-    [lo, hi), write its table to ``_slot(out, ..., i)`` and yield its row
-    count; yield None for a range that np.loadtxt refuses (a quote among
-    them), that has the wrong width or too many rows, and then stop."""
+    [lo, hi), write its rows to ``table`` from row ``slots[i]`` on and yield
+    their count; yield None for a range that np.loadtxt refuses (a quote
+    among them), that has the wrong width or too many rows, and then stop."""
     for i in range(lo, hi):
         try:
-            table = _loadtxt(buffer, cuts[i], cuts[i + 1], quotechar=None)
+            part = _loadtxt(buffer, cuts[i], cuts[i + 1], quotechar=None)
         except ValueError:
             yield None
             return
-        rows = table.shape[0]
-        if rows and (table.shape[1] != width or rows > slots[i + 1] - slots[i]):
+        rows = part.shape[0]
+        if rows and (part.shape[1] != table.shape[1] or rows > slots[i + 1] - slots[i]):
             yield None
             return
-        _slot(out, slots, width, i)[:rows] = table
+        table[slots[i]:slots[i] + rows] = part
         yield rows
 
 
 def _ranged_table(buffer, body: int, width: int) -> Optional[np.ndarray]:
     """The body ``buffer[body:]`` parsed in byte ranges on the pool, their
-    tables joined in order; None when a range refuses.
+    tables joined in order; None when a range refuses, when no row fits in the
+    body, or when the shared table cannot be made.
 
     Each range goes through the same np.loadtxt call as the one-range parse,
     without quotes (a quoted cell may span a cut), so the numbers are the
-    same bit for bit. Workers inherit the buffer at fork.
-
-    Workers write their rows to an anonymous shared mapping made before they
-    fork and send back only row counts: arrays sent through the pool are
-    unpickled in its result thread, whose malloc arena keeps their pages, and
-    the fold pool's workers would inherit them (50 MiB more at 1e6 rows). A
-    row of ``width`` cells takes at least ``2 * width`` bytes with its line
-    end, which bounds each range's slot; pages no row reaches stay untouched.
+    same bit for bit. Workers inherit the buffer, write their rows into a
+    ``shared_empty`` table and send back row counts. A row of ``width`` cells
+    takes at least ``2 * width`` bytes with its line end, which bounds each
+    range's slot of the table; pages no row reaches stay untouched.
     """
     cuts = _cut_points(buffer, body)
     slots = [0]
     for lo, hi in zip(cuts, cuts[1:]):
         slots.append(slots[-1] + (hi - lo + 1) // (2 * width))
-    try:
-        out = mmap.mmap(-1, 8 * width * slots[-1])
-    except OSError:  # the slots' bound is 0 or cannot be reserved: parse one range
+    if slots[-1] == 0:
         return None
-    with out:
-        counts = list(_chunked(_parse_ranges, (buffer, cuts, slots, width, out), len(cuts) - 1))
-        if None in counts:
-            return None
-        return np.concatenate([_slot(out, slots, width, i)[:rows]
-                               for i, rows in enumerate(counts)])
+    try:
+        table = shared_empty((slots[-1], width))
+    except MemoryError:
+        return None
+    counts = list(_chunked(_parse_ranges, (buffer, cuts, slots, table), len(cuts) - 1))
+    if None in counts:
+        return None
+    return np.concatenate([table[lo:lo + rows] for lo, rows in zip(slots, counts)])
 
 
 def _scan_columns(text: str) -> dict:

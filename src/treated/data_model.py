@@ -25,10 +25,10 @@ from .errors import (
 
 
 def _frozen_array(values, dtype=float, ndim=1, owned=False) -> np.ndarray:
-    """A read-only copy of ``values`` as a ``ndim``-d array of ``dtype``; when
-    ``owned``, ``values`` itself, an array of that dtype and shape which the
-    caller has just allocated and gives up."""
-    out = values if owned else np.array(values, dtype=dtype, copy=True)
+    """A read-only C-contiguous copy of ``values`` as a ``ndim``-d array of
+    ``dtype``; when ``owned``, ``values`` itself, a C-contiguous array of that
+    dtype and shape which the caller has just allocated and gives up."""
+    out = values if owned else np.array(values, dtype=dtype, copy=True, order="C")
     if ndim == 1 and out.ndim != 1:
         out = out.reshape(-1)
     elif ndim == 2 and out.ndim == 1:
@@ -97,6 +97,7 @@ class Dataset:
         Treatment indicator, every entry exactly 0 or 1.
     x : array of shape (n, d)
         Covariates; ``d = 0`` is allowed (intercept-only nuisance models).
+        Stored C-contiguous, so every fit sums its columns in one order.
     outcome_kind : OutcomeKind
         Declared, never inferred: the binary-outcome sharp bound is offered
         only when the user asserts binariness.

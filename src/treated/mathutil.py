@@ -1,9 +1,10 @@
 """Small numerical helpers: stable logistic transforms, the normal quantile,
 products computed in row blocks, and the fork pool that runs a generator in
-chunks."""
+chunks and the shared arrays its workers write into."""
 
 from __future__ import annotations
 
+import mmap
 import os
 from statistics import NormalDist
 
@@ -112,12 +113,30 @@ def _run_chunk(lo: int, hi: int) -> list:
     return list(generator(*args, lo, hi))
 
 
+def shared_empty(shape) -> np.ndarray:
+    """An uninitialized float array, as ``np.empty(shape)``, in an anonymous shared
+    mapping that pool workers forked after it write into; raises MemoryError, as
+    np.empty does, when the mapping cannot be made.
+
+    This is how a pool worker hands back arrays. One sent back through the pool is
+    unpickled in its result thread, whose malloc arena keeps the pages once the array
+    is freed (56 MiB of a 219 MiB process after a pooled 5-fold fit on 1e6 rows), and
+    the workers of every later pool inherit them. Untouched pages are never allocated.
+    """
+    size = int(np.prod(shape))
+    try:
+        buffer = mmap.mmap(-1, 8 * max(size, 1))  # a mapping takes at least one byte
+    except OSError as exc:
+        raise MemoryError(f"cannot map a shared array of shape {shape}: {exc}") from exc
+    return np.frombuffer(buffer, dtype=float, count=size).reshape(shape)
+
+
 def _chunked(generator, args: tuple, count: int):
     """The items of ``generator(*args, lo, hi)`` over the indices [0, count), in index
     order. With more than one worker (see ``_worker_count``), each runs one contiguous
     chunk of indices in a forked process; otherwise the generator runs here, lazily.
     A worker inherits ``generator`` and ``args`` at fork; a task sends only its
-    bounds, and its items come back pickled."""
+    bounds, and its items come back pickled: arrays go in ``shared_empty``."""
     workers = _worker_count(count)
     if workers == 1:
         return generator(*args, 0, count)

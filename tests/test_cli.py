@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 import threading
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 
 import treated.cli
 import treated.mathutil
+import treated.nuisance
+import treated.simulation
 from treated.cli import CliParseError, dumps_canonical, main, read_csv_dataset, report_to_dict
 from treated import (Dataset, IrlsDivergedError, NonFiniteEstimateError, OutcomeKind,
                      TreatedError, estimate_all)
@@ -830,6 +833,52 @@ def test_oracle_homogeneous_effect_psi_equals_constant(tmp_path, capsys):
     assert main(["oracle", "--spec", spec_path, "--draws", "50000"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["psi_patt"]["value"] == pytest.approx(2.5, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Pool items: a worker hands arrays back by writing into shared arrays, so
+# what it sends through the pool stays small.
+
+_POOL_ITEM_BYTES = 4096
+_run_chunk = treated.mathutil._run_chunk
+
+
+def _run_small_chunk(lo, hi):
+    """``mathutil._run_chunk``, raising in the worker on an item that pickles
+    to more than ``_POOL_ITEM_BYTES``."""
+    items = _run_chunk(lo, hi)
+    sizes = [len(pickle.dumps(item)) for item in items]
+    if max(sizes, default=0) > _POOL_ITEM_BYTES:
+        raise AssertionError(f"pool items of {sizes} bytes")
+    return items
+
+
+def test_pool_workers_send_back_only_small_items(tmp_path, monkeypatch):
+    pools = []
+    monkeypatch.setattr(treated.mathutil, "_worker_count",
+                        lambda count: pools.append(count) or 2)
+    monkeypatch.setattr(treated.mathutil, "_run_chunk", _run_small_chunk)
+    monkeypatch.setattr(treated.cli, "INGEST_POOL_BYTES", 0)
+    monkeypatch.setattr(treated.nuisance, "FOLD_POOL_ROWS", 0)
+    monkeypatch.setattr(treated.simulation, "X_POOL_DRAWS", 0)
+    rng = np.random.default_rng(5)
+    n = 2000
+    a = rng.integers(0, 2, n)
+    x = rng.standard_normal((n, 2))
+    path = tmp_path / "pooled.csv"
+    np.savetxt(path, np.column_stack([x.sum(axis=1) + a, a, x]), fmt="%.17g", delimiter=",",
+               header="y,a,x1,x2", comments="")
+    spec_path = _write(tmp_path, "spec.json", json.dumps(_spec_json()))
+    # The ranged reader's 8 ranges, then the 3 fits of one fold.
+    assert main(["estimate", "--input", str(path), "--nuisance", "fitted"]) == 0
+    assert pools == [8, 3]
+    # The x-only pass of psi_patt_true, then the replications.
+    assert main(["simulate", "--spec", spec_path, "--n", "200", "--reps", "4",
+                 "--oracle-nuisances", "--patt-draws", "100000"]) == 0
+    assert len(pools) == 4 and pools[3] == 4
+    # The oracle's two passes.
+    assert main(["oracle", "--spec", spec_path, "--draws", "100000"]) == 0
+    assert len(pools) == 6
 
 
 # ---------------------------------------------------------------------------

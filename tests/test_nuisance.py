@@ -598,15 +598,21 @@ def test_shared_arm_design_matches_the_separate_fits_bit_for_bit(folds, d, kind)
     y = (base.y > 1.0).astype(float) if kind is OutcomeKind.BINARY else base.y
     ds = Dataset(y=y, a=base.a, x=base.x, outcome_kind=kind)
     config = NuisanceConfig(folds=folds, seed=5)
+    # x given in each layout: the dataset stores it C-contiguous, so the fits
+    # sum its columns in one order and give the reference's bits.
+    layouts = {layout: Dataset(y=y, a=base.a, x=x, outcome_kind=kind)
+               for layout, x in _layouts(base.x).items()}
     for need_mu1 in (True, False):
         for need_sigma in (True, False):
-            got = compute_nuisances(ds, config, need_mu1=need_mu1, need_sigma=need_sigma)
             expected = _reference_compute_nuisances(ds, config, need_mu1, need_sigma)
-            for name in ("pi_hat", "mu0_hat", "mu1_hat", "sigma0_hat", "sigma1_hat"):
-                value = getattr(got, name)
-                assert (value is None) == (name not in expected)
-                if value is not None:
-                    assert value.tobytes() == expected[name].tobytes(), name
+            for layout, data in layouts.items():
+                assert data.x.flags.c_contiguous, layout
+                got = compute_nuisances(data, config, need_mu1=need_mu1, need_sigma=need_sigma)
+                for name in ("pi_hat", "mu0_hat", "mu1_hat", "sigma0_hat", "sigma1_hat"):
+                    value = getattr(got, name)
+                    assert (value is None) == (name not in expected)
+                    if value is not None:
+                        assert value.tobytes() == expected[name].tobytes(), (layout, name)
     _, trace = _reference_fit_logistic(ds.a, ds.x, nuisance._RIDGE)
     assert fit_propensity(ds, config).ll_trace == trace
     for arm in (0, 1):
@@ -655,10 +661,10 @@ def _third_fold_lacks_treated_units(tmp_path):
     """A 200-row, d = 2 CSV with 5 treated units, 4 of them in the third of 5
     folds (seed 4), so that fold's complement holds 1 treated unit."""
     n, folds, seed = 200, 5, 4
-    blocks = nuisance._fold_blocks(n, folds, seed)
+    tests = [test for _, test in nuisance._fold_layout(n, folds, seed)]
     a = np.zeros(n, dtype=int)
-    a[blocks[2][:4]] = 1
-    a[blocks[0][0]] = 1
+    a[tests[2][:4]] = 1
+    a[tests[0][0]] = 1
     rng = np.random.default_rng(0)
     x = rng.standard_normal((n, 2))
     y = x.sum(axis=1) + rng.standard_normal(n)
