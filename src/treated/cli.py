@@ -197,50 +197,23 @@ def _lines(buffer, lo: int, hi: int):
         lo = cut
 
 
-def _loadtxt(buffer, lo: int, hi: int, quotechar) -> np.ndarray:
+def _loadtxt(buffer, lo: int, hi: int) -> np.ndarray:
     """The cells of ``buffer[lo:hi]`` as a 2-d float table, in one np.loadtxt
     call.
 
     loadtxt refuses every cell that float() would read differently (digit
-    separators, non-ASCII digits, a stray quote, ...), so a body it accepts
+    separators, non-ASCII digits, a stray quote, ...), so a range it accepts
     gives the scan's numbers bit for bit.
     """
     with warnings.catch_warnings():
-        # On a body with no data loadtxt warns instead of raising.
+        # On a range with no data loadtxt warns instead of raising.
         warnings.simplefilter("ignore", UserWarning)
         return np.loadtxt(_lines(buffer, lo, hi), dtype=float, delimiter=",", comments=None,
-                          quotechar=quotechar, ndmin=2)
-
-
-def _loadtxt_columns(buffer) -> Optional[dict]:
-    """Parse the body with np.loadtxt; None leaves the file to the scan.
-
-    A buffer of at least ``INGEST_POOL_BYTES`` is parsed in byte ranges (see
-    ``_ranged_table``); below that, or where a range refuses, the body is
-    one range parsed here, the only case that may quote a cell. Anything the
-    scan would word as an error, a bad header or a line over csv's field
-    limit included, is left to it. So is a decoding error: decoding the whole
-    file reports it at its offset in the file, not in a line.
-    """
-    try:
-        header, names, body = _read_header(buffer)
-    except (ValueError, CliParseError, csv.Error):
-        return None
-    table = None
-    if len(buffer) >= INGEST_POOL_BYTES:
-        table = _ranged_table(buffer, body, len(header))
-    if table is None:
-        try:
-            table = _loadtxt(buffer, body, len(buffer), quotechar='"')
-        except ValueError:
-            return None
-    if table.shape[0] == 0 or table.shape[1] != len(header):
-        return None
-    return {name: table[:, header.index(name)] for name in names}
+                          quotechar='"', ndmin=2)
 
 
 # Buffers of at least this many bytes are parsed in byte ranges on the pool
-# (see _ranged_table); below it a pool's start costs more than it saves.
+# (see _loadtxt_columns); below it a pool's start costs more than it saves.
 # On d = 2 files (2 vCPUs, median of 15 runs), `treated estimate --nuisance
 # fitted --folds 5` took 503 ms ranged against 475 ms whole-file on 2.0 MB
 # (33,000 rows), and 611 against 671 ms on 4.0 MB (66,000 rows).
@@ -252,14 +225,58 @@ INGEST_POOL_BYTES = 4_000_000
 _INGEST_RANGES = 8
 
 
-def _cut_points(buffer, start: int) -> list:
-    """Offsets [start, ..., len(buffer)] splitting ``buffer[start:]`` into
-    about ``_INGEST_RANGES`` ranges of whole lines: each inner cut falls just
-    after a ``\n``, the first at or after its even share of the buffer."""
+def _loadtxt_columns(buffer) -> Optional[dict]:
+    """Parse the body with np.loadtxt in byte ranges; None leaves the file to
+    the scan.
+
+    A buffer of at least ``INGEST_POOL_BYTES`` whose body holds no ``"`` is
+    cut into ``_INGEST_RANGES`` ranges, parsed on the pool; any other body is
+    one range, parsed here, since a quoted cell may hold a line break that a
+    cut would split. Workers inherit the buffer, write their rows into a
+    ``shared_empty`` table and send back row counts. A row of ``width`` cells
+    takes at least ``2 * width`` bytes with its line end, which bounds each
+    range's slot of the table; pages no row reaches stay untouched. Each
+    range's rows then move down over the gap before it, and the columns are
+    views of the table.
+
+    A refused range, a table that cannot be made and a body without rows are
+    left to the scan, as is anything else the scan would word as an error, a
+    bad header or a line over csv's field limit included. So is a decoding
+    error: decoding the whole file reports it at its offset in the file, not
+    in a line.
+    """
+    try:
+        header, names, body = _read_header(buffer)
+    except (ValueError, CliParseError, csv.Error):
+        return None
+    width = len(header)
+    pooled = len(buffer) >= INGEST_POOL_BYTES and buffer.find(b'"', body) < 0
+    cuts = _cut_points(buffer, body, _INGEST_RANGES if pooled else 1)
+    slots = [0]
+    for lo, hi in zip(cuts, cuts[1:]):
+        slots.append(slots[-1] + (hi - lo + 1) // (2 * width))
+    try:
+        table = shared_empty((slots[-1], width))
+    except MemoryError:
+        return None
+    counts = list(_chunked(_parse_ranges, (buffer, cuts, slots, table), len(cuts) - 1))
+    if None in counts or sum(counts) == 0:
+        return None
+    rows = 0
+    for slot, count in zip(slots, counts):
+        table[rows:rows + count] = table[slot:slot + count]
+        rows += count
+    return {name: table[:rows, header.index(name)] for name in names}
+
+
+def _cut_points(buffer, start: int, ranges: int) -> list:
+    """Offsets [start, ..., len(buffer)] splitting ``buffer[start:]`` into at
+    most ``ranges`` ranges of whole lines: each inner cut falls just after a
+    ``\n``, the first at or after its even share of the buffer."""
     size = len(buffer)
     cuts = [start]
-    for i in range(1, _INGEST_RANGES):
-        end = buffer.find(b"\n", max(size * i // _INGEST_RANGES, cuts[-1]))
+    for i in range(1, ranges):
+        end = buffer.find(b"\n", max(size * i // ranges, cuts[-1]))
         if end < 0:
             break  # no line end after this point: the last range runs to the end
         cuts.append(end + 1)
@@ -271,11 +288,11 @@ def _cut_points(buffer, start: int) -> list:
 def _parse_ranges(buffer, cuts, slots, table, lo, hi):
     """For each byte range [cuts[i], cuts[i+1]) of ``buffer`` with i in
     [lo, hi), write its rows to ``table`` from row ``slots[i]`` on and yield
-    their count; yield None for a range that np.loadtxt refuses (a quote
-    among them), that has the wrong width or too many rows, and then stop."""
+    their count; yield None for a range that np.loadtxt refuses, that has the
+    wrong width or more rows than its slot, and then stop."""
     for i in range(lo, hi):
         try:
-            part = _loadtxt(buffer, cuts[i], cuts[i + 1], quotechar=None)
+            part = _loadtxt(buffer, cuts[i], cuts[i + 1])
         except ValueError:
             yield None
             return
@@ -285,34 +302,6 @@ def _parse_ranges(buffer, cuts, slots, table, lo, hi):
             return
         table[slots[i]:slots[i] + rows] = part
         yield rows
-
-
-def _ranged_table(buffer, body: int, width: int) -> Optional[np.ndarray]:
-    """The body ``buffer[body:]`` parsed in byte ranges on the pool, their
-    tables joined in order; None when a range refuses, when no row fits in the
-    body, or when the shared table cannot be made.
-
-    Each range goes through the same np.loadtxt call as the one-range parse,
-    without quotes (a quoted cell may span a cut), so the numbers are the
-    same bit for bit. Workers inherit the buffer, write their rows into a
-    ``shared_empty`` table and send back row counts. A row of ``width`` cells
-    takes at least ``2 * width`` bytes with its line end, which bounds each
-    range's slot of the table; pages no row reaches stay untouched.
-    """
-    cuts = _cut_points(buffer, body)
-    slots = [0]
-    for lo, hi in zip(cuts, cuts[1:]):
-        slots.append(slots[-1] + (hi - lo + 1) // (2 * width))
-    if slots[-1] == 0:
-        return None
-    try:
-        table = shared_empty((slots[-1], width))
-    except MemoryError:
-        return None
-    counts = list(_chunked(_parse_ranges, (buffer, cuts, slots, table), len(cuts) - 1))
-    if None in counts:
-        return None
-    return np.concatenate([table[lo:lo + rows] for lo, rows in zip(slots, counts)])
 
 
 def _scan_columns(text: str) -> dict:

@@ -265,7 +265,9 @@ def _fold_fits(y, a, x, fits, columns, config, lo, hi):
         if arm is None:
             if a_c.sum() == 0 or a_c.sum() == a_c.size:
                 raise FoldTooSmallError("a fold complement lacks one treatment arm")
-            columns["pi_hat"][test] = _fit_logistic(a_c, x[train], config).predict(x[test])
+            # compress copies a K-fold mask's rows several times faster than x[train].
+            x_c = x[train] if isinstance(train, slice) else x.compress(train, axis=0)
+            columns["pi_hat"][test] = _fit_logistic(a_c, x_c, config).predict(x[test])
         else:
             # The arm's training rows, as row numbers of the data.
             arm_design = _ArmDesign(y, x, np.arange(a.shape[0])[train][a_c == arm], arm)

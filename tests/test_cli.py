@@ -341,14 +341,15 @@ def test_reader_peak_memory_is_a_few_tables(tmp_path):
     assert peak < 4 * table.nbytes
 
 
-def test_golden_csvs_take_the_loadtxt_path(monkeypatch):
-    def scan(text):
-        raise AssertionError("the cell-by-cell scan ran")
+def _no_scan(text):
+    raise AssertionError("the cell-by-cell scan ran")
 
+
+def test_golden_csvs_take_the_loadtxt_path(monkeypatch):
     golden = pathlib.Path(__file__).parent / "golden"
     names = ["binary.csv", "continuous.csv", "oracle_columns.csv", "oracle_pi_mu0.csv"]
     expected = [_read_outcome(_reference_read_csv, golden / name) for name in names]
-    monkeypatch.setattr(treated.cli, "_scan_columns", scan)
+    monkeypatch.setattr(treated.cli, "_scan_columns", _no_scan)
     assert [_read_outcome(read_csv_dataset, golden / name) for name in names] == expected
 
 
@@ -402,7 +403,7 @@ def _ranged_file(tmp_path, rows=400, end="\n"):
     lines = ["y,a,x1"] + [f"{1000 + i % 9000},{i % 2},0.{i % 1000:03d}" for i in range(rows)]
     path = tmp_path / "ranged.csv"
     path.write_bytes(end.join(lines).encode() + end.encode())
-    return path, treated.cli._cut_points(path.read_bytes(), 0)
+    return path, treated.cli._cut_points(path.read_bytes(), 0, treated.cli._INGEST_RANGES)
 
 
 def _whole_file_outcome(path):
@@ -419,31 +420,86 @@ def test_ranged_reader_cuts_after_line_ends(tmp_path):
     assert all(data[cut - 1:cut] == b"\n" for cut in cuts[1:])
 
 
-def test_ranged_reader_parses_clean_files_itself(ranged_reader, tmp_path, monkeypatch):
+def _recorded_loadtxt(monkeypatch):
+    """The byte ranges ``cli._loadtxt`` is called on in this process, as a
+    list of (lo, hi) pairs that grows as the calls come."""
     loadtxt = treated.cli._loadtxt
+    calls = []
 
-    def ranges_only(buffer, lo, hi, quotechar):
-        assert quotechar is None, "the body was read as one range"
-        return loadtxt(buffer, lo, hi, quotechar)
+    def record(buffer, lo, hi):
+        calls.append((lo, hi))
+        return loadtxt(buffer, lo, hi)
+
+    monkeypatch.setattr(treated.cli, "_loadtxt", record)
+    return calls
+
+
+def test_ranged_reader_parses_clean_files_itself(ranged_reader, tmp_path, monkeypatch):
+    chunked = treated.cli._chunked
+    ranges = []
+
+    def counted(generator, args, count):
+        ranges.append(count)
+        return chunked(generator, args, count)
 
     golden = pathlib.Path(__file__).parent / "golden"
     paths = [golden / name for name in
              ("binary.csv", "continuous.csv", "oracle_columns.csv", "oracle_pi_mu0.csv")]
     paths.append(_ranged_file(tmp_path)[0])
     expected = [_read_outcome(_reference_read_csv, path) for path in paths]
-    monkeypatch.setattr(treated.cli, "_loadtxt", ranges_only)
+    monkeypatch.setattr(treated.cli, "_chunked", counted)
+    monkeypatch.setattr(treated.cli, "_scan_columns", _no_scan)
     assert [_read_outcome(read_csv_dataset, path) for path in paths] == expected
+    assert ranges == [treated.cli._INGEST_RANGES] * len(paths)
 
 
-def test_ranged_reader_reads_the_whole_file_when_no_mapping_can_be_made(ranged_reader, tmp_path,
-                                                                        monkeypatch):
+def test_ranged_reader_reads_a_quoted_body_as_one_range(tmp_path, monkeypatch):
+    # A quoted cell may hold a line break, so a body with a quote is not cut.
+    monkeypatch.setattr(treated.cli, "INGEST_POOL_BYTES", 0)
+    path, _ = _ranged_file(tmp_path)
+    data = path.read_bytes().replace(b",0.399\n", b',"1.5"\n')
+    path.write_bytes(data)
+    expected = _read_outcome(_reference_read_csv, path)
+    calls = _recorded_loadtxt(monkeypatch)
+    monkeypatch.setattr(treated.cli, "_scan_columns", _no_scan)
+    assert _read_outcome(read_csv_dataset, path) == expected
+    assert isinstance(expected, dict), expected
+    assert calls == [(data.index(b"\n") + 1, len(data))]
+
+
+def test_ranged_reader_sends_a_refused_range_to_the_scan(tmp_path, monkeypatch):
+    path, _ = _ranged_file(tmp_path)
+    data = path.read_bytes().replace(b"0.399\n", b"0.3x9\n")
+    path.write_bytes(data)
+    expected = _read_outcome(_reference_read_csv, path)
+    cuts = treated.cli._cut_points(data, data.index(b"\n") + 1, treated.cli._INGEST_RANGES)
+    with _ranged_reader(1):
+        calls = _recorded_loadtxt(monkeypatch)
+        outcome = _read_outcome(read_csv_dataset, path)
+    # Every range is parsed once, the last refuses, and the body is not
+    # parsed again as one range before the scan words the error.
+    assert calls == list(zip(cuts, cuts[1:]))
+    assert outcome == expected == (CliParseError, "row 401, column 'x1': bad number '0.3x9'")
+
+
+def test_ranged_reader_reads_like_the_scan_when_no_mapping_can_be_made(ranged_reader, tmp_path,
+                                                                      monkeypatch):
     def no_memory(*args, **kwargs):
         raise OSError(12, "Cannot allocate memory")
+
+    scan = treated.cli._scan_columns
+    scanned = []
+
+    def recorded_scan(text):
+        scanned.append(len(text))
+        return scan(text)
 
     path, _ = _ranged_file(tmp_path)
     expected = _read_outcome(_reference_read_csv, path)
     monkeypatch.setattr(treated.cli.mmap, "mmap", no_memory)
+    monkeypatch.setattr(treated.cli, "_scan_columns", recorded_scan)
     assert _read_outcome(read_csv_dataset, path) == expected
+    assert scanned == [path.stat().st_size]
 
 
 def test_ranged_reader_reads_a_byte_order_mark_after_a_cut_like_the_scan(ranged_reader,
@@ -494,7 +550,7 @@ def test_ranged_reader_words_a_wider_range_like_the_scan(ranged_reader, tmp_path
     # 4-column table.
     wide = data[cuts[5]:cuts[6]].replace(b",0.", b",0,")
     path.write_bytes(data[:cuts[5]] + wide + data[cuts[6]:])
-    assert treated.cli._cut_points(path.read_bytes(), 0) == cuts
+    assert treated.cli._cut_points(path.read_bytes(), 0, treated.cli._INGEST_RANGES) == cuts
     outcome = _read_outcome(read_csv_dataset, path)
     first_row = data[:cuts[5]].count(b"\n") + 1
     assert outcome == _read_outcome(_reference_read_csv, path)
