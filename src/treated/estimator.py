@@ -47,7 +47,7 @@ from .errors import (
     NotBinaryOutcomeError,
     ValidationError,
 )
-from .mathutil import norm_quantile
+from .mathutil import norm_quantile, select
 from .nuisance import NuisanceConfig, compute_nuisances
 
 class _Columns:
@@ -95,7 +95,7 @@ class _Columns:
         """Per-unit outcome, assignment and covariate scores ``(psi_y, psi_a, psi_x)``."""
         y, a, pi, mu0, mu1 = self.y, self.a, self.pi, self.mu0, self._require_mu1()
         contrast = mu1 - mu0 - self.psi
-        psi_y = (y - np.where(a == 1, mu1, mu0)) * (a - (1.0 - a) * pi / (1.0 - pi)) / self.a_bar
+        psi_y = (y - select(a == 1, mu1, mu0)) * (a - (1.0 - a) * pi / (1.0 - pi)) / self.a_bar
         psi_a = (a - pi) * contrast / self.a_bar
         psi_x = pi * contrast / self.a_bar
         return psi_y, psi_a, psi_x

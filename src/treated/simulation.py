@@ -11,9 +11,11 @@ zero-noise outcomes for analytic test cases.
 Replication r of a study draws from a stream that is a pure function of
 (seed, r), batch k of the oracle's x-only pass from (seed, 1, k) and batch k
 of its joint pass from (seed, 2, k), so runs are reproducible regardless of
-execution order and worker count; aggregation happens in index order. The
-replications and the joint pass run in the fork pool (``mathutil._chunked``),
-the x-only pass only from ``X_POOL_DRAWS`` draws on. Coverage for the
+execution order and worker count; aggregation happens in index order. A
+study runs its replications and the x-only batches of its population effect
+(pass 1 of an oracle seeded (seed, 2**31)) as the items of one fork pool
+(``mathutil._chunked``); the oracle's joint pass runs in the pool, its
+x-only pass only from ``X_POOL_DRAWS`` draws on. Coverage for the
 sample/mixed estimands targets the per-replication realized value; the
 population effect targets its fixed Monte Carlo truth.
 """
@@ -21,6 +23,7 @@ population effect targets its fixed Monte Carlo truth.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple, Optional
 
@@ -30,20 +33,22 @@ from .data_model import (Dataset, EstimandKind, NuisanceValues, OutcomeKind, KIN
                          _frozen_array, check_ci_level, check_seed)
 from .errors import NonFiniteEstimateError, TreatedError, ValidationError
 from .estimator import _Columns, estimate_all
-from .mathutil import _chunked, blocked_matmul, expit
+from .mathutil import _chunked, blocked_matmul, expit, select
 from .nuisance import NuisanceConfig
 
 SCHEMA_VERSION = 1
 PI_CLIP = (0.02, 0.98)
 BINARY_MEAN_CLAMP = (0.02, 0.98)
 NOISE_SD_FLOOR = 0.05
-# Fewest draws for which the x-only oracle pass runs its batches in the fork
-# pool; below it a pool's start costs more than it saves. `treated simulate
-# --n 200 --reps 2 --oracle-nuisances` on the d = 2 spec (2 vCPUs, medians of
-# 10-12 alternating runs) took 510 ms serial against 552 ms pooled at
-# --patt-draws 1e6, 594 against 583 ms at 2e6 and 854 against 710 ms at 5e6.
-# Warm and in-process the pool pays from about 1e6 draws: a command forks its
-# workers cold.
+# Fewest draws for which the oracle's x-only pass (and psi_patt_true) runs
+# its batches in a fork pool of their own; below it a pool's start costs more
+# than it saves. A study runs them in its replication pool at any size. The
+# threshold was measured when simulate still ran the pass first: `treated
+# simulate --n 200 --reps 2 --oracle-nuisances` on the d = 2 spec (2 vCPUs,
+# medians of 10-12 alternating runs) took 510 ms serial against 552 ms pooled
+# at --patt-draws 1e6, 594 against 583 ms at 2e6 and 854 against 710 ms at
+# 5e6. Warm and in-process the pool pays from about 1e6 draws: a command
+# forks its workers cold.
 X_POOL_DRAWS = 2_000_000
 # Draws per oracle batch. The batch size decides the streams, so
 # psi_patt_true shares it to stay the oracle's pass 1, and it is a constant:
@@ -250,7 +255,7 @@ def generate(spec: DgpSpec, n: int, seed) -> PotentialDataset:
     x, true, a, y0, y1 = _draw_units(spec, n, np.random.default_rng(seed))
     # The exact nuisances; clip_eps matches PI_CLIP.
     nu = NuisanceValues(*true, clip_eps=PI_CLIP[0], _owned=True)
-    dataset = Dataset(y=np.where(a, y1, y0), a=a.astype(np.int64), x=x,
+    dataset = Dataset(y=select(a, y1, y0), a=a.astype(np.int64), x=x,
                       outcome_kind=spec.outcome_kind, _owned=True)
     return PotentialDataset(dataset=dataset, y0=y0, y1=y1, true_nuisances=nu, _owned=True)
 
@@ -330,7 +335,7 @@ def _joint_batches(spec: DgpSpec, sizes, seed, consts, lo, hi):
         true, a, y0, y1 = _draw_units(spec, sizes[k],
                                       np.random.default_rng(_child_seed(seed, 2, k)))[1:]
         yield _oracle_functionals(spec, consts, *true, a.astype(float), y0, y1,
-                                  np.where(a, y1, y0))
+                                  select(a, y1, y0))
 
 
 class _XConstants(NamedTuple):
@@ -349,6 +354,12 @@ def _x_constants(spec: DgpSpec, draws: int, seed) -> _XConstants:
         sums = _chunked(_x_batches, args, len(sizes))
     else:
         sums = _x_batches(*args, 0, len(sizes))
+    return _sum_constants(sums, draws)
+
+
+def _sum_constants(sums, draws: int) -> _XConstants:
+    """The constants from the ``_x_batches`` sums of all ``draws`` x-only
+    draws, added in batch order."""
     s_pi = s_pidelta = s_pimu0 = 0.0
     psi_batches, tau_batches = [], []
     for b_pi, b_pidelta, b_pimu0 in sums:
@@ -511,9 +522,11 @@ def _paired_verdict(errors, k_small, k_large, n) -> OrderingVerdict:
 
 class _Replication(NamedTuple):
     """What one successful replication adds to a study; the per-kind tuples
-    follow KIND_ORDER."""
+    follow KIND_ORDER. A replication runs before the population effect may be
+    known, so its patt error and hit are placeholders until ``with_patt``."""
 
     psi_hat: float
+    patt_interval: tuple
     errors: tuple
     hits: tuple
     variances: tuple
@@ -522,8 +535,14 @@ class _Replication(NamedTuple):
     floored: bool
     gap: float
 
+    def with_patt(self, psi: float) -> "_Replication":
+        """This record with the patt error and hit against the effect ``psi``."""
+        lo, hi = self.patt_interval
+        return self._replace(errors=(self.psi_hat - psi, *self.errors[1:]),
+                             hits=(lo <= psi <= hi, *self.hits[1:]))
 
-def _replications(spec, n, seed, psi_patt_value, config, oracle_nuisances, ci_level, lo, hi):
+
+def _replications(spec, n, seed, config, oracle_nuisances, ci_level, lo, hi):
     """Yield a _Replication for each replication r in [lo, hi), or the message
     ``"rep r: ..."`` for one that raised a TreatedError.
 
@@ -535,7 +554,7 @@ def _replications(spec, n, seed, psi_patt_value, config, oracle_nuisances, ci_le
     for r in range(lo, hi):
         try:
             pd = generate(spec, n, seed=_child_seed(seed, r))
-            truths = true_sample_estimands(pd, psi_patt_value)
+            truths = true_sample_estimands(pd, np.nan)
             report = estimate_all(pd.dataset, config,
                                   oracle=pd.true_nuisances if oracle_nuisances else None,
                                   ci_level=ci_level)
@@ -545,8 +564,10 @@ def _replications(spec, n, seed, psi_patt_value, config, oracle_nuisances, ci_le
         per_kind = [report.per_kind[k] for k in KIND_ORDER]
         truth = [truths[k] for k in KIND_ORDER]
         sw = report.per_kind[EstimandKind.SWATT]
+        patt = report.per_kind[EstimandKind.PATT]
         yield _Replication(
             psi_hat=report.psi_hat,
+            patt_interval=(patt.ci_lower, patt.ci_upper),
             errors=tuple(report.psi_hat - t for t in truth),
             hits=tuple(inf.ci_lower <= t <= inf.ci_upper for inf, t in zip(per_kind, truth)),
             variances=tuple(inf.variance if inf.variance is not None else inf.variance_used
@@ -558,6 +579,24 @@ def _replications(spec, n, seed, psi_patt_value, config, oracle_nuisances, ci_le
             # On the exact nuisances psi_hat is psi_tilde's own computation.
             gap=0.0 if oracle_nuisances else np.sqrt(n) * (report.psi_hat - psi_tilde(pd)),
         )
+
+
+def _study(spec, n, seed, config, oracle_nuisances, ci_level, sizes, patt_seed, slots, lo, hi):
+    """Yield the items [lo, hi) of a study that computes its own population
+    effect: at index ``slots[j]`` the sums of x-only batch j (``_x_batches``
+    on ``sizes`` and ``patt_seed``), at each other index the next replication.
+    The batches run first, before any replication holds memory: run between
+    replications (`simulate --n 20000 --reps 300 --oracle-nuisances`, 2 vCPUs)
+    they raised a worker's peak to 39.8 MiB from 37.4-37.8, or, with the last
+    replication freed first, the page faults to 62,000 from 21,500 and the
+    wall time by 0.13 s."""
+    first, last = bisect_left(slots, lo), bisect_left(slots, hi)
+    sums = iter(list(_x_batches(spec, sizes, patt_seed, first, last)))
+    replications = _replications(spec, n, seed, config, oracle_nuisances, ci_level,
+                                 lo - first, hi - last)
+    batches = set(slots[first:last])
+    for i in range(lo, hi):
+        yield next(sums if i in batches else replications)
 
 
 def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
@@ -574,9 +613,13 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
     estimates and CI hits. Replications that raise are counted and reported,
     never silently dropped.
 
-    The replications run in one forked worker process per CPU in the affinity
-    mask, each on a contiguous block of indices. The records are aggregated in
-    index order, so the report does not depend on the number of workers.
+    Without ``psi_patt`` the study computes the population effect as
+    ``psi_patt_true`` does (``patt_draws`` draws, seed (seed, 2**31)), its
+    batches spread evenly among the replications as items of the same pool.
+    The pool has one forked worker process per CPU in the affinity mask, each
+    on a contiguous block of indices. Sums and records are aggregated in index
+    order and the patt errors and hits set here, so the report depends neither
+    on the number of workers nor on whether ``psi_patt`` was given.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
@@ -584,18 +627,30 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
         raise ValidationError("n must be >= 1")
     check_ci_level(ci_level)
     check_seed(seed)
-    if psi_patt is None:
-        psi_patt = psi_patt_true(spec, draws=patt_draws, seed=_child_seed(seed, 2 ** 31))
     # Oracle replications ignore nuisance_config and clip at the default eps.
     if oracle_nuisances or nuisance_config is None:
         nuisance_config = NuisanceConfig()
 
-    args = (spec, n, seed, psi_patt.value, nuisance_config, oracle_nuisances, ci_level)
-    records = _chunked(_replications, args, reps)
+    args = (spec, n, seed, nuisance_config, oracle_nuisances, ci_level)
+    if psi_patt is None:
+        sizes = _batch_sizes(patt_draws)
+        count = len(sizes) + reps
+        # Batch j at the middle of its share of the indices.
+        slots = [(2 * j + 1) * count // (2 * len(sizes)) for j in range(len(sizes))]
+        items = list(_chunked(_study, (*args, sizes, _child_seed(seed, 2 ** 31), slots), count))
+        psi_patt = _sum_constants([items[i] for i in slots], patt_draws).psi
+        batches = set(slots)
+        records = [item for i, item in enumerate(items) if i not in batches]
+    else:
+        records = _chunked(_replications, args, reps)
 
     failures, done = [], []
+    psi = float(psi_patt.value)
     for record in records:
-        (failures if isinstance(record, str) else done).append(record)
+        if isinstance(record, str):
+            failures.append(record)
+        else:
+            done.append(record.with_patt(psi))
     ok = len(done)
     if ok == 0:
         raise ValidationError(

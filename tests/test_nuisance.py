@@ -23,7 +23,7 @@ from treated import (
 )
 from treated import mathutil, nuisance
 from treated.cli import main
-from treated.mathutil import bernoulli_loglik, expit
+from treated.mathutil import bernoulli_loglik, expit, select
 from treated.nuisance import fit_conditional_sd, fit_outcome_mean, fit_propensity
 
 def _expit_two_branch(t):
@@ -45,6 +45,23 @@ def test_expit_matches_two_branch_formula_bit_for_bit():
         got = expit(t)
         assert isinstance(got, np.ndarray) and got.shape == ()
         assert got.tobytes() == _expit_two_branch(t).tobytes()
+
+
+# Signed zeros, infinities and NaNs of either sign and a payload, by bit pattern.
+_SPECIAL_FLOATS = np.array([0, 1 << 63, 0x7FF0 << 48, 0xFFF0 << 48, 0x7FF8 << 48,
+                            (0xFFF8 << 48) | 0x123], dtype=np.uint64).view(float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(), (1,), (9,), (4, 5), (2, 3, 4)]))
+def test_select_matches_where_bit_for_bit(seed, shape):
+    rng = np.random.default_rng(seed)
+    mask = rng.random(shape) < rng.random()
+    a, b = (np.where(rng.random(shape) < 0.5, rng.choice(_SPECIAL_FLOATS, shape),
+                     rng.standard_normal(shape)) for _ in range(2))
+    got = select(mask, a, b)
+    assert isinstance(got, np.ndarray) and got.shape == shape
+    assert got.tobytes() == np.where(mask, a, b).tobytes()
 
 
 def _dataset(n=100, d=1, seed=0, slope=0.5, noise=1.0):

@@ -511,6 +511,34 @@ def test_failed_replications_counted_not_dropped(workers, monkeypatch):
     assert (rep.failed_reps, rep.failure_messages) == (serial.failed_reps, serial.failure_messages)
 
 
+def test_pooled_patt_truth_gives_the_report_of_a_given_one(monkeypatch):
+    # Without psi_patt the x-only batches of the PATT truth are items of the
+    # replications' pool, and each record's patt error and hit are set after
+    # the pool; given the same truth, the replications-only pool must write
+    # the same report bytes, at any worker count, failed replication included.
+    from treated.cli import dumps_canonical, mc_report_to_dict
+
+    real_generate = simulation.generate
+
+    def failing_generate(spec, n, seed):
+        if seed == _child_seed(8, 5):
+            raise ValidationError("failing replication")
+        return real_generate(spec, n, seed)
+
+    monkeypatch.setattr(simulation, "generate", failing_generate)
+    spec = _d1_spec()
+    truth = psi_patt_true(spec, draws=100_000, seed=_child_seed(8, 2 ** 31))
+    reports = []
+    for workers in (1, 2):
+        _with_workers(monkeypatch, workers)
+        for psi_patt in (None, truth):
+            rep = run_monte_carlo(spec, n=200, reps=9, seed=8, psi_patt=psi_patt,
+                                  patt_draws=100_000)
+            assert (rep.failed_reps, rep.failure_messages) == (1, ("rep 5: failing replication",))
+            reports.append(dumps_canonical(mc_report_to_dict(rep)))
+    assert reports == [reports[0]] * 4
+
+
 def test_worker_count_bounded_by_affinity_and_reps(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4, 5, 6, 7})
     assert [mathutil._worker_count(r) for r in (1, 2, 3, 8, 300)] == [1, 2, 3, 8, 8]
