@@ -213,13 +213,10 @@ def _loadtxt(buffer, lo: int, hi: int) -> np.ndarray:
 
 
 # Buffers of at least this many bytes are parsed in byte ranges on the pool
-# (see _loadtxt_columns); below it a pool's start costs more than it saves.
-# On d = 2 files (2 vCPUs, median of 15 runs), `treated estimate --nuisance
-# fitted --folds 5` took 503 ms ranged against 475 ms whole-file on 2.0 MB
-# (33,000 rows), and 611 against 671 ms on 4.0 MB (66,000 rows).
-# read_csv_dataset alone in a fresh process, which also pays the pool's
-# imports, took 94 against 71 ms on 2.0 MB, 129 against 141 ms on 4.0 MB and
-# 213 against 239 ms on 8.0 MB.
+# (see _loadtxt_columns); below it a pool's start costs about what it saves.
+# On d = 2 files (2 vCPUs, medians of 10 alternating pairs), `treated estimate
+# --nuisance fitted --folds 5` took 444 ms whole-file against 430 ms ranged on
+# 2.0 MB (33,000 rows), and 508 against 472 ms on 4.0 MB (66,000 rows).
 INGEST_POOL_BYTES = 4_000_000
 # Byte ranges of a pooled parse. Their ends do not depend on the worker count.
 _INGEST_RANGES = 8

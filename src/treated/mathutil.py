@@ -6,12 +6,15 @@ from __future__ import annotations
 
 import mmap
 import os
+import pickle
+import signal
 from statistics import NormalDist
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 _STD_NORMAL = NormalDist()
+_in_worker = False  # set in a forked pool worker: pools never nest
 
 # Rows per block in the blocked products. A block stays in cache, and at the
 # few columns of the package's designs OpenBLAS runs its product on one
@@ -22,11 +25,10 @@ BLOCK_ROWS = 2048
 # are the plain product, which they return without building the blocks.
 _ONE_BLOCK_ROWS = BLOCK_ROWS + 7
 # Fewest rows for which cross-fitting runs its folds in the pool; below it a
-# pool's start costs more than it saves. `treated estimate --nuisance fitted
-# --folds 5` on d = 2 covariates (2 vCPUs, median of 20 runs) took 363 ms
-# serial against 398 ms pooled at 40,000 rows, and 437 against 406 ms at
-# 60,000. A warm in-process compute_nuisances breaks even near 15,000 rows;
-# a command also pays the pool's imports and workers forked cold.
+# pool's start costs about what it saves. `treated estimate --nuisance fitted
+# --folds 5` on d = 2 covariates (2 vCPUs, medians of 10 alternating pairs) took
+# 277 ms serial against 294 ms pooled at 20,000 rows, 341-420 against 336-366 ms
+# at 40,000 and 442-456 against 427-462 ms at 60,000: none won 9 pairs of 10.
 FOLD_POOL_ROWS = 50_000
 
 
@@ -112,29 +114,24 @@ def _worker_count(count: int) -> int:
     """One worker per CPU this process may run on, never more than ``count``;
     1 where processes cannot be forked, and inside a pool worker, so pools
     never nest."""
-    if count < 2 or not hasattr(os, "sched_getaffinity"):
-        return 1
-    import multiprocessing
-    if (multiprocessing.parent_process() is not None
-            or "fork" not in multiprocessing.get_all_start_methods()):
+    if count < 2 or _in_worker or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return min(len(os.sched_getaffinity(0)), count)
 
 
-# The generator and arguments of the pool this process is a worker of; set
-# only in a worker, by the pool's initializer.
-_task = None
-
-
-def _set_task(generator, args):
-    global _task
-    _task = generator, args
-
-
-def _run_chunk(lo: int, hi: int) -> list:
-    """Run the indices [lo, hi) of the pool's generator in a worker process."""
-    generator, args = _task
-    return list(generator(*args, lo, hi))
+def _run_chunk(generator, args: tuple, lo: int, hi: int) -> bytes:
+    """A pool worker's pickled ``(True, items)`` for the indices [lo, hi), or ``(False,
+    error)``; an error that would not unpickle goes as RuntimeError("Type: message")."""
+    try:
+        return pickle.dumps((True, list(generator(*args, lo, hi))))
+    except BaseException as exc:
+        import traceback  # the worker's frames do not pickle: they go as a note
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), "".join(traceback.format_exception(exc))]
+        try:
+            pickle.loads(data := pickle.dumps((False, exc)))
+            return data
+        except Exception:
+            return pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
 
 
 def shared_empty(shape) -> np.ndarray:
@@ -142,11 +139,8 @@ def shared_empty(shape) -> np.ndarray:
     mapping that pool workers forked after it write into; raises MemoryError, as
     np.empty does, when the mapping cannot be made.
 
-    This is how a pool worker hands back arrays. One sent back through the pool is
-    unpickled in its result thread, whose malloc arena keeps the pages once the array
-    is freed (56 MiB of a 219 MiB process after a pooled 5-fold fit on 1e6 rows), and
-    the workers of every later pool inherit them. Untouched pages are never allocated.
-    """
+    A pool worker hands back arrays in these: sent through its pipe, one would be pickled,
+    copied and unpickled, growing this process's heap. Untouched pages are never allocated."""
     size = int(np.prod(shape))
     try:
         buffer = mmap.mmap(-1, 8 * max(size, 1))  # a mapping takes at least one byte
@@ -159,19 +153,41 @@ def _chunked(generator, args: tuple, count: int):
     """The items of ``generator(*args, lo, hi)`` over the indices [0, count), in index
     order. With more than one worker (see ``_worker_count``), each runs one contiguous
     chunk of indices in a forked process; otherwise the generator runs here, lazily.
-    A worker inherits ``generator`` and ``args`` at fork; a task sends only its
-    bounds, and its items come back pickled: arrays go in ``shared_empty``."""
+    A worker inherits ``generator`` and ``args`` and pipes its items back pickled (arrays
+    go in ``shared_empty``); the first failing chunk's error is raised, all workers reaped."""
+    global _in_worker
     workers = _worker_count(count)
     if workers == 1:
         return generator(*args, 0, count)
-    # Imported here: at module level they add 12-17 ms to every
-    # `import treated.cli`, pooled or not. Fork, not spawn: a worker starts
-    # as a copy of this process and imports nothing. The one other thread
-    # at fork time is OpenBLAS's, which its own fork handler stops.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    # fork copies only this thread; OpenBLAS's fork handler stops its helper first.
     bounds = [count * i // workers for i in range(workers + 1)]
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_set_task, initargs=(generator, args)) as pool:
-        chunks = [pool.submit(_run_chunk, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        return [item for chunk in chunks for item in chunk.result()]
+    pids, pipes = [], []
+    try:
+        for lo, hi in zip(bounds, bounds[1:]):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            with open(write, "wb") as out:
+                if (pid := os.fork()) == 0:
+                    try:  # a worker leaves through os._exit, whatever its chunk raises
+                        _in_worker = True
+                        out.write(_run_chunk(generator, args, lo, hi))
+                        out.flush()
+                    finally:
+                        os._exit(0)
+            pids.append(pid)
+        items = []
+        for lo, pipe in zip(bounds, pipes):
+            data = pipe.read()
+            if not data:
+                raise RuntimeError(f"the pool worker from index {lo} exited without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            items += value
+        return items
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()

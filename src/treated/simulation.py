@@ -41,14 +41,11 @@ PI_CLIP = (0.02, 0.98)
 BINARY_MEAN_CLAMP = (0.02, 0.98)
 NOISE_SD_FLOOR = 0.05
 # Fewest draws for which the oracle's x-only pass (and psi_patt_true) runs
-# its batches in a fork pool of their own; below it a pool's start costs more
-# than it saves. A study runs them in its replication pool at any size. The
-# threshold was measured when simulate still ran the pass first: `treated
-# simulate --n 200 --reps 2 --oracle-nuisances` on the d = 2 spec (2 vCPUs,
-# medians of 10-12 alternating runs) took 510 ms serial against 552 ms pooled
-# at --patt-draws 1e6, 594 against 583 ms at 2e6 and 854 against 710 ms at
-# 5e6. Warm and in-process the pool pays from about 1e6 draws: a command
-# forks its workers cold.
+# its batches in a fork pool of their own; below it a pool's start costs about
+# what it saves. A study runs them in its replication pool at any size. `treated
+# oracle` on the d = 2 spec (2 vCPUs, medians of 10 alternating pairs) took 320 ms
+# serial against 303 ms pooled at 5e5 draws, 405 against 377 ms at 1e6 and 594
+# against 499 ms at 2e6; none won more than 7 pairs of 10.
 X_POOL_DRAWS = 2_000_000
 # Draws per oracle batch. The batch size decides the streams, so
 # psi_patt_true shares it to stay the oracle's pass 1, and it is a constant:

@@ -899,14 +899,15 @@ _POOL_ITEM_BYTES = 4096
 _run_chunk = treated.mathutil._run_chunk
 
 
-def _run_small_chunk(lo, hi):
-    """``mathutil._run_chunk``, raising in the worker on an item that pickles
-    to more than ``_POOL_ITEM_BYTES``."""
-    items = _run_chunk(lo, hi)
-    sizes = [len(pickle.dumps(item)) for item in items]
+def _run_small_chunk(generator, args, lo, hi):
+    """``mathutil._run_chunk``, failing the chunk in the worker when one of its
+    items pickles to more than ``_POOL_ITEM_BYTES``."""
+    data = _run_chunk(generator, args, lo, hi)
+    ok, items = pickle.loads(data)
+    sizes = [len(pickle.dumps(item)) for item in items] if ok else []
     if max(sizes, default=0) > _POOL_ITEM_BYTES:
-        raise AssertionError(f"pool items of {sizes} bytes")
-    return items
+        return pickle.dumps((False, AssertionError(f"pool items of {sizes} bytes")))
+    return data
 
 
 def test_pool_workers_send_back_only_small_items(tmp_path, monkeypatch):
@@ -949,23 +950,32 @@ def test_module_entrypoint_runs():
 
 
 def test_cli_import_leaves_the_pool_modules_unloaded(tmp_path):
-    # The worker pool imports them only when it starts, so every command's
-    # start-up stays free of their import time, and a cross-fit below the
-    # fold pool's row threshold never starts it.
+    # The worker pool is os.fork and a pipe per worker: no command imports
+    # concurrent.futures or multiprocessing, pooled or not, so start-up and
+    # every forked worker stay free of their import time and memory.
     code = ("import sys, treated.cli; "
             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-    golden = pathlib.Path(__file__).parent / "golden"
+    # Every pool thresholds at 0 and 2 workers, so each command pools what it can;
+    # the sizes of the pools it started are printed too.
     code = ("import sys, treated.cli; "
+            "pools = []; "
+            "treated.mathutil._worker_count = lambda count: pools.append(count) or 2; "
+            "treated.cli.INGEST_POOL_BYTES = treated.nuisance.FOLD_POOL_ROWS = 0; "
+            "treated.simulation.X_POOL_DRAWS = 0; "
             "code = treated.cli.main(sys.argv[1:]); "
-            "print(code, sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
-    args = ["estimate", "--input", str(golden / "continuous.csv"), "--folds", "5",
-            "--output", str(tmp_path / "report.json")]
-    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 []"
+            "print(code, pools, sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    golden = pathlib.Path(__file__).parent / "golden"
+    for args, pools in [
+            (["estimate", "--input", str(golden / "continuous.csv"), "--folds", "5"], [8, 15]),
+            (["oracle", "--spec", str(golden / "continuous_spec.json"), "--draws", "200000"],
+             [16, 16])]:
+        proc = subprocess.run([sys.executable, "-c", code, *args, "--output",
+                               str(tmp_path / "report.json")], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"0 {pools} []"
 
 
 def test_bad_flags_emit_error_code(capsys):

@@ -549,26 +549,25 @@ def test_worker_count_bounded_by_affinity_and_reps(monkeypatch):
 def test_fitted_replications_start_one_pool(monkeypatch, tmp_path):
     # Each fitted replication cross-fits its nuisances inside a replication
     # worker. With the fold pool's row threshold at 0 it would start a pool
-    # of its own there; a worker runs its folds in-process instead.
-    import concurrent.futures
+    # of its own there; a worker runs its folds in-process instead. Every fork
+    # is recorded with the pid that made it: one pool of two workers is two
+    # forks, both by this process.
+    forks = tmp_path / "forks"
+    real_fork = os.fork
 
-    started = tmp_path / "pools"
-    real_pool = concurrent.futures.ProcessPoolExecutor
+    def recording_fork():
+        with open(forks, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_fork()
 
-    class CountingPool(real_pool):
-        def __init__(self, *args, **kwargs):
-            with open(started, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()}\n")
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "fork", recording_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(nuisance, "FOLD_POOL_ROWS", 0)
     rep = run_monte_carlo(_d1_spec(), n=200, reps=4, seed=6, oracle_nuisances=False,
                           nuisance_config=NuisanceConfig(folds=2),
                           psi_patt=McValue(1.0, 0.0))
     assert rep.failed_reps == 0
-    assert started.read_text(encoding="utf-8").split() == [str(os.getpid())]
+    assert forks.read_text(encoding="utf-8").split() == [str(os.getpid())] * 2
 
 
 def test_single_replication_runs_in_process(monkeypatch):
