@@ -128,8 +128,7 @@ def _run_chunk(generator, args: tuple, lo: int, hi: int) -> bytes:
         import traceback  # the worker's frames do not pickle: they go as a note
         exc.__notes__ = [*getattr(exc, "__notes__", ()), "".join(traceback.format_exception(exc))]
         try:
-            pickle.loads(data := pickle.dumps((False, exc)))
-            return data
+            return pickle.dumps((False, pickle.loads(pickle.dumps(exc))))
         except Exception:
             return pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
 
@@ -177,8 +176,7 @@ def _chunked(generator, args: tuple, count: int):
             pids.append(pid)
         items = []
         for lo, pipe in zip(bounds, pipes):
-            data = pipe.read()
-            if not data:
+            if not (data := pipe.read()):
                 raise RuntimeError(f"the pool worker from index {lo} exited without a result")
             ok, value = pickle.loads(data)
             if not ok:

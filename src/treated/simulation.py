@@ -345,6 +345,7 @@ def _x_constants(spec: DgpSpec, draws: int, seed) -> _XConstants:
     """Population constants from x-only draws, with batch-means errors; from
     ``X_POOL_DRAWS`` draws on, the batches run in the fork pool."""
     check_seed(seed)
+    import secrets  # before the pools fork, as in run_monte_carlo
     sizes = _batch_sizes(draws)
     args = (spec, sizes, seed)
     if draws >= X_POOL_DRAWS:
@@ -628,6 +629,7 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
     if oracle_nuisances or nuisance_config is None:
         nuisance_config = NuisanceConfig()
 
+    import secrets  # numpy.random's: loads libcrypto once here, not in every pool worker
     args = (spec, n, seed, nuisance_config, oracle_nuisances, ci_level)
     if psi_patt is None:
         sizes = _batch_sizes(patt_draws)

@@ -958,21 +958,24 @@ def test_cli_import_leaves_the_pool_modules_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-    # Every pool thresholds at 0 and 2 workers, so each command pools what it can;
-    # the sizes of the pools it started are printed too.
-    code = ("import sys, treated.cli; "
-            "pools = []; "
-            "treated.mathutil._worker_count = lambda count: pools.append(count) or 2; "
-            "treated.cli.INGEST_POOL_BYTES = treated.nuisance.FOLD_POOL_ROWS = 0; "
-            "treated.simulation.X_POOL_DRAWS = 0; "
+    # Each command runs once as it stands, in-process below every pool threshold,
+    # so any import of the parse or the fits shows here; then with every pool
+    # threshold at 0 and 2 workers, so each command pools what it can. The sizes
+    # of the pools a patched run started are printed too.
+    code = ("import sys, treated.cli; pools = []; {}"
             "code = treated.cli.main(sys.argv[1:]); "
-            "print(code, pools, sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+            "print(code, pools, sorted({{'concurrent.futures', 'multiprocessing'}} & set(sys.modules)))")
+    pooled = ("treated.mathutil._worker_count = lambda count: pools.append(count) or 2; "
+              "treated.cli.INGEST_POOL_BYTES = treated.nuisance.FOLD_POOL_ROWS = 0; "
+              "treated.simulation.X_POOL_DRAWS = 0; ")
     golden = pathlib.Path(__file__).parent / "golden"
-    for args, pools in [
-            (["estimate", "--input", str(golden / "continuous.csv"), "--folds", "5"], [8, 15]),
-            (["oracle", "--spec", str(golden / "continuous_spec.json"), "--draws", "200000"],
+    estimate = ["estimate", "--input", str(golden / "continuous.csv"), "--folds", "5"]
+    for patch, args, pools in [
+            ("", estimate, []),
+            (pooled, estimate, [8, 15]),
+            (pooled, ["oracle", "--spec", str(golden / "continuous_spec.json"), "--draws", "200000"],
              [16, 16])]:
-        proc = subprocess.run([sys.executable, "-c", code, *args, "--output",
+        proc = subprocess.run([sys.executable, "-c", code.format(patch), *args, "--output",
                                str(tmp_path / "report.json")], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == f"0 {pools} []"

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -568,6 +570,38 @@ def test_fitted_replications_start_one_pool(monkeypatch, tmp_path):
                           psi_patt=McValue(1.0, 0.0))
     assert rep.failed_reps == 0
     assert forks.read_text(encoding="utf-8").split() == [str(os.getpid())] * 2
+
+
+def test_drawing_pools_fork_after_secrets_is_imported():
+    # numpy.random imports secrets, which loads OpenSSL's libcrypto. The calling
+    # process imports it before a pool that draws forks, so libcrypto's start-up
+    # pages count once there and not in every worker. A fresh process records at
+    # each fork whether secrets is loaded, and unloads it before each call: the
+    # oracle's two passes, a study's pool and a study given its PATT truth, two
+    # workers each.
+    code = """
+import json, os, sys
+from treated import McValue, oracle_asymptotic_variances, run_monte_carlo, simulation
+forks, real_fork = [], os.fork
+os.fork = lambda: forks.append("secrets" in sys.modules) or real_fork()
+os.sched_getaffinity = lambda pid: {0, 1}
+simulation.X_POOL_DRAWS = 0
+spec = simulation.DgpSpec.from_dict(json.loads(open(sys.argv[1]).read()))
+for call in [
+        lambda: oracle_asymptotic_variances(spec, draws=140_000, seed=1),
+        lambda: run_monte_carlo(spec, n=100, reps=2, seed=1, oracle_nuisances=True,
+                                patt_draws=1000),
+        lambda: run_monte_carlo(spec, n=100, reps=2, seed=1, oracle_nuisances=True,
+                                psi_patt=McValue(1.0, 0.0))]:
+    sys.modules.pop("secrets", None)
+    call()
+print(forks)
+"""
+    spec = pathlib.Path(__file__).parent / "golden" / "continuous_spec.json"
+    proc = subprocess.run([sys.executable, "-c", code, str(spec)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str([True] * 8)
 
 
 def test_single_replication_runs_in_process(monkeypatch):
