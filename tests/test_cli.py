@@ -958,10 +958,10 @@ def test_cli_import_leaves_the_pool_modules_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-    # Each command runs once as it stands, in-process below every pool threshold,
-    # so any import of the parse or the fits shows here; then with every pool
-    # threshold at 0 and 2 workers, so each command pools what it can. The sizes
-    # of the pools a patched run started are printed too.
+    # The estimate runs once as it stands, in-process below every pool threshold,
+    # so an import made by the parse or the fits shows here. Then the estimate and
+    # the oracle run with every pool threshold at 0 and 2 workers, so each pools
+    # what it can; the sizes of the pools such a run started are printed too.
     code = ("import sys, treated.cli; pools = []; {}"
             "code = treated.cli.main(sys.argv[1:]); "
             "print(code, pools, sorted({{'concurrent.futures', 'multiprocessing'}} & set(sys.modules)))")
