@@ -24,12 +24,6 @@ BLOCK_ROWS = 2048
 # Most rows ``row_blocks`` keeps in one block. Up to it the blocked products
 # are the plain product, which they return without building the blocks.
 _ONE_BLOCK_ROWS = BLOCK_ROWS + 7
-# Fewest rows for which cross-fitting runs its folds in the pool; below it a
-# pool's start costs about what it saves. `treated estimate --nuisance fitted
-# --folds 5` on d = 2 covariates (2 vCPUs, medians of 10 alternating pairs) took
-# 277 ms serial against 294 ms pooled at 20,000 rows, 341-420 against 336-366 ms
-# at 40,000 and 442-456 against 427-462 ms at 60,000: none won 9 pairs of 10.
-FOLD_POOL_ROWS = 50_000
 
 
 def expit(t):

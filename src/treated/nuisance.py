@@ -26,8 +26,8 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .mathutil import (FOLD_POOL_ROWS, _chunked, bernoulli_loglik, blocked_crossprod,
-                       blocked_matmul, expit, shared_empty)
+from .mathutil import (_chunked, bernoulli_loglik, blocked_crossprod, blocked_matmul, expit,
+                       shared_empty)
 
 # IRLS takes at most this many Newton steps.
 _MAX_IRLS_ITER = 100
@@ -41,6 +41,12 @@ _FINAL_DECREMENT = 1e-12
 _LL_ROUNDING = 1e-13
 # Ridge term on the standardized slope block of every fit.
 _RIDGE = 1e-8
+# Fewest rows for which cross-fitting runs its folds in the pool; below it a
+# pool's start costs about what it saves. `treated estimate --nuisance fitted
+# --folds 5` on d = 2 covariates (2 vCPUs, medians of 10 alternating pairs) took
+# 277 ms serial against 294 ms pooled at 20,000 rows, 341-420 against 336-366 ms
+# at 40,000 and 442-456 against 427-462 ms at 60,000: none won 9 pairs of 10.
+FOLD_POOL_ROWS = 50_000
 
 
 class HeavyResidualWarning(UserWarning):

@@ -12,12 +12,13 @@ Replication r of a study draws from a stream that is a pure function of
 (seed, r), batch k of the oracle's x-only pass from (seed, 1, k) and batch k
 of its joint pass from (seed, 2, k), so runs are reproducible regardless of
 execution order and worker count; aggregation happens in index order. A
-study runs its replications and the x-only batches of its population effect
-(pass 1 of an oracle seeded (seed, 2**31)) as the items of one fork pool
-(``mathutil._chunked``); the oracle's joint pass runs in the pool, its
-x-only pass only from ``X_POOL_DRAWS`` draws on. Coverage for the
-sample/mixed estimands targets the per-replication realized value; the
-population effect targets its fixed Monte Carlo truth.
+study's items, in one fork pool (``mathutil._chunked``), are its replications
+and the x-only batches of its population effect (pass 1 of an oracle seeded
+(seed, 2**31)), none when that effect is given; the calling process scores
+every estimand once, the sample/mixed ones against each replication's realized
+value and the population effect against its fixed Monte Carlo truth. The
+oracle's joint pass runs in the pool, its x-only pass only from
+``X_POOL_DRAWS`` draws on.
 """
 
 from __future__ import annotations
@@ -518,26 +519,25 @@ def _paired_verdict(errors, k_small, k_large, n) -> OrderingVerdict:
     )
 
 
+# The (smaller, larger) pairs of the paper's variance ordering.
+_ORDERING = ((EstimandKind.MATT, EstimandKind.CATT), (EstimandKind.CATT, EstimandKind.ACTT),
+             (EstimandKind.ACTT, EstimandKind.PATT), (EstimandKind.SWATT, EstimandKind.ACTT))
+
+
 class _Replication(NamedTuple):
     """What one successful replication adds to a study; the per-kind tuples
-    follow KIND_ORDER. A replication runs before the population effect may be
-    known, so its patt error and hit are placeholders until ``with_patt``."""
+    follow KIND_ORDER. Its patt truth is NaN: the study scores the records
+    once it knows the population effect."""
 
     psi_hat: float
-    patt_interval: tuple
-    errors: tuple
-    hits: tuple
+    truths: tuple
+    lowers: tuple
+    uppers: tuple
     variances: tuple
     swatt_sigma: Optional[float]
     swatt_fh: Optional[float]
     floored: bool
     gap: float
-
-    def with_patt(self, psi: float) -> "_Replication":
-        """This record with the patt error and hit against the effect ``psi``."""
-        lo, hi = self.patt_interval
-        return self._replace(errors=(self.psi_hat - psi, *self.errors[1:]),
-                             hits=(lo <= psi <= hi, *self.hits[1:]))
 
 
 def _replications(spec, n, seed, config, oracle_nuisances, ci_level, lo, hi):
@@ -560,14 +560,12 @@ def _replications(spec, n, seed, config, oracle_nuisances, ci_level, lo, hi):
             yield f"rep {r}: {exc}"
             continue
         per_kind = [report.per_kind[k] for k in KIND_ORDER]
-        truth = [truths[k] for k in KIND_ORDER]
         sw = report.per_kind[EstimandKind.SWATT]
-        patt = report.per_kind[EstimandKind.PATT]
         yield _Replication(
             psi_hat=report.psi_hat,
-            patt_interval=(patt.ci_lower, patt.ci_upper),
-            errors=tuple(report.psi_hat - t for t in truth),
-            hits=tuple(inf.ci_lower <= t <= inf.ci_upper for inf, t in zip(per_kind, truth)),
+            truths=tuple(truths[k] for k in KIND_ORDER),
+            lowers=tuple(inf.ci_lower for inf in per_kind),
+            uppers=tuple(inf.ci_upper for inf in per_kind),
             variances=tuple(inf.variance if inf.variance is not None else inf.variance_used
                             for inf in per_kind),
             swatt_sigma=sw.conservative_sigma,
@@ -580,14 +578,14 @@ def _replications(spec, n, seed, config, oracle_nuisances, ci_level, lo, hi):
 
 
 def _study(spec, n, seed, config, oracle_nuisances, ci_level, sizes, patt_seed, slots, lo, hi):
-    """Yield the items [lo, hi) of a study that computes its own population
-    effect: at index ``slots[j]`` the sums of x-only batch j (``_x_batches``
-    on ``sizes`` and ``patt_seed``), at each other index the next replication.
-    The batches run first, before any replication holds memory: run between
-    replications (`simulate --n 20000 --reps 300 --oracle-nuisances`, 2 vCPUs)
-    they raised a worker's peak to 39.8 MiB from 37.4-37.8, or, with the last
-    replication freed first, the page faults to 62,000 from 21,500 and the
-    wall time by 0.13 s."""
+    """Yield the items [lo, hi) of a study: at index ``slots[j]`` the sums of
+    x-only batch j (``_x_batches`` on ``sizes`` and ``patt_seed``), at each
+    other index the next replication; a study given its population effect has
+    no slots. The batches run first, before any replication holds memory: run
+    between replications (`simulate --n 20000 --reps 300 --oracle-nuisances`,
+    2 vCPUs) they raised a worker's peak to 39.8 MiB from 37.4-37.8, or, with
+    the last replication freed first, the page faults to 62,000 from 21,500
+    and the wall time by 0.13 s."""
     first, last = bisect_left(slots, lo), bisect_left(slots, hi)
     sums = iter(list(_x_batches(spec, sizes, patt_seed, first, last)))
     replications = _replications(spec, n, seed, config, oracle_nuisances, ci_level,
@@ -607,17 +605,18 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
 
     Each replication draws a fresh PotentialDataset from a stream derived from
     (seed, r), computes the realized estimand values, runs the full estimation
-    pipeline with oracle or fitted nuisances, and records errors, variance
-    estimates and CI hits. Replications that raise are counted and reported,
-    never silently dropped.
+    pipeline with oracle or fitted nuisances, and records those values with
+    the intervals and variance estimates. Replications that raise are counted
+    and reported, never silently dropped.
 
     Without ``psi_patt`` the study computes the population effect as
     ``psi_patt_true`` does (``patt_draws`` draws, seed (seed, 2**31)), its
-    batches spread evenly among the replications as items of the same pool.
-    The pool has one forked worker process per CPU in the affinity mask, each
-    on a contiguous block of indices. Sums and records are aggregated in index
-    order and the patt errors and hits set here, so the report depends neither
-    on the number of workers nor on whether ``psi_patt`` was given.
+    batches spread evenly among the replications as items of the same pool; a
+    given ``psi_patt`` makes a study with no batches. The pool has one forked
+    worker process per CPU in the affinity mask, each on a contiguous block of
+    indices. Sums and records are aggregated in index order and every estimand
+    scored here, so the report depends neither on the number of workers nor on
+    whether ``psi_patt`` was given.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
@@ -630,59 +629,51 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
         nuisance_config = NuisanceConfig()
 
     import secrets  # numpy.random's: loads libcrypto once here, not in every pool worker
-    args = (spec, n, seed, nuisance_config, oracle_nuisances, ci_level)
+    sizes = [] if psi_patt is not None else _batch_sizes(patt_draws)
+    count = len(sizes) + reps
+    # Batch j at the middle of its share of the indices.
+    slots = [(2 * j + 1) * count // (2 * len(sizes)) for j in range(len(sizes))]
+    items = list(_chunked(_study, (spec, n, seed, nuisance_config, oracle_nuisances, ci_level,
+                                   sizes, _child_seed(seed, 2 ** 31), slots), count))
     if psi_patt is None:
-        sizes = _batch_sizes(patt_draws)
-        count = len(sizes) + reps
-        # Batch j at the middle of its share of the indices.
-        slots = [(2 * j + 1) * count // (2 * len(sizes)) for j in range(len(sizes))]
-        items = list(_chunked(_study, (*args, sizes, _child_seed(seed, 2 ** 31), slots), count))
         psi_patt = _sum_constants([items[i] for i in slots], patt_draws).psi
-        batches = set(slots)
-        records = [item for i, item in enumerate(items) if i not in batches]
-    else:
-        records = _chunked(_replications, args, reps)
-
-    failures, done = [], []
-    psi = float(psi_patt.value)
-    for record in records:
-        if isinstance(record, str):
-            failures.append(record)
-        else:
-            done.append(record.with_patt(psi))
+    batches = set(slots)
+    records = [item for i, item in enumerate(items) if i not in batches]
+    failures = [record for record in records if isinstance(record, str)]
+    done = [record for record in records if not isinstance(record, str)]
     ok = len(done)
     if ok == 0:
         raise ValidationError(
             f"every replication failed; nothing to aggregate (first: {failures[0]})")
-    kinds = KIND_ORDER
-    err_arrays = {k: np.asarray([rec.errors[i] for rec in done]) for i, k in enumerate(kinds)}
 
-    per_kind = {}
-    for i, k in enumerate(kinds):
-        e = err_arrays[k]
-        v = float(e.var(ddof=1)) if ok > 1 else 0.0
-        per_kind[k] = McKindStats(
-            empirical_var_scaled=n * v,
+    # One contiguous row per kind, in KIND_ORDER, a column per replication. Each
+    # statistic reduces one row: an axis reduction would add in another order.
+    truths, lowers, uppers, variances = (
+        np.array([getattr(rec, name) for rec in done], dtype=float).T.copy()
+        for name in ("truths", "lowers", "uppers", "variances"))
+    truths[KIND_ORDER.index(EstimandKind.PATT)] = psi_patt.value
+    psi_hats = np.array([rec.psi_hat for rec in done])
+    errors = psi_hats - truths
+    hits = (lowers <= truths) & (truths <= uppers)
+    per_kind = {
+        k: McKindStats(
+            empirical_var_scaled=n * (float(e.var(ddof=1)) if ok > 1 else 0.0),
             empirical_var_scaled_se=n * _mc_value((e - e.mean()) ** 2).se,
-            mean_variance_estimate=float(np.mean([rec.variances[i] for rec in done])),
-            coverage=float(np.mean([rec.hits[i] for rec in done])),
+            mean_variance_estimate=float(v.mean()),
+            coverage=float(hit.mean()),
             ci_level=ci_level,
         )
+        for k, e, v, hit in zip(KIND_ORDER, errors, variances, hits)
+    }
 
+    by_kind = dict(zip(KIND_ORDER, errors))
     if ok > 1:
-        ordering = [
-            _paired_verdict(err_arrays, EstimandKind.MATT, EstimandKind.CATT, n),
-            _paired_verdict(err_arrays, EstimandKind.CATT, EstimandKind.ACTT, n),
-            _paired_verdict(err_arrays, EstimandKind.ACTT, EstimandKind.PATT, n),
-            _paired_verdict(err_arrays, EstimandKind.SWATT, EstimandKind.ACTT, n),
-        ]
-        satt_vs_patt = _paired_verdict(err_arrays, EstimandKind.SATT, EstimandKind.PATT, n)
+        ordering = [_paired_verdict(by_kind, small, large, n) for small, large in _ORDERING]
+        satt_vs_patt = _paired_verdict(by_kind, EstimandKind.SATT, EstimandKind.PATT, n)
     else:
-        ordering = []
-        satt_vs_patt = None
+        ordering, satt_vs_patt = [], None
 
     gaps = np.asarray([rec.gap for rec in done])
-    psi_hats = [rec.psi_hat for rec in done]
     swatt_sigma = [rec.swatt_sigma for rec in done if rec.swatt_sigma is not None]
     swatt_fh = [rec.swatt_fh for rec in done if rec.swatt_fh is not None]
     extras = {

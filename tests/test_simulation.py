@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import statistics
 import subprocess
 import sys
 import tracemalloc
@@ -31,6 +32,7 @@ from treated import (
     true_sample_estimands,
 )
 from treated import mathutil, nuisance, simulation
+from treated.data_model import KIND_ORDER
 from treated.estimator import estimate_psi_hat
 from treated.simulation import McValue, PotentialDataset, _child_seed
 
@@ -515,9 +517,9 @@ def test_failed_replications_counted_not_dropped(workers, monkeypatch):
 
 def test_pooled_patt_truth_gives_the_report_of_a_given_one(monkeypatch):
     # Without psi_patt the x-only batches of the PATT truth are items of the
-    # replications' pool, and each record's patt error and hit are set after
-    # the pool; given the same truth, the replications-only pool must write
-    # the same report bytes, at any worker count, failed replication included.
+    # replications' pool; given the same truth, the study has no batches. This
+    # process scores both studies once and must write the same report bytes,
+    # at any worker count, failed replication included.
     from treated.cli import dumps_canonical, mc_report_to_dict
 
     real_generate = simulation.generate
@@ -539,6 +541,75 @@ def test_pooled_patt_truth_gives_the_report_of_a_given_one(monkeypatch):
             assert (rep.failed_reps, rep.failure_messages) == (1, ("rep 5: failing replication",))
             reports.append(dumps_canonical(mc_report_to_dict(rep)))
     assert reports == [reports[0]] * 4
+
+
+@pytest.mark.parametrize("oracle_nuisances", [True, False])
+def test_study_scores_match_a_serial_reference(oracle_nuisances, monkeypatch):
+    # Each replication rerun alone through generate, true_sample_estimands and
+    # estimate_all, then scored here with the statistics module against the
+    # study's PATT truth. The 50% intervals miss on both sides, so a hit that
+    # checks one bound only shows in the coverage.
+    from treated.cli import dumps_canonical, mc_report_to_dict
+
+    real_generate = simulation.generate
+
+    def failing_generate(spec, n, seed):
+        if seed == _child_seed(6, 3):
+            raise ValidationError("failing replication")
+        return real_generate(spec, n, seed)
+
+    monkeypatch.setattr(simulation, "generate", failing_generate)
+    spec, n, level = _d1_spec(), 300, 0.5
+    reports = []
+    for workers in (1, 2):
+        _with_workers(monkeypatch, workers)
+        reports.append(run_monte_carlo(spec, n=n, reps=8, seed=6, ci_level=level,
+                                       oracle_nuisances=oracle_nuisances, patt_draws=100_000))
+    assert dumps_canonical(mc_report_to_dict(reports[0])) == \
+        dumps_canonical(mc_report_to_dict(reports[1]))
+    rep = reports[0]
+    psi = psi_patt_true(spec, draws=100_000, seed=_child_seed(6, 2 ** 31)).value
+    assert (rep.extras["psi_patt_value"], rep.failed_reps) == (psi, 1)
+
+    errors, hits, variances = ({kind: [] for kind in KIND_ORDER} for _ in range(3))
+    for r in (0, 1, 2, 4, 5, 6, 7):
+        pd = real_generate(spec, n, _child_seed(6, r))
+        truths = true_sample_estimands(pd, psi)
+        report = estimate_all(pd.dataset, NuisanceConfig(), ci_level=level,
+                              oracle=pd.true_nuisances if oracle_nuisances else None)
+        for kind in KIND_ORDER:
+            inf = report.per_kind[kind]
+            errors[kind].append(report.psi_hat - truths[kind])
+            hits[kind].append(inf.ci_lower <= truths[kind] <= inf.ci_upper)
+            variances[kind].append(inf.variance_used if inf.variance is None else inf.variance)
+    assert 0 < sum(map(sum, hits.values())) < 6 * 7
+    for kind in KIND_ORDER:
+        stats = rep.per_kind[kind]
+        assert stats.coverage == sum(hits[kind]) / 7
+        assert stats.empirical_var_scaled == pytest.approx(
+            n * statistics.variance(errors[kind]), rel=1e-9)
+        assert stats.mean_variance_estimate == pytest.approx(
+            statistics.fmean(variances[kind]), rel=1e-12)
+    satt, patt = ([e - statistics.fmean(errors[kind]) for e in errors[kind]]
+                  for kind in (EstimandKind.SATT, EstimandKind.PATT))
+    diffs = [s ** 2 - p ** 2 for s, p in zip(satt, patt)]
+    mean, se = statistics.fmean(diffs), statistics.stdev(diffs) / 7 ** 0.5
+    verdict = rep.extras["satt_vs_patt"]
+    assert verdict.scaled_diff == pytest.approx(n * mean, rel=1e-9, abs=1e-12)
+    assert verdict.scaled_se == pytest.approx(n * se, rel=1e-9)
+    assert verdict.holds == (mean <= 3 * se)
+
+
+def test_one_successful_replication_leaves_its_spreads_null():
+    from treated.cli import mc_report_to_dict
+
+    spec = _d1_spec(propensity_coeffs=[-8.0, 0.0])  # pi clipped to 0.02
+    rep = run_monte_carlo(spec, n=10, reps=3, seed=1, psi_patt=McValue(1.0, 0.0))
+    out = mc_report_to_dict(rep)
+    assert rep.failed_reps == 2
+    assert [out["per_kind"][k.value]["empirical_var_scaled_se"] for k in KIND_ORDER] == \
+        [None] * 6
+    assert (out["extras"]["satt_vs_patt"], out["extras"]["ordering"]) == (None, [])
 
 
 def test_worker_count_bounded_by_affinity_and_reps(monkeypatch):
