@@ -256,7 +256,7 @@ def _loadtxt_columns(buffer) -> Optional[dict]:
         table = shared_empty((slots[-1], width))
     except MemoryError:
         return None
-    counts = list(_chunked(_parse_ranges, (buffer, cuts, slots, table), len(cuts) - 1))
+    counts = _chunked(_parse_ranges, (buffer, cuts, slots, table), len(cuts) - 1, pooled=pooled)
     if None in counts or sum(counts) == 0:
         return None
     rows = 0

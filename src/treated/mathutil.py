@@ -142,16 +142,17 @@ def shared_empty(shape) -> np.ndarray:
     return np.frombuffer(buffer, dtype=float, count=size).reshape(shape)
 
 
-def _chunked(generator, args: tuple, count: int):
-    """The items of ``generator(*args, lo, hi)`` over the indices [0, count), in index
-    order. With more than one worker (see ``_worker_count``), each runs one contiguous
-    chunk of indices in a forked process; otherwise the generator runs here, lazily.
-    A worker inherits ``generator`` and ``args`` and pipes its items back pickled (arrays
-    go in ``shared_empty``); the first failing chunk's error is raised, all workers reaped."""
+def _chunked(generator, args: tuple, count: int, *, pooled: bool) -> list:
+    """The items of ``generator(*args, lo, hi)`` over the indices [0, count), as a list in
+    index order. When the caller's ``pooled`` rule holds and there is more than one worker
+    (see ``_worker_count``), each runs one contiguous chunk of indices in a forked process;
+    otherwise the generator runs here. A worker inherits ``generator`` and ``args`` and
+    pipes its items back pickled (arrays go in ``shared_empty``); the first failing
+    chunk's error is raised, all workers reaped."""
     global _in_worker
-    workers = _worker_count(count)
+    workers = _worker_count(count) if pooled else 1
     if workers == 1:
-        return generator(*args, 0, count)
+        return list(generator(*args, 0, count))
     # fork copies only this thread; OpenBLAS's fork handler stops its helper first.
     bounds = [count * i // workers for i in range(workers + 1)]
     pids, pipes = [], []

@@ -388,7 +388,7 @@ def compute_nuisances(dataset: Dataset, config: NuisanceConfig,
     # Every fit runs the same code wherever it runs, and the fits are read
     # back in index order, so the first failing fit's error is raised
     # whatever the worker count.
-    list(_chunked(_fold_fits, args, len(fits)) if pooled else _fold_fits(*args, 0, len(fits)))
+    _chunked(_fold_fits, args, len(fits), pooled=pooled)
 
     for name, values in fitted.items():
         if not np.isfinite(values).all():

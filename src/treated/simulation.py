@@ -43,7 +43,7 @@ BINARY_MEAN_CLAMP = (0.02, 0.98)
 NOISE_SD_FLOOR = 0.05
 # Fewest draws for which the oracle's x-only pass (and psi_patt_true) runs
 # its batches in a fork pool of their own; below it a pool's start costs about
-# what it saves. A study runs them in its replication pool at any size. `treated
+# what it saves; a study of one replication pools them only from here on. `treated
 # oracle` on the d = 2 spec (2 vCPUs, medians of 10 alternating pairs) took 320 ms
 # serial against 303 ms pooled at 5e5 draws, 405 against 377 ms at 1e6 and 594
 # against 499 ms at 2e6; none won more than 7 pairs of 10.
@@ -348,11 +348,7 @@ def _x_constants(spec: DgpSpec, draws: int, seed) -> _XConstants:
     check_seed(seed)
     import secrets  # before the pools fork, as in run_monte_carlo
     sizes = _batch_sizes(draws)
-    args = (spec, sizes, seed)
-    if draws >= X_POOL_DRAWS:
-        sums = _chunked(_x_batches, args, len(sizes))
-    else:
-        sums = _x_batches(*args, 0, len(sizes))
+    sums = _chunked(_x_batches, (spec, sizes, seed), len(sizes), pooled=draws >= X_POOL_DRAWS)
     return _sum_constants(sums, draws)
 
 
@@ -456,7 +452,7 @@ def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000,
     # Pass 2: joint draws, per-batch functionals, in batch order.
     sizes = _batch_sizes(draws)
     batches: dict = {}
-    for out in _chunked(_joint_batches, (spec, sizes, seed, consts), len(sizes)):
+    for out in _chunked(_joint_batches, (spec, sizes, seed, consts), len(sizes), pooled=True):
         for key, value in out.items():
             batches.setdefault(key, []).append(value)
 
@@ -612,11 +608,11 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
     Without ``psi_patt`` the study computes the population effect as
     ``psi_patt_true`` does (``patt_draws`` draws, seed (seed, 2**31)), its
     batches spread evenly among the replications as items of the same pool; a
-    given ``psi_patt`` makes a study with no batches. The pool has one forked
-    worker process per CPU in the affinity mask, each on a contiguous block of
-    indices. Sums and records are aggregated in index order and every estimand
-    scored here, so the report depends neither on the number of workers nor on
-    whether ``psi_patt`` was given.
+    given ``psi_patt`` makes a study with no batches. One replication runs
+    here unless its batches take ``X_POOL_DRAWS`` draws or more, as pass 1
+    would pool them. Sums and records are aggregated in index order and every
+    estimand scored here, so the report depends neither on the number of
+    workers nor on whether ``psi_patt`` was given.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
@@ -633,8 +629,10 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
     count = len(sizes) + reps
     # Batch j at the middle of its share of the indices.
     slots = [(2 * j + 1) * count // (2 * len(sizes)) for j in range(len(sizes))]
-    items = list(_chunked(_study, (spec, n, seed, nuisance_config, oracle_nuisances, ci_level,
-                                   sizes, _child_seed(seed, 2 ** 31), slots), count))
+    # One replication is too little work for a pool; its PATT batches pool as pass 1's would.
+    items = _chunked(_study, (spec, n, seed, nuisance_config, oracle_nuisances, ci_level, sizes,
+                              _child_seed(seed, 2 ** 31), slots), count,
+                     pooled=reps > 1 or (psi_patt is None and patt_draws >= X_POOL_DRAWS))
     if psi_patt is None:
         psi_patt = _sum_constants([items[i] for i in slots], patt_draws).psi
     batches = set(slots)

@@ -438,9 +438,9 @@ def test_ranged_reader_parses_clean_files_itself(ranged_reader, tmp_path, monkey
     chunked = treated.cli._chunked
     ranges = []
 
-    def counted(generator, args, count):
+    def counted(generator, args, count, *, pooled):
         ranges.append(count)
-        return chunked(generator, args, count)
+        return chunked(generator, args, count, pooled=pooled)
 
     golden = pathlib.Path(__file__).parent / "golden"
     paths = [golden / name for name in

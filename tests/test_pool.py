@@ -1,7 +1,7 @@
 """The fork pool behind ``mathutil._chunked``: items come back in index order,
 the first failing chunk's error reaches the caller, an error that does not
-pickle still arrives by type and message, and every worker is reaped however
-its chunk or the caller's read ends."""
+pickle still arrives by type and message, every worker is reaped however its
+chunk or the caller's read ends, and a call whose rule says no never forks."""
 
 import os
 import pickle
@@ -46,7 +46,7 @@ def _squares(lo, hi):
 def test_items_come_back_in_index_order(workers, monkeypatch):
     _with_workers(monkeypatch, workers)
     with _deadline(30):
-        assert mathutil._chunked(_squares, (), 10) == [i * i for i in range(10)]
+        assert mathutil._chunked(_squares, (), 10, pooled=True) == [i * i for i in range(10)]
     _assert_every_worker_reaped()
 
 
@@ -61,7 +61,7 @@ def _dies_at(index, lo, hi):
 def test_worker_exiting_mid_chunk_raises(workers, monkeypatch):
     _with_workers(monkeypatch, workers)
     with _deadline(30), pytest.raises(RuntimeError, match="exited without a result"):
-        mathutil._chunked(_dies_at, (3,), 8)
+        mathutil._chunked(_dies_at, (3,), 8, pooled=True)
     _assert_every_worker_reaped()
 
 
@@ -92,7 +92,7 @@ def test_error_that_does_not_pickle_arrives_by_type_and_message(error, message, 
 
     _with_workers(monkeypatch, 2)
     with _deadline(30), pytest.raises(RuntimeError) as info:
-        mathutil._chunked(raising, (), 8)
+        mathutil._chunked(raising, (), 8, pooled=True)
     assert str(info.value) == message
     _assert_every_worker_reaped()
 
@@ -109,7 +109,7 @@ def test_first_failing_chunk_error_wins(workers, monkeypatch):
 
     _with_workers(monkeypatch, workers)
     with _deadline(30), pytest.raises(ValueError) as info:
-        mathutil._chunked(failing, (), 2 * workers)
+        mathutil._chunked(failing, (), 2 * workers, pooled=True)
     assert str(info.value) == "chunk from index 0"
     # The worker's traceback comes with it, as the error's last note.
     assert "in failing\n" in info.value.__notes__[-1]
@@ -134,5 +134,28 @@ def test_caller_error_while_reading_kills_the_workers(monkeypatch):
     _with_workers(monkeypatch, 2)
     monkeypatch.setattr(pickle, "loads", interrupted)
     with _deadline(30), pytest.raises(_ReadInterrupted):
-        mathutil._chunked(slow, (), 8)
+        mathutil._chunked(slow, (), 8, pooled=True)
+    _assert_every_worker_reaped()
+
+
+def test_unpooled_call_never_forks(monkeypatch):
+    # A caller whose rule says no runs its items here, whatever the worker
+    # count; the same call with pooled=True forks both workers.
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
+    _with_workers(monkeypatch, 2)
+    with _deadline(30):
+        assert mathutil._chunked(_squares, (), 10, pooled=False) == [i * i for i in range(10)]
+        assert forks == []
+        mathutil._chunked(_squares, (), 10, pooled=True)
+    assert forks == [os.getpid()] * 2
+    _assert_every_worker_reaped()
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_both_paths_return_a_list(pooled, monkeypatch):
+    _with_workers(monkeypatch, 2)
+    with _deadline(30):
+        assert type(mathutil._chunked(_squares, (), 10, pooled=pooled)) is list
     _assert_every_worker_reaped()

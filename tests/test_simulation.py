@@ -675,18 +675,47 @@ print(forks)
     assert proc.stdout.strip() == str([True] * 8)
 
 
-def test_single_replication_runs_in_process(monkeypatch):
+def test_single_replication_runs_in_process(monkeypatch, tmp_path):
+    # One replication is too little work for a pool: given its PATT truth, or
+    # with one below X_POOL_DRAWS, the study runs in this process. Each
+    # generate and _x_batches call appends its pid to a file, which a forked
+    # worker's write reaches too. From X_POOL_DRAWS draws on the study pools
+    # its batches, as pass 1 would, and writes the in-process report's bytes.
+    from treated.cli import dumps_canonical, mc_report_to_dict
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    pids = []
-    real_generate = simulation.generate
+    calls = tmp_path / "calls"
+    real_generate, real_batches = simulation.generate, simulation._x_batches
+
+    def record():
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
 
     def recording_generate(*args, **kwargs):
-        pids.append(os.getpid())
+        record()
         return real_generate(*args, **kwargs)
 
+    def recording_batches(*args):
+        record()
+        return real_batches(*args)
+
     monkeypatch.setattr(simulation, "generate", recording_generate)
-    run_monte_carlo(_d1_spec(), n=200, reps=1, seed=4, psi_patt=McValue(1.0, 0.0))
-    assert pids == [os.getpid()]
+    monkeypatch.setattr(simulation, "_x_batches", recording_batches)
+
+    def study(**kwargs):
+        calls.write_text("", encoding="utf-8")
+        rep = run_monte_carlo(_d1_spec(), n=200, reps=1, seed=4, **kwargs)
+        return calls.read_text(encoding="utf-8").split(), dumps_canonical(mc_report_to_dict(rep))
+
+    here = str(os.getpid())
+    assert study(psi_patt=McValue(1.0, 0.0))[0] == [here] * 2
+    pids, report = study(patt_draws=100_000)
+    assert pids == [here] * 2
+    monkeypatch.setattr(simulation, "X_POOL_DRAWS", 100_000)
+    pids, pooled_report = study(patt_draws=100_000)
+    # 16 batches and the replication on four workers, each calling _x_batches.
+    assert len(pids) == 5 and len(set(pids)) == 4 and here not in pids
+    assert pooled_report == report
 
 
 @pytest.mark.parametrize("workers", [1, 2])
