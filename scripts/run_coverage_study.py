@@ -24,8 +24,10 @@ def main():
     parser.add_argument("--reps", type=int, default=2_000)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--ci-level", type=float, default=0.95)
-    parser.add_argument("--folds", type=int, default=1)
-    parser.add_argument("--fitted", action="store_true")
+    parser.add_argument("--folds", type=int, default=1,
+                        help="cross-fitting folds, with --fitted")
+    parser.add_argument("--fitted", action="store_true",
+                        help="fit nuisances instead of using oracle values")
     args = parser.parse_args()
 
     with open(args.spec, "r", encoding="utf-8") as fh:
@@ -34,8 +36,7 @@ def main():
     patt = psi_patt_true(spec, draws=5_000_000, seed=args.seed)
     report = run_monte_carlo(
         spec, n=args.n, reps=args.reps, seed=args.seed,
-        oracle_nuisances=not args.fitted,
-        nuisance_config=NuisanceConfig(folds=args.folds, seed=args.seed),
+        nuisance_config=NuisanceConfig(folds=args.folds, seed=args.seed) if args.fitted else None,
         ci_level=args.ci_level, psi_patt=patt,
     )
     print(f"n={args.n} reps={args.reps} nominal={args.ci_level:.3f} "

@@ -11,6 +11,7 @@ import json
 
 from treated import oracle_asymptotic_variances, run_monte_carlo
 from treated.data_model import KIND_ORDER
+from treated.nuisance import NuisanceConfig
 from treated.simulation import DgpSpec
 
 
@@ -30,7 +31,7 @@ def main():
 
     oracle = oracle_asymptotic_variances(spec, draws=args.oracle_draws, seed=args.seed)
     report = run_monte_carlo(spec, n=args.n, reps=args.reps, seed=args.seed,
-                             oracle_nuisances=not args.fitted,
+                             nuisance_config=NuisanceConfig() if args.fitted else None,
                              psi_patt=oracle.psi_patt)
 
     print(f"n={args.n} reps={args.reps} failed={report.failed_reps} "

@@ -508,8 +508,7 @@ def cmd_simulate(args) -> int:
     config = NuisanceConfig(folds=args.folds, clip_eps=args.clip_eps, seed=args.seed)
     report = run_monte_carlo(
         spec, n=args.n, reps=args.reps, seed=args.seed,
-        nuisance_config=config,
-        oracle_nuisances=args.oracle_nuisances,
+        nuisance_config=None if args.oracle_nuisances else config,
         ci_level=args.ci_level,
         patt_draws=args.patt_draws,
     )

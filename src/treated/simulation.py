@@ -12,19 +12,18 @@ Replication r of a study draws from a stream that is a pure function of
 (seed, r), batch k of the oracle's x-only pass from (seed, 1, k) and batch k
 of its joint pass from (seed, 2, k), so runs are reproducible regardless of
 execution order and worker count; aggregation happens in index order. A
-study's items, in one fork pool (``mathutil._chunked``), are its replications
-and the x-only batches of its population effect (pass 1 of an oracle seeded
-(seed, 2**31)), none when that effect is given; the calling process scores
-every estimand once, the sample/mixed ones against each replication's realized
-value and the population effect against its fixed Monte Carlo truth. The
-oracle's joint pass runs in the pool, its x-only pass only from
-``X_POOL_DRAWS`` draws on.
+study's items, in one fork pool (``mathutil._chunked``), are its
+replications, each with its share of the x-only batches of the population
+effect (pass 1 of an oracle seeded (seed, 2**31)), none when that effect is
+given; the calling process scores every estimand once, the sample/mixed ones
+against each replication's realized value and the population effect against
+its fixed Monte Carlo truth. The oracle's joint pass runs in the pool, its
+x-only pass only from ``X_POOL_DRAWS`` draws on.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple, Optional
 
@@ -41,12 +40,12 @@ SCHEMA_VERSION = 1
 PI_CLIP = (0.02, 0.98)
 BINARY_MEAN_CLAMP = (0.02, 0.98)
 NOISE_SD_FLOOR = 0.05
-# Fewest draws for which the oracle's x-only pass (and psi_patt_true) runs
-# its batches in a fork pool of their own; below it a pool's start costs about
-# what it saves; a study of one replication pools them only from here on. `treated
-# oracle` on the d = 2 spec (2 vCPUs, medians of 10 alternating pairs) took 320 ms
-# serial against 303 ms pooled at 5e5 draws, 405 against 377 ms at 1e6 and 594
-# against 499 ms at 2e6; none won more than 7 pairs of 10.
+# Fewest draws for which the oracle's x-only pass (and psi_patt_true) runs its
+# batches in a fork pool of their own; below it a pool's start costs about what
+# it saves. A one-replication study computes its PATT truth by this rule.
+# `treated oracle` on the d = 2 spec (2 vCPUs, medians of 10 alternating pairs)
+# took 320 ms serial against 303 ms pooled at 5e5 draws, 405 against 377 ms at
+# 1e6 and 594 against 499 ms at 2e6; none won more than 7 pairs of 10.
 X_POOL_DRAWS = 2_000_000
 # Draws per oracle batch. The batch size decides the streams, so
 # psi_patt_true shares it to stay the oracle's pass 1, and it is a constant:
@@ -536,28 +535,42 @@ class _Replication(NamedTuple):
     gap: float
 
 
-def _replications(spec, n, seed, config, oracle_nuisances, ci_level, lo, hi):
-    """Yield a _Replication for each replication r in [lo, hi), or the message
-    ``"rep r: ..."`` for one that raised a TreatedError.
+def _replications(spec, n, seed, config, ci_level, patt, lo, hi):
+    """Yield ``(own_sums, record)`` for each replication r in [lo, hi). With
+    ``patt = (sizes, patt_seed, reps)`` and B = ``len(sizes)``, ``own_sums`` are
+    the ``_x_batches`` sums of the population effect's batches [ceil(r B / reps),
+    ceil((r + 1) B / reps)), none when B = 0. The record is a _Replication, or the
+    message ``"rep r: ..."`` for one that raised a TreatedError; a ``config`` of
+    None estimates on the true nuisances.
+
+    The chunk's batches run first, before any replication holds memory: run
+    between replications (`simulate --n 20000 --reps 300 --oracle-nuisances`,
+    2 vCPUs) they raised a worker's peak to 39.8 MiB from 37.4-37.8, or, with
+    the last replication freed first, the page faults to 62,000 from 21,500
+    and the wall time by 0.13 s.
 
     ``pd`` and ``report`` stay bound until the next replication replaces them:
     freeing them on every return would hand their pages back to the system, and
     the next replication would fault them in again. The stages are called by
     their module-level names, which the benchmark's tracer wraps.
     """
-    for r in range(lo, hi):
+    sizes, patt_seed, reps = patt
+    cuts = [-(-r * len(sizes) // reps) for r in range(lo, hi + 1)]
+    sums = iter(list(_x_batches(spec, sizes, patt_seed, cuts[0], cuts[-1])))
+    for r, start, end in zip(range(lo, hi), cuts, cuts[1:]):
+        own = [next(sums) for _ in range(start, end)]
         try:
             pd = generate(spec, n, seed=_child_seed(seed, r))
             truths = true_sample_estimands(pd, np.nan)
             report = estimate_all(pd.dataset, config,
-                                  oracle=pd.true_nuisances if oracle_nuisances else None,
+                                  oracle=pd.true_nuisances if config is None else None,
                                   ci_level=ci_level)
         except TreatedError as exc:
-            yield f"rep {r}: {exc}"
+            yield own, f"rep {r}: {exc}"
             continue
         per_kind = [report.per_kind[k] for k in KIND_ORDER]
         sw = report.per_kind[EstimandKind.SWATT]
-        yield _Replication(
+        yield own, _Replication(
             psi_hat=report.psi_hat,
             truths=tuple(truths[k] for k in KIND_ORDER),
             lowers=tuple(inf.ci_lower for inf in per_kind),
@@ -569,31 +582,12 @@ def _replications(spec, n, seed, config, oracle_nuisances, ci_level, lo, hi):
             floored=bool(report.diagnostics.get("swatt_sigma_floored")
                          or report.diagnostics.get("swatt_fh_floored")),
             # On the exact nuisances psi_hat is psi_tilde's own computation.
-            gap=0.0 if oracle_nuisances else np.sqrt(n) * (report.psi_hat - psi_tilde(pd)),
+            gap=0.0 if config is None else np.sqrt(n) * (report.psi_hat - psi_tilde(pd)),
         )
-
-
-def _study(spec, n, seed, config, oracle_nuisances, ci_level, sizes, patt_seed, slots, lo, hi):
-    """Yield the items [lo, hi) of a study: at index ``slots[j]`` the sums of
-    x-only batch j (``_x_batches`` on ``sizes`` and ``patt_seed``), at each
-    other index the next replication; a study given its population effect has
-    no slots. The batches run first, before any replication holds memory: run
-    between replications (`simulate --n 20000 --reps 300 --oracle-nuisances`,
-    2 vCPUs) they raised a worker's peak to 39.8 MiB from 37.4-37.8, or, with
-    the last replication freed first, the page faults to 62,000 from 21,500
-    and the wall time by 0.13 s."""
-    first, last = bisect_left(slots, lo), bisect_left(slots, hi)
-    sums = iter(list(_x_batches(spec, sizes, patt_seed, first, last)))
-    replications = _replications(spec, n, seed, config, oracle_nuisances, ci_level,
-                                 lo - first, hi - last)
-    batches = set(slots[first:last])
-    for i in range(lo, hi):
-        yield next(sums if i in batches else replications)
 
 
 def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
                     nuisance_config: Optional[NuisanceConfig] = None,
-                    oracle_nuisances: bool = True,
                     ci_level: float = 0.95,
                     psi_patt: Optional[McValue] = None,
                     patt_draws: int = 2_000_000) -> McReport:
@@ -601,18 +595,18 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
 
     Each replication draws a fresh PotentialDataset from a stream derived from
     (seed, r), computes the realized estimand values, runs the full estimation
-    pipeline with oracle or fitted nuisances, and records those values with
-    the intervals and variance estimates. Replications that raise are counted
-    and reported, never silently dropped.
+    pipeline and records those values with the intervals and variance
+    estimates. Without ``nuisance_config`` it estimates on the replication's
+    true nuisances, clipped at the default eps; with one it fits them.
+    Replications that raise are counted and reported, never silently dropped.
 
     Without ``psi_patt`` the study computes the population effect as
-    ``psi_patt_true`` does (``patt_draws`` draws, seed (seed, 2**31)), its
-    batches spread evenly among the replications as items of the same pool; a
-    given ``psi_patt`` makes a study with no batches. One replication runs
-    here unless its batches take ``X_POOL_DRAWS`` draws or more, as pass 1
-    would pool them. Sums and records are aggregated in index order and every
-    estimand scored here, so the report depends neither on the number of
-    workers nor on whether ``psi_patt`` was given.
+    ``psi_patt_true`` does (``patt_draws`` draws, seed (seed, 2**31)): each
+    replication, an item of one pool, carries its even share of the batches. A
+    one-replication study computes it first, with the pool rule of pass 1, and
+    runs its replication here. Sums and records are aggregated in index order
+    and every estimand scored here, so the report depends neither on the number
+    of workers nor on whether ``psi_patt`` was given.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
@@ -620,25 +614,19 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
         raise ValidationError("n must be >= 1")
     check_ci_level(ci_level)
     check_seed(seed)
-    # Oracle replications ignore nuisance_config and clip at the default eps.
-    if oracle_nuisances or nuisance_config is None:
-        nuisance_config = NuisanceConfig()
 
     import secrets  # numpy.random's: loads libcrypto once here, not in every pool worker
-    sizes = [] if psi_patt is not None else _batch_sizes(patt_draws)
-    count = len(sizes) + reps
-    # Batch j at the middle of its share of the indices.
-    slots = [(2 * j + 1) * count // (2 * len(sizes)) for j in range(len(sizes))]
+    patt_seed = _child_seed(seed, 2 ** 31)
     # One replication is too little work for a pool; its PATT batches pool as pass 1's would.
-    items = _chunked(_study, (spec, n, seed, nuisance_config, oracle_nuisances, ci_level, sizes,
-                              _child_seed(seed, 2 ** 31), slots), count,
-                     pooled=reps > 1 or (psi_patt is None and patt_draws >= X_POOL_DRAWS))
+    if psi_patt is None and reps == 1:
+        psi_patt = _x_constants(spec, patt_draws, patt_seed).psi
+    sizes = [] if psi_patt is not None else _batch_sizes(patt_draws)
+    items = _chunked(_replications, (spec, n, seed, nuisance_config, ci_level,
+                                     (sizes, patt_seed, reps)), reps, pooled=True)
     if psi_patt is None:
-        psi_patt = _sum_constants([items[i] for i in slots], patt_draws).psi
-    batches = set(slots)
-    records = [item for i, item in enumerate(items) if i not in batches]
-    failures = [record for record in records if isinstance(record, str)]
-    done = [record for record in records if not isinstance(record, str)]
+        psi_patt = _sum_constants([sums for own, _ in items for sums in own], patt_draws).psi
+    failures = [record for _, record in items if isinstance(record, str)]
+    done = [record for _, record in items if not isinstance(record, str)]
     ok = len(done)
     if ok == 0:
         raise ValidationError(

@@ -78,21 +78,21 @@ BINARY_COMONOTONE = DgpSpec(
 def mc_consistency(std_oracle):
     """Criterion 3 run: n=20000, 200 oracle-nuisance replications."""
     return run_monte_carlo(STD_SPEC, n=20_000, reps=200, seed=12,
-                           oracle_nuisances=True, psi_patt=std_oracle.psi_patt)
+                           psi_patt=std_oracle.psi_patt)
 
 
 @pytest.fixture(scope="module")
 def mc_coverage(std_oracle):
     """Criterion 4 run: n=2000, 2000 oracle-nuisance replications."""
     return run_monte_carlo(STD_SPEC, n=2_000, reps=2_000, seed=11,
-                           oracle_nuisances=True, psi_patt=std_oracle.psi_patt)
+                           psi_patt=std_oracle.psi_patt)
 
 
 @pytest.fixture(scope="module")
 def mc_ordering(std_oracle):
     """Criterion 5 run: n=5000, 2000 oracle-nuisance replications."""
     return run_monte_carlo(STD_SPEC, n=5_000, reps=2_000, seed=13,
-                           oracle_nuisances=True, psi_patt=std_oracle.psi_patt)
+                           psi_patt=std_oracle.psi_patt)
 
 
 def test_criterion_01_worked_example_exactness():
@@ -163,8 +163,7 @@ def test_criterion_05_partial_ordering(mc_ordering):
 
 
 def test_criterion_06_homogeneous_effect_satt_exceeds_patt(std_oracle):
-    rep = run_monte_carlo(HOMOGENEOUS_UNEQUAL_NOISE, n=5_000, reps=2_000, seed=21,
-                          oracle_nuisances=True)
+    rep = run_monte_carlo(HOMOGENEOUS_UNEQUAL_NOISE, n=5_000, reps=2_000, seed=21)
     v = rep.extras["satt_vs_patt"]
     ok = v.scaled_diff > 3.0 * v.scaled_se
     _criterion(6, "homogeneous effect with var(y1|x) < var(y0|x): "
@@ -176,7 +175,7 @@ def test_criterion_07_antitone_swatt_below_matt():
     orc = oracle_asymptotic_variances(ANTITONE_EQUAL_SD, draws=10_000_000, seed=5)
     strictly_below = orc.swatt.value + 3 * (orc.swatt.se + orc.matt.se) < orc.matt.value
     rep = run_monte_carlo(ANTITONE_EQUAL_SD, n=20_000, reps=3_000, seed=22,
-                          oracle_nuisances=True, psi_patt=orc.psi_patt)
+                          psi_patt=orc.psi_patt)
     emp_sw = rep.per_kind[EstimandKind.SWATT].empirical_var_scaled
     emp_ma = rep.per_kind[EstimandKind.MATT].empirical_var_scaled
     dev_sw = emp_sw / orc.swatt.value - 1.0
@@ -219,7 +218,6 @@ def test_criterion_09_one_step_gap_shrinks_with_n():
     rms = {}
     for n in (500, 2_000, 8_000):
         rep = run_monte_carlo(STD_SPEC, n=n, reps=500, seed=31,
-                              oracle_nuisances=False,
                               nuisance_config=NuisanceConfig(),
                               patt_draws=100_000)
         rms[n] = rep.extras["psi_tilde_rms_scaled_gap"]

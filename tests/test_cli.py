@@ -929,11 +929,11 @@ def test_pool_workers_send_back_only_small_items(tmp_path, monkeypatch):
     # The ranged reader's 8 ranges, then the 3 fits of one fold.
     assert main(["estimate", "--input", str(path), "--nuisance", "fitted"]) == 0
     assert pools == [8, 3]
-    # One pool for the study: the 16 x-only batches of its PATT truth among
-    # the 4 replications.
+    # One pool for the study: its 4 replications, each with 4 of the 16 x-only
+    # batches of its PATT truth.
     assert main(["simulate", "--spec", spec_path, "--n", "200", "--reps", "4",
                  "--oracle-nuisances", "--patt-draws", "100000"]) == 0
-    assert pools[2:] == [20]
+    assert pools[2:] == [4]
     # The oracle's two passes.
     assert main(["oracle", "--spec", spec_path, "--draws", "100000"]) == 0
     assert pools[3:] == [16, 16]

@@ -49,8 +49,8 @@ PARAMETERS = {
     "oracle_asymptotic_variances": ["spec", "draws", "seed"],
     "psi_patt_true": ["spec", "draws", "seed"],
     "psi_tilde": ["pd"],
-    "run_monte_carlo": ["spec", "n", "reps", "seed", "nuisance_config", "oracle_nuisances",
-                        "ci_level", "psi_patt", "patt_draws"],
+    "run_monte_carlo": ["spec", "n", "reps", "seed", "nuisance_config", "ci_level", "psi_patt",
+                        "patt_draws"],
     "true_sample_estimands": ["pd", "psi_patt_true"],
 }
 FIELDS = {

@@ -474,8 +474,7 @@ def test_fh_oracle_degenerate_margins():
 def test_single_rep_reproduces_estimate_all():
     spec = _d1_spec()
     patt = McValue(1.0, 0.0)
-    rep = run_monte_carlo(spec, n=400, reps=1, seed=5, oracle_nuisances=True,
-                          psi_patt=patt)
+    rep = run_monte_carlo(spec, n=400, reps=1, seed=5, psi_patt=patt)
     pd = generate(spec, 400, seed=_child_seed(5, 0))
     direct = estimate_all(pd.dataset, oracle=pd.true_nuisances)
     assert rep.extras["mean_psi_hat"] == direct.psi_hat
@@ -487,8 +486,7 @@ def test_monte_carlo_bit_identical_reports():
     from treated.cli import dumps_canonical, mc_report_to_dict
 
     spec = _d1_spec()
-    kwargs = dict(n=300, reps=25, seed=99, oracle_nuisances=True,
-                  psi_patt=McValue(1.0, 0.0))
+    kwargs = dict(n=300, reps=25, seed=99, psi_patt=McValue(1.0, 0.0))
     a = run_monte_carlo(spec, **kwargs)
     b = run_monte_carlo(spec, **kwargs)
     assert dumps_canonical(mc_report_to_dict(a)) == dumps_canonical(mc_report_to_dict(b))
@@ -501,7 +499,7 @@ def _with_workers(monkeypatch, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failed_replications_counted_not_dropped(workers, monkeypatch):
     spec = _d1_spec(propensity_coeffs=[-8.0, 0.0])  # pi clipped to 0.02
-    kwargs = dict(n=10, reps=60, seed=3, oracle_nuisances=True, psi_patt=McValue(1.0, 0.0))
+    kwargs = dict(n=10, reps=60, seed=3, psi_patt=McValue(1.0, 0.0))
     _with_workers(monkeypatch, 1)
     serial = run_monte_carlo(spec, **kwargs)
     _with_workers(monkeypatch, workers)
@@ -516,10 +514,11 @@ def test_failed_replications_counted_not_dropped(workers, monkeypatch):
 
 
 def test_pooled_patt_truth_gives_the_report_of_a_given_one(monkeypatch):
-    # Without psi_patt the x-only batches of the PATT truth are items of the
-    # replications' pool; given the same truth, the study has no batches. This
+    # Without psi_patt each replication carries its share of the x-only batches
+    # of the PATT truth; given the same truth, the study has no batches. This
     # process scores both studies once and must write the same report bytes,
-    # at any worker count, failed replication included.
+    # at any worker count, failed replication included. At 3 workers the 16
+    # batches fall unevenly on the 9 replications and on the chunks.
     from treated.cli import dumps_canonical, mc_report_to_dict
 
     real_generate = simulation.generate
@@ -533,18 +532,18 @@ def test_pooled_patt_truth_gives_the_report_of_a_given_one(monkeypatch):
     spec = _d1_spec()
     truth = psi_patt_true(spec, draws=100_000, seed=_child_seed(8, 2 ** 31))
     reports = []
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         _with_workers(monkeypatch, workers)
         for psi_patt in (None, truth):
             rep = run_monte_carlo(spec, n=200, reps=9, seed=8, psi_patt=psi_patt,
                                   patt_draws=100_000)
             assert (rep.failed_reps, rep.failure_messages) == (1, ("rep 5: failing replication",))
             reports.append(dumps_canonical(mc_report_to_dict(rep)))
-    assert reports == [reports[0]] * 4
+    assert reports == [reports[0]] * 6
 
 
-@pytest.mark.parametrize("oracle_nuisances", [True, False])
-def test_study_scores_match_a_serial_reference(oracle_nuisances, monkeypatch):
+@pytest.mark.parametrize("oracle", [True, False])
+def test_study_scores_match_a_serial_reference(oracle, monkeypatch):
     # Each replication rerun alone through generate, true_sample_estimands and
     # estimate_all, then scored here with the statistics module against the
     # study's PATT truth. The 50% intervals miss on both sides, so a hit that
@@ -564,7 +563,8 @@ def test_study_scores_match_a_serial_reference(oracle_nuisances, monkeypatch):
     for workers in (1, 2):
         _with_workers(monkeypatch, workers)
         reports.append(run_monte_carlo(spec, n=n, reps=8, seed=6, ci_level=level,
-                                       oracle_nuisances=oracle_nuisances, patt_draws=100_000))
+                                       nuisance_config=None if oracle else NuisanceConfig(),
+                                       patt_draws=100_000))
     assert dumps_canonical(mc_report_to_dict(reports[0])) == \
         dumps_canonical(mc_report_to_dict(reports[1]))
     rep = reports[0]
@@ -576,7 +576,7 @@ def test_study_scores_match_a_serial_reference(oracle_nuisances, monkeypatch):
         pd = real_generate(spec, n, _child_seed(6, r))
         truths = true_sample_estimands(pd, psi)
         report = estimate_all(pd.dataset, NuisanceConfig(), ci_level=level,
-                              oracle=pd.true_nuisances if oracle_nuisances else None)
+                              oracle=pd.true_nuisances if oracle else None)
         for kind in KIND_ORDER:
             inf = report.per_kind[kind]
             errors[kind].append(report.psi_hat - truths[kind])
@@ -636,7 +636,7 @@ def test_fitted_replications_start_one_pool(monkeypatch, tmp_path):
     monkeypatch.setattr(os, "fork", recording_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(nuisance, "FOLD_POOL_ROWS", 0)
-    rep = run_monte_carlo(_d1_spec(), n=200, reps=4, seed=6, oracle_nuisances=False,
+    rep = run_monte_carlo(_d1_spec(), n=200, reps=4, seed=6,
                           nuisance_config=NuisanceConfig(folds=2),
                           psi_patt=McValue(1.0, 0.0))
     assert rep.failed_reps == 0
@@ -660,10 +660,8 @@ simulation.X_POOL_DRAWS = 0
 spec = simulation.DgpSpec.from_dict(json.loads(open(sys.argv[1]).read()))
 for call in [
         lambda: oracle_asymptotic_variances(spec, draws=140_000, seed=1),
-        lambda: run_monte_carlo(spec, n=100, reps=2, seed=1, oracle_nuisances=True,
-                                patt_draws=1000),
-        lambda: run_monte_carlo(spec, n=100, reps=2, seed=1, oracle_nuisances=True,
-                                psi_patt=McValue(1.0, 0.0))]:
+        lambda: run_monte_carlo(spec, n=100, reps=2, seed=1, patt_draws=1000),
+        lambda: run_monte_carlo(spec, n=100, reps=2, seed=1, psi_patt=McValue(1.0, 0.0))]:
     sys.modules.pop("secrets", None)
     call()
 print(forks)
@@ -679,8 +677,10 @@ def test_single_replication_runs_in_process(monkeypatch, tmp_path):
     # One replication is too little work for a pool: given its PATT truth, or
     # with one below X_POOL_DRAWS, the study runs in this process. Each
     # generate and _x_batches call appends its pid to a file, which a forked
-    # worker's write reaches too. From X_POOL_DRAWS draws on the study pools
-    # its batches, as pass 1 would, and writes the in-process report's bytes.
+    # worker's write reaches too; the replication's own _x_batches call has no
+    # batches. From X_POOL_DRAWS draws on the study pools its PATT batches, as
+    # pass 1 would, runs the replication here and writes the in-process report's
+    # bytes.
     from treated.cli import dumps_canonical, mc_report_to_dict
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
@@ -710,11 +710,12 @@ def test_single_replication_runs_in_process(monkeypatch, tmp_path):
     here = str(os.getpid())
     assert study(psi_patt=McValue(1.0, 0.0))[0] == [here] * 2
     pids, report = study(patt_draws=100_000)
-    assert pids == [here] * 2
+    assert pids == [here] * 3
     monkeypatch.setattr(simulation, "X_POOL_DRAWS", 100_000)
     pids, pooled_report = study(patt_draws=100_000)
-    # 16 batches and the replication on four workers, each calling _x_batches.
-    assert len(pids) == 5 and len(set(pids)) == 4 and here not in pids
+    # 16 batches on four workers, each calling _x_batches, then the replication here.
+    assert len(pids) == 6 and len(set(pids)) == 5 and pids[-2:] == [here] * 2
+    assert here not in pids[:4]
     assert pooled_report == report
 
 
@@ -794,11 +795,20 @@ def test_oracle_study_makes_no_psi_tilde_call(monkeypatch):
     monkeypatch.setattr(simulation, "psi_tilde", no_psi_tilde)
     _with_workers(monkeypatch, 1)
     kwargs = dict(n=200, reps=3, seed=4, psi_patt=McValue(1.0, 0.0))
-    rep = run_monte_carlo(_d1_spec(), oracle_nuisances=True, **kwargs)
+    rep = run_monte_carlo(_d1_spec(), **kwargs)
     assert rep.failed_reps == 0
     assert rep.extras["psi_tilde_rms_scaled_gap"] == 0.0
     with pytest.raises(AssertionError, match="psi_tilde called"):
-        run_monte_carlo(_d1_spec(), oracle_nuisances=False, **kwargs)
+        run_monte_carlo(_d1_spec(), nuisance_config=NuisanceConfig(), **kwargs)
+
+
+def test_a_nuisance_config_alone_fits_the_nuisances():
+    # No config means each replication's true nuisances, where the one-step gap
+    # is 0 by identity; a config alone means fitted nuisances.
+    kwargs = dict(n=200, reps=3, seed=4, psi_patt=McValue(1.0, 0.0))
+    gaps = [run_monte_carlo(_d1_spec(), nuisance_config=config, **kwargs)
+            .extras["psi_tilde_rms_scaled_gap"] for config in (None, NuisanceConfig())]
+    assert gaps[0] == 0.0 and gaps[1] > 0.0
 
 
 def test_monte_carlo_rejects_bad_n_before_the_patt_oracle(monkeypatch):
@@ -828,8 +838,7 @@ def test_consistency_chain_rms_decreases(std_oracle):
 
 
 def test_conservative_swatt_variances_bound_truth(std_oracle):
-    rep = run_monte_carlo(STD_SPEC, n=20_000, reps=100, seed=71,
-                          oracle_nuisances=True, psi_patt=std_oracle.psi_patt)
+    rep = run_monte_carlo(STD_SPEC, n=20_000, reps=100, seed=71, psi_patt=std_oracle.psi_patt)
     floor = std_oracle.swatt.value - 3 * std_oracle.swatt.se
     assert rep.extras["mean_swatt_conservative_simple"] >= floor
     assert rep.extras["mean_swatt_conservative_sigma"] >= floor
