@@ -19,6 +19,7 @@ import io
 import json
 import math
 import mmap
+import os
 import sys
 import warnings
 from typing import Optional
@@ -448,7 +449,13 @@ def oracle_to_dict(oracle: OracleVariances, seed: int) -> dict:
 
 def _write_output(text: str, output: Optional[str]):
     if output is None or output == "-":
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # Python's flush at exit would fail again and print a second error.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise CliParseError(f"cannot write standard output: {exc}") from exc
     else:
         try:
             with open(output, "w", encoding="utf-8", newline="\n") as fh:

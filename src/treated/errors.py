@@ -2,7 +2,8 @@
 
 ``ValidationError`` covers rejected inputs (bad data, impossible configs,
 missing nuisance values); ``NumericError`` covers failures of the numerical
-routines themselves. The CLI maps the two branches to distinct exit codes.
+routines themselves. The CLI maps the two branches to distinct exit codes;
+``ResourceError`` (a machine limit, not the input) exits as a validation error.
 """
 
 
@@ -68,3 +69,7 @@ class SingularSystemError(NumericError):
 
 class NonFiniteEstimateError(NumericError):
     """A fitted nuisance, the point estimate or a variance came out NaN or infinite."""
+
+
+class ResourceError(TreatedError, RuntimeError):
+    """A pool worker exited without a result: killed, say by the out-of-memory killer."""

@@ -13,6 +13,8 @@ from statistics import NormalDist
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .errors import ResourceError
+
 _STD_NORMAL = NormalDist()
 _in_worker = False  # set in a forked pool worker: pools never nest
 
@@ -148,7 +150,8 @@ def _chunked(generator, args: tuple, count: int, *, pooled: bool) -> list:
     (see ``_worker_count``), each runs one contiguous chunk of indices in a forked process;
     otherwise the generator runs here. A worker inherits ``generator`` and ``args`` and
     pipes its items back pickled (arrays go in ``shared_empty``); the first failing
-    chunk's error is raised, all workers reaped."""
+    chunk's error is raised, all workers reaped. A worker that exits without a result
+    raises ResourceError, naming its first index and its exit status or signal."""
     global _in_worker
     workers = _worker_count(count) if pooled else 1
     if workers == 1:
@@ -170,9 +173,13 @@ def _chunked(generator, args: tuple, count: int, *, pooled: bool) -> list:
                         os._exit(0)
             pids.append(pid)
         items = []
-        for lo, pipe in zip(bounds, pipes):
+        for i, (lo, pipe) in enumerate(zip(bounds, pipes)):
             if not (data := pipe.read()):
-                raise RuntimeError(f"the pool worker from index {lo} exited without a result")
+                # Reaped here and dropped from pids: the pid may be reused once reaped.
+                code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(i), 0)[1])
+                cause = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise ResourceError(f"the pool worker from index {lo} exited without a result "
+                                    f"({cause})")
             ok, value = pickle.loads(data)
             if not ok:
                 raise value

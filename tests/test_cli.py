@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import pickle
+import signal
 import subprocess
 import sys
 import threading
@@ -880,6 +881,52 @@ def test_overflowing_spec_writes_one_stderr_line(tmp_path, workers, command, cod
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert json.loads(lines[0]) == {"error_code": error_code, "message": message}
+
+
+def test_killed_study_worker_writes_one_stderr_line(tmp_path, monkeypatch, capsys):
+    # A study worker killed before it sends its replications, as the
+    # out-of-memory killer would kill it, ends the command with one JSON line
+    # and the validation exit code, not a traceback.
+    real_generate = treated.simulation.generate
+
+    def killing_generate(spec, n, seed):
+        if treated.mathutil._in_worker:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_generate(spec, n, seed)
+
+    monkeypatch.setattr(treated.simulation, "generate", killing_generate)
+    monkeypatch.setattr(treated.mathutil, "_worker_count", lambda count: 2)
+    spec_path = _write(tmp_path, "spec.json", json.dumps(_spec_json()))
+    code = main(["simulate", "--spec", spec_path, "--n", "200", "--reps", "4",
+                 "--oracle-nuisances", "--patt-draws", "1000"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert json.loads(err) == {
+        "error_code": "Resource",
+        "message": "the pool worker from index 0 exited without a result (killed by signal 9)"}
+
+
+def test_closed_stdout_writes_one_stderr_line():
+    # The report goes into a pipe whose read end is closed. The write fails with
+    # EPIPE; the command must end with the one ParseError line, and the flush at
+    # interpreter exit must print nothing more.
+    spec = pathlib.Path(__file__).parent / "golden" / "continuous_spec.json"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "treated", "oracle", "--spec", str(spec),
+                               "--draws", "1000"], stdout=write, stderr=subprocess.PIPE,
+                              text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    payload = json.loads(lines[0])
+    assert payload["error_code"] == "ParseError"
+    assert payload["message"].startswith("cannot write standard output: "), payload
 
 
 def test_oracle_homogeneous_effect_psi_equals_constant(tmp_path, capsys):

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import pytest
 
 from treated import mathutil
+from treated.errors import ResourceError
 
 
 @contextmanager
@@ -50,19 +51,28 @@ def test_items_come_back_in_index_order(workers, monkeypatch):
     _assert_every_worker_reaped()
 
 
-def _dies_at(index, lo, hi):
+def _dies_at(index, die, lo, hi):
     for i in range(lo, hi):
         if i == index:
-            os._exit(1)
+            die()
         yield i
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_worker_exiting_mid_chunk_raises(workers, monkeypatch):
+    # A worker that exits, or is killed as the out-of-memory killer would, before
+    # it writes its result: the error names the worker's first index and how it
+    # ended, and is still a RuntimeError. The pid it reaps is not waited on again.
     _with_workers(monkeypatch, workers)
-    with _deadline(30), pytest.raises(RuntimeError, match="exited without a result"):
-        mathutil._chunked(_dies_at, (3,), 8, pooled=True)
-    _assert_every_worker_reaped()
+    first = {2: 0, 3: 2}[workers]  # the first index of the chunk holding index 3
+    for die, cause in [(lambda: os._exit(1), "exit status 1"),
+                       (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9")]:
+        with _deadline(30), pytest.raises(ResourceError) as info:
+            mathutil._chunked(_dies_at, (3, die), 8, pooled=True)
+        assert isinstance(info.value, RuntimeError)
+        assert str(info.value) == \
+            f"the pool worker from index {first} exited without a result ({cause})"
+        _assert_every_worker_reaped()
 
 
 class _HoldsALambda(Exception):
