@@ -331,9 +331,7 @@ def _scan_columns(text: str) -> dict:
     return {name: column(name) for name in names}
 
 
-def _oracle_values(dataset: Dataset, cols: dict, clip_eps: float) -> Optional[NuisanceValues]:
-    if not cols:
-        return None
+def _oracle_values(dataset: Dataset, cols: dict, clip_eps: float) -> NuisanceValues:
     if "pi" not in cols or "mu0" not in cols:
         raise ValidationError("oracle nuisances need at least the 'pi' and 'mu0' columns")
     # A lone sd column is carried but unused: the sigma variant needs both.
@@ -502,8 +500,6 @@ def cmd_estimate(args) -> int:
     oracle = None
     if args.nuisance == "oracle" or (args.nuisance == "auto" and oracle_cols):
         oracle = _oracle_values(dataset, oracle_cols, args.clip_eps)
-        if oracle is None:
-            raise ValidationError("--nuisance oracle requires 'pi' and 'mu0' CSV columns")
     report = estimate_all(dataset, config, oracle=oracle,
                           estimands=estimands, ci_level=args.ci_level)
     _write_output(dumps_canonical(report_to_dict(report)), args.output)
@@ -605,15 +601,9 @@ def main(argv=None) -> int:
     except CliParseError as exc:
         _emit_error("ParseError", str(exc))
         return 1
-    except ValidationError as exc:
-        _emit_error(type(exc).__name__.removesuffix("Error"), str(exc))
-        return 2
-    except NumericError as exc:
-        _emit_error(type(exc).__name__.removesuffix("Error"), str(exc))
-        return 3
     except TreatedError as exc:
         _emit_error(type(exc).__name__.removesuffix("Error"), str(exc))
-        return 2
+        return 3 if isinstance(exc, NumericError) else 2
 
 
 if __name__ == "__main__":

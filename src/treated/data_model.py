@@ -58,6 +58,8 @@ class Taxonomy(enum.Enum):
 
 
 class EstimandKind(enum.Enum):
+    """The six estimands, in canonical report order."""
+
     PATT = "patt"
     ACTT = "actt"
     SWATT = "swatt"
@@ -74,15 +76,7 @@ class EstimandKind(enum.Enum):
         return Taxonomy.LITERAL
 
 
-#: Canonical report ordering for the six estimands.
-KIND_ORDER = (
-    EstimandKind.PATT,
-    EstimandKind.ACTT,
-    EstimandKind.SWATT,
-    EstimandKind.CATT,
-    EstimandKind.SATT,
-    EstimandKind.MATT,
-)
+KIND_ORDER = tuple(EstimandKind)
 
 
 @dataclass(frozen=True, eq=False)

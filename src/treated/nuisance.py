@@ -143,8 +143,7 @@ def _fit_logistic(a: np.ndarray, x: np.ndarray, config: NuisanceConfig) -> Prope
     def penalized_ll(beta):
         eta = blocked_matmul(design, beta)
         ll = bernoulli_loglik(a, eta)
-        if d > 0:
-            ll -= 0.5 * _RIDGE * float(beta[1:] @ beta[1:])
+        ll -= 0.5 * _RIDGE * float(beta[1:] @ beta[1:])
         return ll, eta
 
     beta = np.zeros(d + 1)
@@ -157,11 +156,10 @@ def _fit_logistic(a: np.ndarray, x: np.ndarray, config: NuisanceConfig) -> Prope
             raise IrlsDivergedError("non-finite working weights in IRLS")
         grad = blocked_crossprod(design, a - p)
         hess = blocked_crossprod(design, design * w[:, None])
-        if d > 0:
-            grad[1:] -= _RIDGE * beta[1:]
-            hess[np.arange(1, d + 1), np.arange(1, d + 1)] += _RIDGE
+        grad[1:] -= _RIDGE * beta[1:]
+        hess.flat[d + 2::d + 2] += _RIDGE  # the slopes' diagonal
         # Levenberg-style floor keeps the solve well-posed under saturation.
-        hess[np.diag_indices_from(hess)] += max(_RIDGE, 1e-10)
+        hess.flat[::d + 2] += max(_RIDGE, 1e-10)
         try:
             delta = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
@@ -220,7 +218,7 @@ class _ArmDesign:
         self.y, self.x = y[rows], x.take(rows, axis=0)
         self.mean, self.scale, self.design = _design(self.x)
         self.gram = blocked_crossprod(self.design, self.design)
-        self.gram[np.arange(1, d + 1), np.arange(1, d + 1)] += _RIDGE
+        self.gram.flat[d + 2::d + 2] += _RIDGE  # the slopes' diagonal
 
     def _solve(self, target: np.ndarray) -> _AffineModel:
         try:

@@ -206,25 +206,21 @@ def _true_arrays(spec: DgpSpec, x: np.ndarray):
 
 
 def _draw_potentials(spec: DgpSpec, rng, mu0, mu1, sigma0, sigma1):
-    """Draw (y0, y1) from the arm means and sds under the spec's dependence regime."""
-    n = mu0.shape[0]
-    if spec.outcome_kind is OutcomeKind.BINARY:
-        u1 = rng.random(n)
-        if spec.dependence is Dependence.COMONOTONE:
-            u0 = u1
-        elif spec.dependence is Dependence.ANTITONE:
-            u0 = 1.0 - u1
-        else:
-            u0 = rng.random(n)
-        return (u0 < mu0).astype(float), (u1 < mu1).astype(float)
-    z1 = rng.standard_normal(n)
+    """Draw (y0, y1) from the arm means and sds under the spec's dependence
+    regime: e1 then e0, uniforms for binary outcomes and normals for
+    continuous ones; antitone reflects e1 as 1 - u or -z."""
+    binary = spec.outcome_kind is OutcomeKind.BINARY
+    draw = rng.random if binary else rng.standard_normal
+    e1 = draw(mu0.shape[0])
     if spec.dependence is Dependence.COMONOTONE:
-        z0 = z1
+        e0 = e1
     elif spec.dependence is Dependence.ANTITONE:
-        z0 = -z1
+        e0 = 1.0 - e1 if binary else -e1
     else:
-        z0 = rng.standard_normal(n)
-    return mu0 + sigma0 * z0, mu1 + sigma1 * z1
+        e0 = draw(mu0.shape[0])
+    if binary:
+        return (e0 < mu0).astype(float), (e1 < mu1).astype(float)
+    return mu0 + sigma0 * e0, mu1 + sigma1 * e1
 
 
 def _draw_units(spec: DgpSpec, n: int, rng):
