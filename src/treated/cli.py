@@ -604,6 +604,10 @@ def main(argv=None) -> int:
     except TreatedError as exc:
         _emit_error(type(exc).__name__.removesuffix("Error"), str(exc))
         return 3 if isinstance(exc, NumericError) else 2
+    except MemoryError as exc:
+        # Raised here or in a pool worker, whose error comes back pickled.
+        _emit_error("Resource", f"out of memory: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

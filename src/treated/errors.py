@@ -3,7 +3,8 @@
 ``ValidationError`` covers rejected inputs (bad data, impossible configs,
 missing nuisance values); ``NumericError`` covers failures of the numerical
 routines themselves. The CLI maps the two branches to distinct exit codes;
-``ResourceError`` (a machine limit, not the input) exits as a validation error.
+``ResourceError`` (a machine limit, not the input) and ``MemoryError`` exit as
+a validation error.
 """
 
 
@@ -72,4 +73,6 @@ class NonFiniteEstimateError(NumericError):
 
 
 class ResourceError(TreatedError, RuntimeError):
-    """A pool worker exited without a result: killed, say by the out-of-memory killer."""
+    """The machine, not the input, stopped the work: a pool worker that could not be
+    started (a failed fork or pipe) or exited without a result (killed, say by the
+    out-of-memory killer). The CLI reports running out of memory under the same code."""

@@ -144,14 +144,24 @@ def shared_empty(shape) -> np.ndarray:
     return np.frombuffer(buffer, dtype=float, count=size).reshape(shape)
 
 
+def _starting(call):
+    """``call()``, os.pipe or os.fork, with an OSError (no file descriptors or
+    processes left) raised as ResourceError."""
+    try:
+        return call()
+    except OSError as exc:
+        raise ResourceError(f"cannot start a pool worker: {exc}") from exc
+
+
 def _chunked(generator, args: tuple, count: int, *, pooled: bool) -> list:
     """The items of ``generator(*args, lo, hi)`` over the indices [0, count), as a list in
     index order. When the caller's ``pooled`` rule holds and there is more than one worker
     (see ``_worker_count``), each runs one contiguous chunk of indices in a forked process;
     otherwise the generator runs here. A worker inherits ``generator`` and ``args`` and
     pipes its items back pickled (arrays go in ``shared_empty``); the first failing
-    chunk's error is raised, all workers reaped. A worker that exits without a result
-    raises ResourceError, naming its first index and its exit status or signal."""
+    chunk's error is raised, all workers reaped. A worker that cannot be started, or that
+    exits without a result, raises ResourceError; the latter names its first index and its
+    exit status or signal."""
     global _in_worker
     workers = _worker_count(count) if pooled else 1
     if workers == 1:
@@ -161,10 +171,10 @@ def _chunked(generator, args: tuple, count: int, *, pooled: bool) -> list:
     pids, pipes = [], []
     try:
         for lo, hi in zip(bounds, bounds[1:]):
-            read, write = os.pipe()
+            read, write = _starting(os.pipe)
             pipes.append(open(read, "rb"))
             with open(write, "wb") as out:
-                if (pid := os.fork()) == 0:
+                if (pid := _starting(os.fork)) == 0:
                     try:  # a worker leaves through os._exit, whatever its chunk raises
                         _in_worker = True
                         out.write(_run_chunk(generator, args, lo, hi))

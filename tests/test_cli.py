@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import json
 import os
 import pathlib
@@ -637,6 +638,32 @@ def test_estimate_lone_sd_column_is_checked_then_unused(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error_code"] == "Validation"
 
 
+_NO_ORACLE = {"error_code": "Validation",
+              "message": "oracle nuisances need at least the 'pi' and 'mu0' columns"}
+
+
+@pytest.mark.parametrize("columns, estimands, code, error", [
+    (3, "all", 2, _NO_ORACLE),
+    (4, "all", 2, _NO_ORACLE),
+    (5, "actt", 2, {"error_code": "MissingOracle",
+                    "message": "oracle mu1_hat required but not supplied"}),
+    (5, "patt,matt", 0, None),
+], ids=["no oracle columns", "pi alone", "actt without mu1", "patt,matt"])
+def test_estimate_oracle_nuisances(tmp_path, capsys, columns, estimands, code, error):
+    # The worked example cut to its first columns: y,a,x1, then pi, then mu0.
+    text = "".join(",".join(line.split(",")[:columns]) + "\n" for line in WORKED_CSV.splitlines())
+    assert main(["estimate", "--input", _write(tmp_path, "cut.csv", text), "--nuisance", "oracle",
+                 "--estimands", estimands]) == code
+    out, err = capsys.readouterr()
+    if error is not None:
+        assert out == "" and json.loads(err) == error
+    else:
+        report = json.loads(out)
+        assert list(report["per_kind"]) == ["patt", "matt"]
+        assert report["diagnostics"]["nuisance_method"] == \
+            "propensity=oracle,outcome=oracle,sd=skip"
+
+
 def test_estimate_numeric_error_exit3(tmp_path, capsys, monkeypatch):
     csv_path = _write(tmp_path, "data.csv", WORKED_CSV)
     import treated.cli as cli_mod
@@ -905,6 +932,43 @@ def test_killed_study_worker_writes_one_stderr_line(tmp_path, monkeypatch, capsy
     assert json.loads(err) == {
         "error_code": "Resource",
         "message": "the pool worker from index 0 exited without a result (killed by signal 9)"}
+
+
+_NO_MEMORY = ("Unable to allocate 14.6 TiB for an array with shape (1000000000000, 2) and data "
+              "type float64")
+_EAGAIN = os.strerror(errno.EAGAIN)
+
+
+@pytest.mark.parametrize("failure, workers, message", [
+    ("memory", 1, f"out of memory: {_NO_MEMORY}"),
+    ("memory", 2, f"out of memory: {_NO_MEMORY}"),
+    ("fork", 2, f"cannot start a pool worker: [Errno {errno.EAGAIN}] {_EAGAIN}"),
+], ids=["memory here", "memory in a worker", "failed fork"])
+def test_machine_limit_writes_one_stderr_line(tmp_path, monkeypatch, capsys, failure, workers,
+                                              message):
+    # An allocation that fails, in this process or in a study worker whose error
+    # comes back pickled, and a fork that fails, as it does when the machine is
+    # out of processes, end the command with one Resource line and the
+    # validation exit code, not a traceback. Nothing is really allocated.
+    def failing_draw_x(spec, n, rng):
+        assert treated.mathutil._in_worker == (workers > 1)
+        raise MemoryError(_NO_MEMORY)
+
+    def failing_fork():
+        raise BlockingIOError(errno.EAGAIN, _EAGAIN)
+
+    if failure == "memory":
+        monkeypatch.setattr(treated.simulation, "_draw_x", failing_draw_x)
+    else:
+        monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(treated.mathutil, "_worker_count", lambda count: workers)
+    spec_path = _write(tmp_path, "spec.json", json.dumps(_spec_json()))
+    code = main(["simulate", "--spec", spec_path, "--n", "200", "--reps", "4",
+                 "--oracle-nuisances", "--patt-draws", "1000"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert json.loads(err) == {"error_code": "Resource", "message": message}
 
 
 def test_closed_stdout_writes_one_stderr_line():

@@ -3,6 +3,7 @@ the first failing chunk's error reaches the caller, an error that does not
 pickle still arrives by type and message, every worker is reaped however its
 chunk or the caller's read ends, and a call whose rule says no never forks."""
 
+import errno
 import os
 import pickle
 import signal
@@ -73,6 +74,34 @@ def test_worker_exiting_mid_chunk_raises(workers, monkeypatch):
         assert str(info.value) == \
             f"the pool worker from index {first} exited without a result ({cause})"
         _assert_every_worker_reaped()
+
+
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_worker_that_cannot_start_raises(call, monkeypatch):
+    # The second pipe or fork fails, as it does when the machine is out of file
+    # descriptors or processes: a ResourceError, and the worker already started
+    # is killed and reaped, not waited for.
+    real = getattr(os, call)
+    calls = []
+
+    def second_fails():
+        calls.append(call)
+        if len(calls) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real()
+
+    def slow(lo, hi):
+        time.sleep(60)
+        yield from range(lo, hi)
+
+    _with_workers(monkeypatch, 3)
+    monkeypatch.setattr(os, call, second_fails)
+    with _deadline(30), pytest.raises(ResourceError) as info:
+        mathutil._chunked(slow, (), 6, pooled=True)
+    assert str(info.value) == \
+        f"cannot start a pool worker: [Errno {errno.EAGAIN}] Resource temporarily unavailable"
+    assert len(calls) == 2
+    _assert_every_worker_reaped()
 
 
 class _HoldsALambda(Exception):
