@@ -595,9 +595,14 @@ def main(argv=None) -> int:
         return 1
     try:
         # Overflow surfaces as a checked non-finite value; numpy's warnings would
-        # only add stderr lines. Forked pool workers inherit this state.
-        with np.errstate(all="ignore"):
-            return args.func(args)
+        # only add stderr lines. Forked pool workers inherit this state. Other
+        # warnings are shown only once the command has succeeded: an error
+        # writes its one line alone.
+        with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as shown:
+            code = args.func(args)
+        for w in shown:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        return code
     except CliParseError as exc:
         _emit_error("ParseError", str(exc))
         return 1

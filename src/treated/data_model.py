@@ -236,9 +236,13 @@ class KindInference:
 
 
 def check_ci_level(level: float) -> None:
-    """Raise ``ValidationError`` unless the interval level lies in (0, 1)."""
+    """Raise ``ValidationError`` unless the interval level lies in (0, 1) and the
+    level of its normal quantile, (1 + level) / 2, rounds below 1."""
     if not 0.0 < level < 1.0:
         raise ValidationError(f"ci_level must be in (0, 1), got {level}")
+    if 0.5 * (1.0 + level) == 1.0:
+        raise ValidationError(f"ci_level {level!r} gives no finite interval: (1 + ci_level) / 2 "
+                              f"rounds to 1")
 
 
 def check_seed(seed) -> None:

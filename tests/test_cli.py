@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import errno
+import io
 import json
 import os
 import pathlib
@@ -11,13 +12,15 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import treated.cli
+import treated.errors
 import treated.mathutil
 import treated.nuisance
 import treated.simulation
@@ -721,7 +724,7 @@ def test_estimate_fitted_nuisances(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["estimate", "simulate"])
-@pytest.mark.parametrize("level", ["1.5", "1.0", "0.0", "nan"])
+@pytest.mark.parametrize("level", ["1.5", "1.0", "0.0", "nan", "0.9999999999999999"])
 def test_out_of_range_ci_level_exit2(tmp_path, capsys, command, level):
     if command == "estimate":
         args = ["estimate", "--input", _write(tmp_path, "data.csv", WORKED_CSV)]
@@ -757,6 +760,141 @@ def test_negative_seed_exit2(tmp_path, capsys, monkeypatch, command):
     assert captured.out == ""
     payload = json.loads(captured.err.strip())
     assert payload == {"error_code": "Validation", "message": "seed must be >= 0, got -1"}
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["report", "error"])
+def test_warning_is_shown_only_with_a_report(tmp_path, capsys, fails):
+    # One outcome far from the others warns of heavy residuals. A covariate
+    # near 1e154 then overflows the actt variance: the command fails, and its
+    # error line is the only thing on stderr.
+    if fails:
+        rows = ["0,1,0"] * 9 + ["2,1,1"] + ["0,0,0"] * 3 + ["1,0,0", "0,0,1.3878399718096036e+154"]
+    else:
+        rows = [f"{1e4 if i == 3 else (i * 7 % 5 - 2) * 0.3},{i % 2},{(i * 3 % 7 - 3) * 0.4}"
+                for i in range(40)]
+    path = _write(tmp_path, "heavy.csv", "y,a,x1\n" + "\n".join(rows) + "\n")
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("default")  # as in the command
+        code = main(["estimate", "--input", path, "--nuisance", "fitted"])
+    out, err = capsys.readouterr()
+    if fails:
+        assert (code, out, shown) == (3, "", [])
+        assert json.loads(err) == {"error_code": "NonFiniteEstimate",
+                                   "message": "actt: non-finite variance=inf"}
+    else:
+        assert code == 0 and json.loads(out)
+        assert [w.category for w in shown] == [treated.nuisance.HeavyResidualWarning]
+
+
+# ---------------------------------------------------------------------------
+# estimate: the exit-code contract as a property.
+
+# Cells by column kind: in range, then any float, and for a the values near 0
+# and 1 that the checks must meet.
+_CELLS = {
+    "y": st.floats(-1e3, 1e3),
+    "x": st.floats(-10, 10),
+    "pi": st.floats(0.05, 0.95),
+    "mu": st.floats(-10, 10),
+    "sigma": st.floats(0, 5),
+}
+_ESTIMANDS = ["patt", "actt", "swatt", "catt", "satt", "matt"]
+# The ends of (0, 0.5) and (0, 1), on them and just inside.
+_CLIP_EPS = ["0", "5e-324", "0.49999999999999994", "0.5"]
+_CI_LEVEL = ["0", "5e-324", "0.9999999999999999", "1"]
+
+
+def _now_and_then(draw):
+    return draw(st.sampled_from([False] * 7 + [True]))
+
+
+@st.composite
+def _estimate_run(draw):
+    """A small CSV for ``estimate`` and the flags after ``--input``.
+
+    The CSV has d = 0..2 covariates and any of the oracle columns; rows of
+    both arms or of one, constant columns, a 0/1 outcome, blank lines, a byte
+    order mark, quoted cells, and now and then edge cells or a bad cell. The
+    flags cover estimand subsets, 1-6 folds, each nuisance mode,
+    ``--binary-outcome``, and now and then ``--clip-eps`` or ``--ci-level``
+    at an edge of its range."""
+    binary = draw(st.booleans())
+    nuisance = draw(st.sampled_from(["auto", "fitted", "oracle"]))
+    d = draw(st.integers(0, 2))
+    oracle = set(draw(st.lists(st.sampled_from(_ORACLE_COLUMNS), unique=True)))
+    if (oracle or nuisance == "oracle") and not _now_and_then(draw):
+        oracle |= {"pi", "mu0"}
+    names = draw(st.permutations(["y", "a", *(f"x{i}" for i in range(1, d + 1)),
+                                  *sorted(oracle)]))
+    n = draw(st.integers(2, 20))
+    columns = {}
+    for name in names:
+        if name == "a":
+            treated = draw(st.integers(1, n - 1))
+            column = draw(st.permutations(["1"] * treated + ["0"] * (n - treated)))
+            edges = st.sampled_from(["1.0", "-0", "2", "0.5"])
+        else:
+            inside = _CELLS[name.rstrip("0123456789") if name[0] in "xms" else name].map(repr)
+            if name == "y" and binary and not _now_and_then(draw):
+                inside = st.sampled_from(["0", "1"])
+            column = draw(st.lists(inside, min_size=n, max_size=n))
+            edges = st.floats().map(repr)
+        if _now_and_then(draw):
+            for i in draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)):
+                column[i] = draw(edges)
+        if _now_and_then(draw):  # a constant column; for a, rows of one arm
+            column = column[:1] * n
+        columns[name] = column
+    rows = [[columns[name][i] for name in names] for i in range(n)]
+    if _now_and_then(draw):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, len(names) - 1))
+        rows[i][j] = draw(st.sampled_from(["bad", "", "1e", "0x10"]))
+    quoted = draw(st.sampled_from([None, *range(len(names))]))  # a column in quotes
+    lines = [",".join(names), *(",".join(f'"{c}"' if j == quoted else c for j, c in enumerate(row))
+                                for row in rows)]
+    if _now_and_then(draw):
+        lines.insert(draw(st.integers(1, n)), "")
+    text = ("\ufeff" if draw(st.booleans()) else "") + "\n".join(lines) + "\n"
+    estimands = draw(st.one_of(st.just("all"), st.lists(st.sampled_from(_ESTIMANDS), min_size=1,
+                                                        unique=True).map(",".join)))
+    flags = ["--estimands", estimands,
+             "--folds", str(draw(st.one_of(st.just(1), st.integers(1, 6)))),
+             "--nuisance", nuisance,
+             "--clip-eps", draw(st.sampled_from(_CLIP_EPS)) if _now_and_then(draw) else "0.01",
+             "--ci-level", draw(st.sampled_from(_CI_LEVEL)) if _now_and_then(draw) else "0.95",
+             *(["--binary-outcome"] if binary else [])]
+    return text, flags
+
+
+_NUMERIC_CODES = {cls.__name__.removesuffix("Error") for cls in vars(treated.errors).values()
+                  if isinstance(cls, type) and issubclass(cls, treated.errors.NumericError)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=_estimate_run())
+def test_estimate_keeps_the_exit_code_contract(csv_path, run):
+    # Whatever the file and flags: an exit code in 0..3 and no exception; a
+    # failure writes nothing to stdout and one JSON line with an error_code to
+    # stderr, with 3 exactly for a numeric error; a success writes JSON. A
+    # warning would reach stderr in the command, so a failure raises none.
+    text, flags = run
+    csv_path.write_text(text, encoding="utf-8", newline="")
+    argv = ["estimate", "--input", str(csv_path), *flags]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    event(f"exit {code}")
+    if code == 0:
+        json.loads(out.getvalue())
+        return
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and not caught, (err.getvalue(), [str(w.message) for w in caught])
+    payload = json.loads(lines[0])
+    assert (code == 3) == (payload["error_code"] in _NUMERIC_CODES), payload
 
 
 # ---------------------------------------------------------------------------
