@@ -331,7 +331,7 @@ def _scan_columns(text: str) -> dict:
     return {name: column(name) for name in names}
 
 
-def _oracle_values(dataset: Dataset, cols: dict, clip_eps: float) -> NuisanceValues:
+def _oracle_values(cols: dict, clip_eps: float) -> NuisanceValues:
     if "pi" not in cols or "mu0" not in cols:
         raise ValidationError("oracle nuisances need at least the 'pi' and 'mu0' columns")
     # A lone sd column is carried but unused: the sigma variant needs both.
@@ -499,7 +499,7 @@ def cmd_estimate(args) -> int:
     estimands = _parse_estimands(args.estimands)
     oracle = None
     if args.nuisance == "oracle" or (args.nuisance == "auto" and oracle_cols):
-        oracle = _oracle_values(dataset, oracle_cols, args.clip_eps)
+        oracle = _oracle_values(oracle_cols, args.clip_eps)
     report = estimate_all(dataset, config, oracle=oracle,
                           estimands=estimands, ci_level=args.ci_level)
     _write_output(dumps_canonical(report_to_dict(report)), args.output)

@@ -834,7 +834,7 @@ def _estimate_run(draw):
             column = draw(st.permutations(["1"] * treated + ["0"] * (n - treated)))
             edges = st.sampled_from(["1.0", "-0", "2", "0.5"])
         else:
-            inside = _CELLS[name.rstrip("0123456789") if name[0] in "xms" else name].map(repr)
+            inside = _CELLS[name.rstrip("0123456789")].map(repr)
             if name == "y" and binary and not _now_and_then(draw):
                 inside = st.sampled_from(["0", "1"])
             column = draw(st.lists(inside, min_size=n, max_size=n))
