@@ -56,7 +56,8 @@ class _Columns:
     treatment indicator. The estimator fills it through ``of``. The brute-force
     oracle fills it with true nuisances, E[pi] as ``a_bar`` and the population
     effect as ``psi``. Built directly it also takes inputs the validated
-    Dataset rejects, such as all-treated data."""
+    Dataset rejects, such as all-treated data. Past the shared ``terms`` and
+    ``tau_y``, each quantity caches the formula below that its lambda names."""
 
     def __init__(self, y, a, pi, mu0, mu1=None, sigma0=None, sigma1=None, *, binary, a_bar,
                  psi=None):
@@ -77,68 +78,24 @@ class _Columns:
                    nuis.sigma1_hat, binary=dataset.outcome_kind is OutcomeKind.BINARY,
                    a_bar=float(a.mean()), psi=psi)
 
-    def _require_mu1(self) -> np.ndarray:
-        if self.mu1 is None:
-            raise MissingMu1Error("mu1_hat is required for this quantity")
-        return self.mu1
-
     @cached_property
     def terms(self):
         return (self.a - self.pi) * (self.y - self.mu0) / (self.a_bar * (1.0 - self.pi))
 
     @cached_property
-    def psi(self) -> float:
-        return float(np.mean(self.terms))
-
-    @cached_property
-    def comp(self):
-        """Per-unit outcome, assignment and covariate scores ``(psi_y, psi_a, psi_x)``."""
-        y, a, pi, mu0, mu1 = self.y, self.a, self.pi, self.mu0, self._require_mu1()
-        contrast = mu1 - mu0 - self.psi
-        psi_y = (y - select(a == 1, mu1, mu0)) * (a - (1.0 - a) * pi / (1.0 - pi)) / self.a_bar
-        psi_a = (a - pi) * contrast / self.a_bar
-        psi_x = pi * contrast / self.a_bar
-        return psi_y, psi_a, psi_x
-
-    @cached_property
     def tau_y(self):
+        """The control-residual component driving the literal estimands."""
         return (self.y - self.mu0) * (1.0 - self.a) * self.pi / (self.a_bar * (1.0 - self.pi))
 
-    @cached_property
-    def v_patt(self) -> float:
-        """Closed-form per-unit score; needs no treated-arm outcome model."""
-        return float(np.var(self.terms - self.a * self.psi / self.a_bar))
-
-    @cached_property
-    def v_actt(self) -> float:
-        return float(np.var(self.comp[0] + self.comp[1]))
-
-    @cached_property
-    def v_catt(self) -> float:
-        return float(np.var(self.comp[0]))
-
-    @cached_property
-    def v_matt(self) -> float:
-        return float(np.var(self.tau_y))
-
-    @cached_property
-    def v_satt(self) -> float:
-        pi, a = self.pi, self.a
-        terms = pi * (1.0 - a) / (1.0 - pi) ** 2 * ((self.y - self.mu0) / self.a_bar) ** 2
-        return float(terms.mean())
-
-    @cached_property
-    def v_sigma_bound(self) -> float:
-        if self.sigma0 is None or self.sigma1 is None:
-            raise MissingSigmaError("sigma0_hat and sigma1_hat are required")
-        return float(np.mean(self.pi ** 2 * (self.sigma1 - self.sigma0) ** 2) / self.a_bar ** 2)
-
-    @cached_property
-    def v_fh_bound(self) -> float:
-        if not self.binary:
-            raise NotBinaryOutcomeError("the sharp bound applies to binary outcomes only")
-        delta = np.abs(np.clip(self._require_mu1(), 0.0, 1.0) - np.clip(self.mu0, 0.0, 1.0))
-        return float(np.mean(self.pi ** 2 * (delta - delta ** 2)))
+    psi = cached_property(lambda self: estimate_psi_hat(self))
+    comp = cached_property(lambda self: if_components(self))
+    v_patt = cached_property(lambda self: var_patt(self))
+    v_actt = cached_property(lambda self: var_actt(self))
+    v_catt = cached_property(lambda self: var_catt(self))
+    v_matt = cached_property(lambda self: var_matt(self))
+    v_satt = cached_property(lambda self: var_satt(self))
+    v_sigma_bound = cached_property(lambda self: var_sigma_bound(self))
+    v_fh_bound = cached_property(lambda self: var_fh_binary(self))
 
     @cached_property
     def swatt(self):
@@ -168,67 +125,73 @@ class _Columns:
 
 
 # ---------------------------------------------------------------------------
-# Per-quantity operations, each reading one quantity off ``_Columns``. The
-# package does not export them; the benchmark's tracer wraps them here by name.
+# The formulas, each of one table ``c``, that ``_Columns`` caches. The package
+# does not export them; the benchmark's tracer wraps them here by name.
 
-def estimate_psi_hat(dataset: Dataset, nuis: NuisanceValues) -> float:
+def estimate_psi_hat(c: _Columns) -> float:
     """Doubly robust point estimate Pn[(a - pi)(y - mu0) / (Pn(a) (1 - pi))]."""
-    return _Columns.of(dataset, nuis).psi
+    return float(np.mean(c.terms))
 
 
-def if_components(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> tuple:
-    """Per-unit plug-in values ``(psi_y, psi_a, psi_x, tau_y)`` of the score split.
+def if_components(c: _Columns) -> tuple:
+    """Per-unit outcome, assignment and covariate scores ``(psi_y, psi_a, psi_x)``.
 
-    ``psi_y + psi_a + psi_x`` reproduces the closed-form per-unit score up to
-    rounding; ``tau_y`` is the control-residual component driving the
-    literal estimands. Requires ``mu1_hat``: the assignment and covariate
-    components carry the fitted effect contrast mu1 - mu0.
-    """
-    c = _Columns.of(dataset, nuis, psi_hat)
-    return (*c.comp, c.tau_y)
-
-
-def var_patt(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> float:
-    """Sample variance (divisor n) of the closed-form per-unit score.
-
-    Deliberately computed without mu1 so that population-effect inference
-    never requires a treated-arm outcome model.
-    """
-    return _Columns.of(dataset, nuis, psi_hat).v_patt
+    Their sum is the closed-form per-unit score up to rounding. They need mu1:
+    the last two carry the fitted effect contrast mu1 - mu0."""
+    if c.mu1 is None:
+        raise MissingMu1Error("mu1_hat is required for this quantity")
+    y, a, pi, mu0, mu1 = c.y, c.a, c.pi, c.mu0, c.mu1
+    contrast = mu1 - mu0 - c.psi
+    psi_y = (y - select(a == 1, mu1, mu0)) * (a - (1.0 - a) * pi / (1.0 - pi)) / c.a_bar
+    psi_a = (a - pi) * contrast / c.a_bar
+    psi_x = pi * contrast / c.a_bar
+    return psi_y, psi_a, psi_x
 
 
-def var_actt(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> float:
+def var_patt(c: _Columns) -> float:
+    """Sample variance (divisor n) of the closed-form per-unit score, computed
+    without mu1 so that population-effect inference needs no treated-arm model."""
+    return float(np.var(c.terms - c.a * c.psi / c.a_bar))
+
+
+def var_actt(c: _Columns) -> float:
     """Sample variance of the outcome + assignment score components."""
-    return _Columns.of(dataset, nuis, psi_hat).v_actt
+    return float(np.var(c.comp[0] + c.comp[1]))
 
 
-def var_catt(dataset: Dataset, nuis: NuisanceValues, psi_hat: float) -> float:
+def var_catt(c: _Columns) -> float:
     """Sample variance of the outcome score component."""
-    return _Columns.of(dataset, nuis, psi_hat).v_catt
+    return float(np.var(c.comp[0]))
 
 
-def var_matt(dataset: Dataset, nuis: NuisanceValues) -> float:
+def var_matt(c: _Columns) -> float:
     """Sample variance of the control-residual component; needs only pi and mu0."""
-    return _Columns.of(dataset, nuis).v_matt
+    return float(np.var(c.tau_y))
 
 
-def var_satt(dataset: Dataset, nuis: NuisanceValues) -> float:
+def var_satt(c: _Columns) -> float:
     """Plug-in mean Pn[ pi (1-a) / (1-pi)^2 * ((y - mu0) / Pn(a))^2 ]."""
-    return _Columns.of(dataset, nuis).v_satt
+    pi, a = c.pi, c.a
+    return float((pi * (1.0 - a) / (1.0 - pi) ** 2 * ((c.y - c.mu0) / c.a_bar) ** 2).mean())
 
 
-def var_sigma_bound(dataset: Dataset, nuis: NuisanceValues) -> float:
+def var_sigma_bound(c: _Columns) -> float:
     """Pn(a)^-2 Pn[ pi^2 (sigma1 - sigma0)^2 ], the identified part of the
     conditional effect-variance that sharpens the swatt interval."""
-    return _Columns.of(dataset, nuis).v_sigma_bound
+    if c.sigma0 is None or c.sigma1 is None:
+        raise MissingSigmaError("sigma0_hat and sigma1_hat are required")
+    return float(np.mean(c.pi ** 2 * (c.sigma1 - c.sigma0) ** 2) / c.a_bar ** 2)
 
 
-def var_fh_binary(dataset: Dataset, nuis: NuisanceValues) -> float:
-    """Binary-outcome sharp bound Pn[ pi^2 (|mu1 - mu0| - |mu1 - mu0|^2) ].
-
-    Fitted means are clamped to [0, 1] first, so the integrand is nonnegative.
-    """
-    return _Columns.of(dataset, nuis).v_fh_bound
+def var_fh_binary(c: _Columns) -> float:
+    """Binary-outcome sharp bound Pn[ pi^2 (|mu1 - mu0| - |mu1 - mu0|^2) ], with
+    the fitted means clamped to [0, 1] first so the integrand is nonnegative."""
+    if not c.binary:
+        raise NotBinaryOutcomeError("the sharp bound applies to binary outcomes only")
+    if c.mu1 is None:
+        raise MissingMu1Error("mu1_hat is required for this quantity")
+    delta = np.abs(np.clip(c.mu1, 0.0, 1.0) - np.clip(c.mu0, 0.0, 1.0))
+    return float(np.mean(c.pi ** 2 * (delta - delta ** 2)))
 
 
 def confidence_interval(psi_hat: float, variance: float, n: int, level: float):

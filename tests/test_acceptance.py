@@ -27,7 +27,7 @@ from treated import (
     oracle_asymptotic_variances,
     run_monte_carlo,
 )
-from treated.estimator import estimate_psi_hat, if_components, var_fh_binary, var_satt
+from treated.estimator import _Columns, estimate_psi_hat, if_components, var_fh_binary, var_satt
 from treated.simulation import _child_seed
 
 from conftest import (STD_SPEC, fh_sharpness_oracle, make_worked_example,
@@ -98,8 +98,8 @@ def mc_ordering(std_oracle):
 def test_criterion_01_worked_example_exactness():
     start = time.monotonic()
     dataset, nuis = make_worked_example()
-    psi = estimate_psi_hat(dataset, nuis)
-    v_satt = var_satt(dataset, nuis)
+    psi = estimate_psi_hat(_Columns.of(dataset, nuis))
+    v_satt = var_satt(_Columns.of(dataset, nuis))
     elapsed = time.monotonic() - start
     ok_psi = abs(psi - float(Fraction(7, 6))) <= 1e-12 * float(Fraction(7, 6))
     ok_satt = abs(v_satt - float(Fraction(4, 9))) <= 1e-12 * float(Fraction(4, 9))
@@ -113,8 +113,8 @@ def test_criterion_02_influence_decomposition():
     worst = 0.0
     for seed in range(1000):
         ds, nu = random_dataset_with_nuisances(seed, n=50)
-        psi = estimate_psi_hat(ds, nu)
-        psi_y, psi_a, psi_x, _ = if_components(ds, nu, psi)
+        psi = estimate_psi_hat(_Columns.of(ds, nu))
+        psi_y, psi_a, psi_x = if_components(_Columns.of(ds, nu, psi))
         a = ds.a.astype(float)
         closed = (a - nu.pi_hat) * (ds.y - nu.mu0_hat) / (a.mean() * (1 - nu.pi_hat)) \
             - a * psi / a.mean()
@@ -195,7 +195,7 @@ def test_criterion_08_deterministic_cate_swatt_above_literal():
     for r in range(reps):
         pd = generate(DETERMINISTIC_CATE, n, seed=_child_seed(23, r))
         truths = true_sample_estimands(pd, psi_patt_true=0.0)
-        psi = estimate_psi_hat(pd.dataset, pd.true_nuisances)
+        psi = estimate_psi_hat(_Columns.of(pd.dataset, pd.true_nuisances))
         for k in errors:
             errors[k].append(psi - truths[k])
     e = {k: np.asarray(v) for k, v in errors.items()}
@@ -234,7 +234,7 @@ def test_criterion_10_fh_sharpness_and_consistency():
     vals = []
     for r in range(100):
         pd = generate(BINARY_COMONOTONE, 20_000, seed=_child_seed(41, r))
-        vals.append(var_fh_binary(pd.dataset, pd.true_nuisances))
+        vals.append(var_fh_binary(_Columns.of(pd.dataset, pd.true_nuisances)))
     dev = float(np.mean(vals)) / orc.fh_bound.value - 1.0
     ok = grid_exact and abs(dev) <= 0.05
     _criterion(10, "FH sharpness oracle equals min(p,q) exactly on the 81-point "
@@ -253,7 +253,7 @@ def test_criterion_11_double_robustness(std_oracle):
             pd = generate(STD_SPEC, 20_000, seed=_child_seed(51, r))
             nu = NuisanceValues(pi_hat=pi_spec.propensity(pd.dataset.x),
                                 mu0_hat=mu_spec.mu(0, pd.dataset.x), clip_eps=0.01)
-            est.append(estimate_psi_hat(pd.dataset, nu))
+            est.append(estimate_psi_hat(_Columns.of(pd.dataset, nu)))
         est = np.asarray(est)
         bias = est.mean() - psi_true
         se = est.std(ddof=1) / np.sqrt(est.size)

@@ -33,7 +33,7 @@ from treated import (
 )
 from treated import mathutil, nuisance, simulation
 from treated.data_model import KIND_ORDER
-from treated.estimator import estimate_psi_hat
+from treated.estimator import _Columns, estimate_psi_hat
 from treated.simulation import McValue, PotentialDataset, _child_seed
 
 from conftest import STD_SPEC, fh_sharpness_oracle
@@ -448,7 +448,7 @@ def test_monte_carlo_psi_tau_extras_track_score_variance():
         ds = pd.dataset
         a = ds.a.astype(float)
         psi_tau_r = float((a * ds.y).sum() / a.sum()) - orc.tau.value
-        errors.append(estimate_psi_hat(ds, pd.true_nuisances) - psi_tau_r)
+        errors.append(estimate_psi_hat(_Columns.of(ds, pd.true_nuisances)) - psi_tau_r)
     scaled = n * float(np.var(errors, ddof=1))
     assert scaled == pytest.approx(orc.tau_score.value, rel=0.25)
 
@@ -829,7 +829,7 @@ def test_consistency_chain_rms_decreases(std_oracle):
         for r in range(120):
             pd = generate(STD_SPEC, n, seed=_child_seed(55, n, r))
             truths = true_sample_estimands(pd, std_oracle.psi_patt.value)
-            psi = estimate_psi_hat(pd.dataset, pd.true_nuisances)
+            psi = estimate_psi_hat(_Columns.of(pd.dataset, pd.true_nuisances))
             for k in EstimandKind:
                 errs[k].append(psi - truths[k])
         rms[n] = {k: float(np.sqrt(np.mean(np.square(v)))) for k, v in errs.items()}
@@ -860,7 +860,7 @@ def test_double_robustness_single_misspecification(std_oracle):
             pd = generate(STD_SPEC, 5_000, seed=_child_seed(81, r))
             nu = NV(pi_hat=pi_spec.propensity(pd.dataset.x),
                     mu0_hat=mu_spec.mu(0, pd.dataset.x), clip_eps=0.01)
-            est.append(estimate_psi_hat(pd.dataset, nu))
+            est.append(estimate_psi_hat(_Columns.of(pd.dataset, nu)))
         est = np.asarray(est)
         se = est.std(ddof=1) / np.sqrt(est.size)
         assert abs(est.mean() - psi_true) < 3 * se
