@@ -47,6 +47,14 @@ class CliParseError(Exception):
     """Unreadable input: malformed CSV/JSON, unknown columns, bad flag values."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's reason for a bad command line as a CliParseError, so
+    it becomes the one error line; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise CliParseError(message)
+
+
 # ---------------------------------------------------------------------------
 # Canonical JSON: ordered keys, two-space indent, 17-significant-digit floats.
 
@@ -526,8 +534,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.draws < 1:
-        raise CliParseError("--draws must be >= 1")
     spec = _load_spec(args.spec)
     oracle = oracle_asymptotic_variances(spec, draws=args.draws, seed=args.seed)
     _write_output(dumps_canonical(oracle_to_dict(oracle, args.seed)), args.output)
@@ -535,7 +541,7 @@ def cmd_oracle(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treated",
         description="Treatment-effect-on-the-treated estimation and simulation",
     )
@@ -584,16 +590,8 @@ def _emit_error(code: str, message: str):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed its message; map usage errors to parse errors
-        if exc.code in (0, None):
-            return 0
-        _emit_error("ParseError", "invalid command line arguments")
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         # Overflow surfaces as a checked non-finite value; numpy's warnings would
         # only add stderr lines. Forked pool workers inherit this state. Other
         # warnings are shown only once the command has succeeded: an error
@@ -603,6 +601,9 @@ def main(argv=None) -> int:
         for w in shown:
             warnings.showwarning(w.message, w.category, w.filename, w.lineno)
         return code
+    except SystemExit as exc:
+        # Only --help exits, once argparse has printed the text.
+        return exc.code
     except CliParseError as exc:
         _emit_error("ParseError", str(exc))
         return 1

@@ -988,11 +988,18 @@ def test_oracle_command(tmp_path, capsys):
     assert out["psi_patt"]["value"] == pytest.approx(1.08, abs=0.1)
 
 
-def test_oracle_zero_draws_exit1(tmp_path, capsys):
+def test_oracle_zero_draws_exit2(tmp_path, capsys, monkeypatch):
+    # oracle --draws and simulate --patt-draws share one rule, checked before
+    # any pool starts: exit 2 with the same Validation line.
+    import treated.simulation as simulation
+    monkeypatch.setattr(simulation, "_chunked", lambda *args, **kwargs: pytest.fail("pooled"))
     spec_path = _write(tmp_path, "spec.json", json.dumps(_spec_json()))
-    assert main(["oracle", "--spec", spec_path, "--draws", "0"]) == 1
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert payload["error_code"] == "ParseError"
+    for argv in (["oracle", "--spec", spec_path, "--draws", "0"],
+                 ["simulate", "--spec", spec_path, "--n", "10", "--reps", "3",
+                  "--patt-draws", "0"]):
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload == {"error_code": "Validation", "message": "draws must be >= 1"}
 
 
 def test_oracle_single_draw_prints_null_se(tmp_path, capsys):
@@ -1191,11 +1198,15 @@ def test_pool_workers_send_back_only_small_items(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 # module execution and canonical JSON.
 
-def test_module_entrypoint_runs():
+def test_module_entrypoint_runs(capsys):
     proc = subprocess.run([sys.executable, "-m", "treated", "--help"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "estimate" in proc.stdout
+    # --help from main returns 0 after printing the text, for a subcommand too.
+    assert main(["estimate", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert "--input" in out and err == ""
 
 
 def test_cli_import_leaves_the_pool_modules_unloaded(tmp_path):
@@ -1231,11 +1242,21 @@ def test_cli_import_leaves_the_pool_modules_unloaded(tmp_path):
 
 
 def test_bad_flags_emit_error_code(capsys):
-    code = main(["simulate", "--reps", "3"])  # --spec and --n missing
-    assert code == 1
-    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
-    payload = json.loads(err_lines[-1])
-    assert payload["error_code"] == "ParseError"
+    # A bad command line writes one stderr line, no usage text, and the line
+    # carries argparse's reason.
+    for argv, reason in [
+            (["simulate", "--reps", "3"], "the following arguments are required: --spec, --n"),
+            (["estimate", "--input", "in.csv", "--folds", "x"],
+             "argument --folds: invalid int value: 'x'"),
+            (["oracle", "--spec", "spec.json", "--bogus"], "unrecognized arguments: --bogus"),
+            ([], "the following arguments are required: command")]:
+        code = main(argv)
+        assert code == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1, err_lines
+        payload = json.loads(err_lines[-1])
+        assert payload["error_code"] == "ParseError"
+        assert payload["message"] == reason
 
 
 def test_canonical_json_float_format():
