@@ -31,7 +31,7 @@ import numpy as np
 
 from .data_model import (Dataset, EstimandKind, NuisanceValues, OutcomeKind, KIND_ORDER,
                          _frozen_array, check_ci_level, check_seed)
-from .errors import NonFiniteEstimateError, TreatedError, ValidationError
+from .errors import LengthMismatchError, NonFiniteEstimateError, TreatedError, ValidationError
 from .estimator import _Columns, estimate_all
 from .mathutil import _chunked, blocked_matmul, expit, select
 from .nuisance import NuisanceConfig
@@ -185,6 +185,11 @@ class PotentialDataset:
     def __post_init__(self, _owned):
         for name in ("y0", "y1"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name), owned=_owned))
+        n = self.dataset.n
+        for name, length in (("y0", self.y0.shape[0]), ("y1", self.y1.shape[0]),
+                             ("true_nuisances", self.true_nuisances.n)):
+            if length != n:
+                raise LengthMismatchError(f"{name} has length {length}, dataset has {n}")
 
 
 class McValue(NamedTuple):

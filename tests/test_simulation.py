@@ -16,6 +16,7 @@ from treated import (
     Dependence,
     DgpSpec,
     EstimandKind,
+    LengthMismatchError,
     NuisanceConfig,
     NonFiniteError,
     NonFiniteEstimateError,
@@ -298,6 +299,19 @@ def test_psi_tilde_zero_when_outcome_matches_mu0():
         y0=pd.true_nuisances.mu0_hat, y1=pd.true_nuisances.mu0_hat,
         true_nuisances=pd.true_nuisances)
     assert psi_tilde(flat) == 0.0
+
+
+def test_potential_dataset_checks_its_lengths():
+    # Potential outcomes of length 1 would broadcast into a wrong SATT truth,
+    # and of length 7 fail inside numpy: each is a length mismatch up front.
+    pd = generate(STD_SPEC, 50, seed=3)
+    nu = pd.true_nuisances
+    short_nu = NuisanceValues(pi_hat=nu.pi_hat[:7], mu0_hat=nu.mu0_hat[:7],
+                              mu1_hat=nu.mu1_hat[:7])
+    for y0, y1, nuis, name in [(pd.y0[:1], pd.y1[:1], nu, "y0"), (pd.y0, pd.y1[:7], nu, "y1"),
+                               (pd.y0, pd.y1, short_nu, "true_nuisances")]:
+        with pytest.raises(LengthMismatchError, match=f"^{name} has length"):
+            PotentialDataset(dataset=pd.dataset, y0=y0, y1=y1, true_nuisances=nuis)
 
 
 def test_psi_tilde_equals_oracle_psi_hat():
