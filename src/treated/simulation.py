@@ -12,13 +12,12 @@ Replication r of a study draws from a stream that is a pure function of
 (seed, r), batch k of the oracle's x-only pass from (seed, 1, k) and batch k
 of its joint pass from (seed, 2, k), so runs are reproducible regardless of
 execution order and worker count; aggregation happens in index order. A
-study's items, in one fork pool (``mathutil._chunked``), are its
-replications, each with its share of the x-only batches of the population
-effect (pass 1 of an oracle seeded (seed, 2**31)), none when that effect is
-given; the calling process scores every estimand once, the sample/mixed ones
-against each replication's realized value and the population effect against
-its fixed Monte Carlo truth. The oracle's joint pass runs in the pool, its
-x-only pass only from ``X_POOL_DRAWS`` draws on.
+study first computes its population effect, unless given, as pass 1 of an
+oracle seeded (seed, 2**31); its items, in one fork pool
+(``mathutil._chunked``), are then its replications, and each replication
+scores the sample/mixed estimands against their realized values and the
+population effect against that fixed Monte Carlo truth. The oracle's joint
+pass runs in the pool, its x-only pass only from ``X_POOL_DRAWS`` draws on.
 """
 
 from __future__ import annotations
@@ -342,22 +341,17 @@ class _XConstants(NamedTuple):
     tau: McValue  # E[pi mu0] / E[pi]
 
 
-def _x_constants(spec: DgpSpec, draws: int, seed) -> _XConstants:
-    """Population constants from x-only draws, with batch-means errors; from
-    ``X_POOL_DRAWS`` draws on, the batches run in the fork pool."""
+def _x_constants(spec: DgpSpec, draws: int, seed, *, pooled: bool) -> _XConstants:
+    """Population constants from x-only draws, with batch-means errors, added
+    in batch order; the batches run in the fork pool when the caller's
+    ``pooled`` rule holds."""
     check_seed(seed)
     import secrets  # before the pools fork, as in run_monte_carlo
     sizes = _batch_sizes(draws)
-    sums = _chunked(_x_batches, (spec, sizes, seed), len(sizes), pooled=draws >= X_POOL_DRAWS)
-    return _sum_constants(sums, draws)
-
-
-def _sum_constants(sums, draws: int) -> _XConstants:
-    """The constants from the ``_x_batches`` sums of all ``draws`` x-only
-    draws, added in batch order."""
     s_pi = s_pidelta = s_pimu0 = 0.0
     psi_batches, tau_batches = [], []
-    for b_pi, b_pidelta, b_pimu0 in sums:
+    for b_pi, b_pidelta, b_pimu0 in _chunked(_x_batches, (spec, sizes, seed), len(sizes),
+                                             pooled=pooled):
         s_pi += b_pi
         s_pidelta += b_pidelta
         s_pimu0 += b_pimu0
@@ -373,7 +367,7 @@ def _sum_constants(sums, draws: int) -> _XConstants:
 def psi_patt_true(spec: DgpSpec, draws: int = 10_000_000, seed=0) -> McValue:
     """Brute-force Monte Carlo of E[pi (mu1 - mu0)] / E[pi] over x draws: pass 1
     of ``oracle_asymptotic_variances``, with its streams and pool."""
-    return _x_constants(spec, draws, seed).psi
+    return _x_constants(spec, draws, seed, pooled=draws >= X_POOL_DRAWS).psi
 
 
 def _oracle_functionals(spec: DgpSpec, consts: _XConstants, pi, mu0, mu1, sigma0, sigma1, a,
@@ -443,7 +437,7 @@ def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000,
     aggregated in order, so the result does not depend on the number of
     workers. A non-finite population constant stops the oracle before pass 2.
     """
-    consts = _x_constants(spec, draws, seed)
+    consts = _x_constants(spec, draws, seed, pooled=draws >= X_POOL_DRAWS)
     named = (("p_a", consts.p_a), ("psi_patt", consts.psi.value), ("tau", consts.tau.value))
     bad = [f"{name}={value}" for name, value in named if not np.isfinite(value)]
     if bad:
@@ -522,8 +516,7 @@ _ORDERING = ((EstimandKind.MATT, EstimandKind.CATT), (EstimandKind.CATT, Estiman
 
 class _Replication(NamedTuple):
     """What one successful replication adds to a study; the per-kind tuples
-    follow KIND_ORDER. Its patt truth is NaN: the study scores the records
-    once it knows the population effect."""
+    follow KIND_ORDER."""
 
     psi_hat: float
     truths: tuple
@@ -536,42 +529,30 @@ class _Replication(NamedTuple):
     gap: float
 
 
-def _replications(spec, n, seed, config, ci_level, patt, lo, hi):
-    """Yield ``(own_sums, record)`` for each replication r in [lo, hi). With
-    ``patt = (sizes, patt_seed, reps)`` and B = ``len(sizes)``, ``own_sums`` are
-    the ``_x_batches`` sums of the population effect's batches [ceil(r B / reps),
-    ceil((r + 1) B / reps)), none when B = 0. The record is a _Replication, or the
-    message ``"rep r: ..."`` for one that raised a TreatedError; a ``config`` of
-    None estimates on the true nuisances.
-
-    The chunk's batches run first, before any replication holds memory: run
-    between replications (`simulate --n 20000 --reps 300 --oracle-nuisances`,
-    2 vCPUs) they raised a worker's peak to 39.8 MiB from 37.4-37.8, or, with
-    the last replication freed first, the page faults to 62,000 from 21,500
-    and the wall time by 0.13 s.
+def _replications(spec, n, seed, config, ci_level, psi_patt, lo, hi):
+    """Yield, for each replication r in [lo, hi), a _Replication scored against
+    the population effect ``psi_patt``, or the message ``"rep r: ..."`` for one
+    that raised a TreatedError; a ``config`` of None estimates on the true
+    nuisances.
 
     ``pd`` and ``report`` stay bound until the next replication replaces them:
     freeing them on every return would hand their pages back to the system, and
     the next replication would fault them in again. The stages are called by
     their module-level names, which the benchmark's tracer wraps.
     """
-    sizes, patt_seed, reps = patt
-    cuts = [-(-r * len(sizes) // reps) for r in range(lo, hi + 1)]
-    sums = iter(list(_x_batches(spec, sizes, patt_seed, cuts[0], cuts[-1])))
-    for r, start, end in zip(range(lo, hi), cuts, cuts[1:]):
-        own = [next(sums) for _ in range(start, end)]
+    for r in range(lo, hi):
         try:
             pd = generate(spec, n, seed=_child_seed(seed, r))
-            truths = true_sample_estimands(pd, np.nan)
+            truths = true_sample_estimands(pd, psi_patt)
             report = estimate_all(pd.dataset, config,
                                   oracle=pd.true_nuisances if config is None else None,
                                   ci_level=ci_level)
         except TreatedError as exc:
-            yield own, f"rep {r}: {exc}"
+            yield f"rep {r}: {exc}"
             continue
         per_kind = [report.per_kind[k] for k in KIND_ORDER]
         sw = report.per_kind[EstimandKind.SWATT]
-        yield own, _Replication(
+        yield _Replication(
             psi_hat=report.psi_hat,
             truths=tuple(truths[k] for k in KIND_ORDER),
             lowers=tuple(inf.ci_lower for inf in per_kind),
@@ -601,13 +582,12 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
     true nuisances, clipped at the default eps; with one it fits them.
     Replications that raise are counted and reported, never silently dropped.
 
-    Without ``psi_patt`` the study computes the population effect as
-    ``psi_patt_true`` does (``patt_draws`` draws, seed (seed, 2**31)): each
-    replication, an item of one pool, carries its even share of the batches. A
-    one-replication study computes it first, with the pool rule of pass 1, and
-    runs its replication here. Sums and records are aggregated in index order
-    and every estimand scored here, so the report depends neither on the number
-    of workers nor on whether ``psi_patt`` was given.
+    Without ``psi_patt`` the study first computes the population effect as
+    ``psi_patt_true`` does (``patt_draws`` draws, seed (seed, 2**31)). Its
+    batches run in a pool of their own when the study has two or more
+    replications, and otherwise by the pool rule of pass 1. The replications,
+    items of one pool, are aggregated in index order, so the report depends
+    neither on the number of workers nor on whether ``psi_patt`` was given.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
@@ -617,17 +597,13 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
     check_seed(seed)
 
     import secrets  # numpy.random's: loads libcrypto once here, not in every pool worker
-    patt_seed = _child_seed(seed, 2 ** 31)
-    # One replication is too little work for a pool; its PATT batches pool as pass 1's would.
-    if psi_patt is None and reps == 1:
-        psi_patt = _x_constants(spec, patt_draws, patt_seed).psi
-    sizes = [] if psi_patt is not None else _batch_sizes(patt_draws)
-    items = _chunked(_replications, (spec, n, seed, nuisance_config, ci_level,
-                                     (sizes, patt_seed, reps)), reps, pooled=True)
     if psi_patt is None:
-        psi_patt = _sum_constants([sums for own, _ in items for sums in own], patt_draws).psi
-    failures = [record for _, record in items if isinstance(record, str)]
-    done = [record for _, record in items if not isinstance(record, str)]
+        psi_patt = _x_constants(spec, patt_draws, _child_seed(seed, 2 ** 31),
+                                pooled=reps > 1 or patt_draws >= X_POOL_DRAWS).psi
+    items = _chunked(_replications, (spec, n, seed, nuisance_config, ci_level, psi_patt.value),
+                     reps, pooled=True)
+    failures = [record for record in items if isinstance(record, str)]
+    done = [record for record in items if not isinstance(record, str)]
     ok = len(done)
     if ok == 0:
         raise ValidationError(
@@ -638,7 +614,6 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
     truths, lowers, uppers, variances = (
         np.array([getattr(rec, name) for rec in done], dtype=float).T.copy()
         for name in ("truths", "lowers", "uppers", "variances"))
-    truths[KIND_ORDER.index(EstimandKind.PATT)] = psi_patt.value
     psi_hats = np.array([rec.psi_hat for rec in done])
     errors = psi_hats - truths
     hits = (lowers <= truths) & (truths <= uppers)

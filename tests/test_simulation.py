@@ -357,8 +357,8 @@ def test_psi_patt_true_is_the_oracle_pass_1_at_the_default_sizes(monkeypatch):
 
     real = simulation._x_constants
 
-    def stop_after_pass_1(*args):
-        raise PassOne(real(*args).psi)
+    def stop_after_pass_1(*args, **kwargs):
+        raise PassOne(real(*args, **kwargs).psi)
 
     spec = _d1_spec()
     expected = psi_patt_true(spec, seed=3)
@@ -662,8 +662,8 @@ def test_drawing_pools_fork_after_secrets_is_imported():
     # process imports it before a pool that draws forks, so libcrypto's start-up
     # pages count once there and not in every worker. A fresh process records at
     # each fork whether secrets is loaded, and unloads it before each call: the
-    # oracle's two passes, a study's pool and a study given its PATT truth, two
-    # workers each.
+    # oracle's two passes, a study's PATT truth and its replications, and a study
+    # given its PATT truth, two workers each.
     code = """
 import json, os, sys
 from treated import McValue, oracle_asymptotic_variances, run_monte_carlo, simulation
@@ -684,17 +684,17 @@ print(forks)
     proc = subprocess.run([sys.executable, "-c", code, str(spec)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str([True] * 8)
+    assert proc.stdout.strip() == str([True] * 10)
 
 
 def test_single_replication_runs_in_process(monkeypatch, tmp_path):
     # One replication is too little work for a pool: given its PATT truth, or
     # with one below X_POOL_DRAWS, the study runs in this process. Each
     # generate and _x_batches call appends its pid to a file, which a forked
-    # worker's write reaches too; the replication's own _x_batches call has no
-    # batches. From X_POOL_DRAWS draws on the study pools its PATT batches, as
-    # pass 1 would, runs the replication here and writes the in-process report's
-    # bytes.
+    # worker's write reaches too. From X_POOL_DRAWS draws on the study pools its
+    # PATT batches, as pass 1 would, runs the replication here and writes the
+    # in-process report's bytes. A study of two replications pools its PATT
+    # batches below X_POOL_DRAWS too, so nothing draws in this process.
     from treated.cli import dumps_canonical, mc_report_to_dict
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
@@ -716,19 +716,23 @@ def test_single_replication_runs_in_process(monkeypatch, tmp_path):
     monkeypatch.setattr(simulation, "generate", recording_generate)
     monkeypatch.setattr(simulation, "_x_batches", recording_batches)
 
-    def study(**kwargs):
+    def study(reps=1, **kwargs):
         calls.write_text("", encoding="utf-8")
-        rep = run_monte_carlo(_d1_spec(), n=200, reps=1, seed=4, **kwargs)
+        rep = run_monte_carlo(_d1_spec(), n=200, reps=reps, seed=4, **kwargs)
         return calls.read_text(encoding="utf-8").split(), dumps_canonical(mc_report_to_dict(rep))
 
     here = str(os.getpid())
-    assert study(psi_patt=McValue(1.0, 0.0))[0] == [here] * 2
+    assert study(psi_patt=McValue(1.0, 0.0))[0] == [here]
     pids, report = study(patt_draws=100_000)
-    assert pids == [here] * 3
+    assert pids == [here] * 2
+    # 16 batches on four workers, each calling _x_batches, then two replications
+    # on two more.
+    pids = study(reps=2, patt_draws=100_000)[0]
+    assert len(pids) == 6 and here not in pids
     monkeypatch.setattr(simulation, "X_POOL_DRAWS", 100_000)
     pids, pooled_report = study(patt_draws=100_000)
     # 16 batches on four workers, each calling _x_batches, then the replication here.
-    assert len(pids) == 6 and len(set(pids)) == 5 and pids[-2:] == [here] * 2
+    assert len(pids) == 5 and len(set(pids)) == 5 and pids[-1] == here
     assert here not in pids[:4]
     assert pooled_report == report
 
@@ -772,7 +776,7 @@ def test_one_oracle_batch_peaks_under_20_columns(name):
     # 65,536 draws, 10 MiB.
     path = pathlib.Path(__file__).parent / "golden" / name
     spec = DgpSpec.from_dict(json.loads(path.read_text()))
-    consts = simulation._x_constants(spec, 64_000, 0)
+    consts = simulation._x_constants(spec, 64_000, 0, pooled=False)
     batch = simulation._joint_batches(spec, [simulation.BATCH_DRAWS], 0, consts, 0, 1)
     tracemalloc.start()
     try:
