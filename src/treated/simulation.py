@@ -55,6 +55,8 @@ X_POOL_DRAWS = 2_000_000
 # at 125,000, 2.04 s and 43.5 MiB at 65,536, 2.08 s and 39 MiB at 32,768, and
 # 2.12 s and 36 MiB at 16,384. A joint-pass batch peaks at 16-17 columns.
 BATCH_DRAWS = 65_536
+_COEFF_FIELDS = ("propensity_coeffs", "mu0_coeffs", "mu1_coeffs", "noise0_sd_coeffs",
+                 "noise1_sd_coeffs")
 
 
 class XDist(enum.Enum):
@@ -93,8 +95,7 @@ class DgpSpec:
     def __post_init__(self):
         if self.d < 0:
             raise ValidationError("covariate dimension must be nonnegative")
-        for name in ("propensity_coeffs", "mu0_coeffs", "mu1_coeffs",
-                     "noise0_sd_coeffs", "noise1_sd_coeffs"):
+        for name in _COEFF_FIELDS:
             v = np.array(getattr(self, name), dtype=float, copy=True).reshape(-1)
             if v.shape[0] != self.d + 1:
                 raise ValidationError(f"{name} must have length d+1={self.d + 1}")
@@ -145,6 +146,9 @@ class DgpSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DgpSpec":
+        """The spec of a parsed JSON object, whose ``d`` is a JSON integer,
+        ``exact_noise`` a JSON boolean and coefficient lists flat lists of JSON
+        numbers; nothing is coerced."""
         if not isinstance(data, dict):
             raise ValidationError("DGP spec must be a JSON object")
         version = data.get("schema_version")
@@ -152,22 +156,30 @@ class DgpSpec:
             raise ValidationError(
                 f"unsupported DGP spec schema_version {version!r}, expected {SCHEMA_VERSION}"
             )
+
+        def number(v):
+            return isinstance(v, (int, float)) and not isinstance(v, bool)
+
         try:
+            d, coeffs = data["d"], {name: data[name] for name in _COEFF_FIELDS}
+            exact_noise = data.get("exact_noise", False)
+            if not isinstance(d, int) or isinstance(d, bool):
+                raise ValueError("d must be an integer")
+            if not isinstance(exact_noise, bool):
+                raise ValueError("exact_noise must be true or false")
+            for name, v in coeffs.items():
+                if not (isinstance(v, list) and all(map(number, v))):
+                    raise ValueError(f"{name} must be a list of numbers")
             return cls(
-                d=int(data["d"]),
-                propensity_coeffs=data["propensity_coeffs"],
-                mu0_coeffs=data["mu0_coeffs"],
-                mu1_coeffs=data["mu1_coeffs"],
-                noise0_sd_coeffs=data["noise0_sd_coeffs"],
-                noise1_sd_coeffs=data["noise1_sd_coeffs"],
+                d=d, **coeffs,
                 x_dist=XDist(data.get("x_dist", "std_normal")),
                 dependence=Dependence(data.get("dependence", "independent")),
                 outcome_kind=OutcomeKind(data.get("outcome_kind", "continuous")),
-                exact_noise=bool(data.get("exact_noise", False)),
+                exact_noise=exact_noise,
             )
         except KeyError as exc:
             raise ValidationError(f"DGP spec is missing field {exc}") from exc
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float
             raise ValidationError(f"bad DGP spec field: {exc}") from exc
 
 

@@ -972,6 +972,29 @@ def test_simulate_malformed_json_exit1(tmp_path):
     assert main(["simulate", "--spec", spec_path, "--n", "100", "--reps", "2"]) == 1
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("d", 1.7, "d must be an integer"),
+    ("d", None, "d must be an integer"),
+    ("exact_noise", "false", "exact_noise must be true or false"),
+    ("mu1_coeffs", ["1", "2"], "mu1_coeffs must be a list of numbers"),
+    ("mu0_coeffs", [10 ** 400, 1.0], "int too large to convert to float"),
+])
+def test_spec_field_of_another_type_exit1(tmp_path, capsys, field, value, message):
+    # simulate and oracle read the spec alike: a field of the wrong JSON type
+    # is one ParseError line, exit 1, before any work.
+    spec = _spec_json()
+    spec[field] = value
+    spec_path = _write(tmp_path, "spec.json", json.dumps(spec))
+    for argv in (["simulate", "--spec", spec_path, "--n", "50", "--reps", "2",
+                  "--patt-draws", "100"],
+                 ["oracle", "--spec", spec_path, "--draws", "100"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [json.dumps(
+            {"error_code": "ParseError", "message": f"bad DGP spec field: {message}"})]
+
+
 # ---------------------------------------------------------------------------
 # oracle.
 

@@ -972,3 +972,26 @@ def test_spec_rejects_bad_schema_version():
 def test_spec_rejects_bad_lengths():
     with pytest.raises(ValidationError):
         _d1_spec(propensity_coeffs=[0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("d", 1.0, "d must be an integer"),
+    ("d", True, "d must be an integer"),
+    ("d", "1", "d must be an integer"),
+    ("d", None, "d must be an integer"),
+    ("exact_noise", "false", "exact_noise must be true or false"),
+    ("exact_noise", 0, "exact_noise must be true or false"),
+    ("mu0_coeffs", ["1", "2"], "mu0_coeffs must be a list of numbers"),
+    ("mu0_coeffs", [[1.0], [2.0]], "mu0_coeffs must be a list of numbers"),
+    ("noise1_sd_coeffs", [True, 1.0], "noise1_sd_coeffs must be a list of numbers"),
+    ("propensity_coeffs", [10 ** 400, 1.0], "int too large to convert to float"),
+])
+def test_spec_from_dict_coerces_no_field(field, value, message):
+    # A spec file's fields keep their JSON types: a string, float or bool
+    # where an integer, a boolean or a number belongs is refused, not
+    # converted, and so is an integer beyond float.
+    data = _d1_spec().to_dict()
+    data[field] = value
+    with pytest.raises(ValidationError) as refused:
+        DgpSpec.from_dict(data)
+    assert str(refused.value) == f"bad DGP spec field: {message}"
