@@ -29,6 +29,7 @@ from treated import (Dataset, IrlsDivergedError, NonFiniteEstimateError, Outcome
                      TreatedError, estimate_all)
 
 from conftest import make_worked_example
+from test_golden import undocumented_nulls
 
 WORKED_CSV = """y,a,x1,pi,mu0,mu1,sigma0,sigma1
 3,1,0.1,0.5,1,2,1,2
@@ -870,16 +871,13 @@ _NUMERIC_CODES = {cls.__name__.removesuffix("Error") for cls in vars(treated.err
                   if isinstance(cls, type) and issubclass(cls, treated.errors.NumericError)}
 
 
-@settings(max_examples=100, deadline=None)
-@given(run=_estimate_run())
-def test_estimate_keeps_the_exit_code_contract(csv_path, run):
-    # Whatever the file and flags: an exit code in 0..3 and no exception; a
-    # failure writes nothing to stdout and one JSON line with an error_code to
-    # stderr, with 3 exactly for a numeric error; a success writes JSON. A
-    # warning would reach stderr in the command, so a failure raises none.
-    text, flags = run
-    csv_path.write_text(text, encoding="utf-8", newline="")
-    argv = ["estimate", "--input", str(csv_path), *flags]
+def _run_keeping_the_contract(argv):
+    """Run ``main(argv)`` in this process and check the exit-code contract:
+    an exit code in 0..3 and no exception; a failure writes nothing to stdout
+    and one JSON line with an error_code to stderr, with 3 exactly for a
+    numeric error; a success writes JSON with a null only at a path that
+    README documents. A warning would reach stderr in the command, so a
+    failure raises none."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
@@ -888,13 +886,78 @@ def test_estimate_keeps_the_exit_code_contract(csv_path, run):
     assert code in (0, 1, 2, 3)
     event(f"exit {code}")
     if code == 0:
-        json.loads(out.getvalue())
+        assert undocumented_nulls(json.loads(out.getvalue())) == []
         return
     assert out.getvalue() == ""
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and not caught, (err.getvalue(), [str(w.message) for w in caught])
     payload = json.loads(lines[0])
     assert (code == 3) == (payload["error_code"] in _NUMERIC_CODES), payload
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=_estimate_run())
+def test_estimate_keeps_the_exit_code_contract(csv_path, run):
+    # Whatever the file and flags, the command keeps the contract.
+    text, flags = run
+    csv_path.write_text(text, encoding="utf-8", newline="")
+    _run_keeping_the_contract(["estimate", "--input", str(csv_path), *flags])
+
+
+# ---------------------------------------------------------------------------
+# simulate and oracle: the exit-code contract as a property.
+
+_COEFF_FIELDS = treated.simulation._COEFF_FIELDS
+# Coefficients that overflow an affine map, or a difference of two.
+_OVERFLOWING = [1e308, -1e308, 1.7976931348623157e308]
+# Fields of a JSON type that the spec format refuses.
+_BAD_FIELDS = [("d", None), ("d", 1.0), ("d", True), ("exact_noise", "false"),
+               ("exact_noise", 0), ("mu0_coeffs", "1"), ("mu1_coeffs", [[1.0]]),
+               ("propensity_coeffs", [10 ** 400])]
+
+
+@st.composite
+def _spec_run(draw):
+    """A small DGP spec and a ``simulate`` or ``oracle`` command with the flags
+    after ``--spec``.
+
+    The spec has d = 0..2 covariates, either x law, any dependence regime and
+    outcome kind, and ``exact_noise`` or not; now and then a coefficient
+    overflows, and one spec in four has a field of a refused type.
+    ``simulate`` runs 1-4 replications of 1-60 units on oracle nuisances or
+    1-3 folds of fitted ones, and each command takes at most 2,000 draws."""
+    d = draw(st.integers(0, 2))
+    spec = {"schema_version": 1, "d": d,
+            "x_dist": draw(st.sampled_from(["std_normal", "uniform01"])),
+            "dependence": draw(st.sampled_from(["independent", "comonotone", "antitone"])),
+            "outcome_kind": draw(st.sampled_from(["continuous", "binary"])),
+            "exact_noise": draw(st.booleans())}
+    for name in _COEFF_FIELDS:
+        spec[name] = draw(st.lists(st.floats(-3, 3), min_size=d + 1, max_size=d + 1))
+    if _now_and_then(draw):
+        spec[draw(st.sampled_from(_COEFF_FIELDS))][draw(st.integers(0, d))] = draw(
+            st.sampled_from(_OVERFLOWING))
+    if draw(st.integers(0, 3)) == 0:  # one spec in four; it costs no run
+        name, value = draw(st.sampled_from(_BAD_FIELDS))
+        spec[name] = value
+    draws = str(draw(st.integers(1, 2000)))
+    if draw(st.booleans()):
+        return spec, ["oracle", "--draws", draws, "--seed", str(draw(st.integers(0, 3)))]
+    nuisances = (["--oracle-nuisances"] if draw(st.booleans())
+                 else ["--folds", str(draw(st.integers(1, 3)))])
+    return spec, ["simulate", "--n", str(draw(st.integers(1, 60))),
+                  "--reps", str(draw(st.integers(1, 4))), "--patt-draws", draws,
+                  "--seed", str(draw(st.integers(0, 3))), *nuisances]
+
+
+@settings(max_examples=80, deadline=None)
+@given(run=_spec_run())
+def test_simulate_and_oracle_keep_the_exit_code_contract(csv_path, run):
+    # Whatever the spec and flags, each command keeps the contract.
+    spec, (command, *flags) = run
+    spec_path = csv_path.with_name("spec.json")
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    _run_keeping_the_contract([command, "--spec", str(spec_path), *flags])
 
 
 # ---------------------------------------------------------------------------
