@@ -610,6 +610,9 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
 
     import secrets  # numpy.random's: loads libcrypto once here, not in every pool worker
     if psi_patt is None:
+        # Pass 1 pools at any size in a study of two or more replications: run here, it
+        # raised this process's peak RSS to 40.8 MiB from 34.9 (`simulate --n 2000 --reps 200
+        # --oracle-nuisances --patt-draws 1000000`, 2 vCPUs), the study's largest process.
         psi_patt = _x_constants(spec, patt_draws, _child_seed(seed, 2 ** 31),
                                 pooled=reps > 1 or patt_draws >= X_POOL_DRAWS).psi
     items = _chunked(_replications, (spec, n, seed, nuisance_config, ci_level, psi_patt.value),
