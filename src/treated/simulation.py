@@ -156,10 +156,6 @@ class DgpSpec:
             raise ValidationError(
                 f"unsupported DGP spec schema_version {version!r}, expected {SCHEMA_VERSION}"
             )
-
-        def number(v):
-            return isinstance(v, (int, float)) and not isinstance(v, bool)
-
         try:
             d, coeffs = data["d"], {name: data[name] for name in _COEFF_FIELDS}
             exact_noise = data.get("exact_noise", False)
@@ -168,7 +164,8 @@ class DgpSpec:
             if not isinstance(exact_noise, bool):
                 raise ValueError("exact_noise must be true or false")
             for name, v in coeffs.items():
-                if not (isinstance(v, list) and all(map(number, v))):
+                if not (isinstance(v, list) and all(
+                        isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)):
                     raise ValueError(f"{name} must be a list of numbers")
             return cls(
                 d=d, **coeffs,
