@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -69,48 +70,32 @@ def _format_float(x: float) -> str:
 
 
 def dumps_canonical(obj) -> str:
-    out = io.StringIO()
-
-    def emit(o, depth):
-        pad = "  " * depth
+    def text(o, pad):
         if o is None:
-            out.write("null")
-        elif isinstance(o, (bool, np.bool_)):
-            out.write("true" if o else "false")
-        elif isinstance(o, (int, np.integer)):
-            out.write(str(int(o)))
-        elif isinstance(o, (float, np.floating)):
-            out.write(_format_float(float(o)))
-        elif isinstance(o, str):
-            out.write(json.dumps(o))
-        elif isinstance(o, dict):
-            if not o:
-                out.write("{}")
-                return
-            out.write("{\n")
-            items = list(o.items())
-            for i, (k, v) in enumerate(items):
-                out.write(pad + "  " + json.dumps(str(k)) + ": ")
-                emit(v, depth + 1)
-                out.write(",\n" if i < len(items) - 1 else "\n")
-            out.write(pad + "}")
-        elif isinstance(o, (list, tuple)):
-            seq = list(o)
-            if not seq:
-                out.write("[]")
-                return
-            out.write("[\n")
-            for i, v in enumerate(seq):
-                out.write(pad + "  ")
-                emit(v, depth + 1)
-                out.write(",\n" if i < len(seq) - 1 else "\n")
-            out.write(pad + "]")
-        else:
-            raise TypeError(f"cannot serialize {type(o)!r}")
+            return "null"
+        if isinstance(o, (bool, np.bool_)):  # before int: a bool is an int
+            return "true" if o else "false"
+        if isinstance(o, (int, np.integer)):
+            return str(int(o))
+        if isinstance(o, (float, np.floating)):
+            return _format_float(float(o))
+        if isinstance(o, str):
+            return json.dumps(o)
+        if isinstance(o, (dict, list, tuple)):
+            # One entry a line, a level deeper than the brackets; a dict's
+            # entries are "key": value.
+            inner = pad + "  "
+            if isinstance(o, dict):
+                brackets, entries = "{}", [json.dumps(str(k)) + ": " + text(v, inner)
+                                           for k, v in o.items()]
+            else:
+                brackets, entries = "[]", [text(v, inner) for v in o]
+            if not entries:
+                return brackets
+            return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(entries) + f"\n{pad}{brackets[1]}"
+        raise TypeError(f"cannot serialize {type(o)!r}")
 
-    emit(obj, 0)
-    out.write("\n")
-    return out.getvalue()
+    return text(obj, "") + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -361,24 +346,20 @@ def _se(value: float) -> Optional[float]:
     return None if math.isnan(value) else value
 
 
+# The fields an interval is written with, by its shape: a plain kind's
+# variance, or swatt's conservative family and the variance its interval uses.
+_VARIANCE_FIELDS = ("variance",)
+_SWATT_FIELDS = ("conservative_simple", "conservative_sigma", "conservative_fh", "variance_used")
+
+
 def report_to_dict(report: EstimateReport) -> dict:
     per_kind = {}
     for kind in KIND_ORDER:
-        if kind not in report.per_kind:
-            continue
-        inf = report.per_kind[kind]
-        if inf.variance is not None:
-            entry = {"variance": inf.variance}
-        else:
-            entry = {
-                "conservative_simple": inf.conservative_simple,
-                "conservative_sigma": inf.conservative_sigma,
-                "conservative_fh": inf.conservative_fh,
-                "variance_used": inf.variance_used,
-            }
-        entry["ci_lower"] = inf.ci_lower
-        entry["ci_upper"] = inf.ci_upper
-        per_kind[kind.value] = entry
+        inf = report.per_kind.get(kind)
+        if inf is not None:
+            names = _VARIANCE_FIELDS if inf.variance is not None else _SWATT_FIELDS
+            per_kind[kind.value] = {name: getattr(inf, name)
+                                    for name in (*names, "ci_lower", "ci_upper")}
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "psi_hat": report.psi_hat,
@@ -390,7 +371,9 @@ def report_to_dict(report: EstimateReport) -> dict:
     }
 
 
-def _verdict_to_dict(v: OrderingVerdict) -> dict:
+def _verdict_to_dict(v: Optional[OrderingVerdict]) -> Optional[dict]:
+    if v is None:
+        return None
     return {
         "pair": f"{v.kind_small.value}<={v.kind_large.value}",
         "scaled_diff": v.scaled_diff,
@@ -400,26 +383,10 @@ def _verdict_to_dict(v: OrderingVerdict) -> dict:
 
 
 def mc_report_to_dict(report: McReport) -> dict:
-    per_kind = {}
-    for kind in KIND_ORDER:
-        st = report.per_kind[kind]
-        per_kind[kind.value] = {
-            "empirical_var_scaled": st.empirical_var_scaled,
-            "empirical_var_scaled_se": _se(st.empirical_var_scaled_se),
-            "mean_variance_estimate": st.mean_variance_estimate,
-            "coverage": st.coverage,
-            "ci_level": st.ci_level,
-        }
-    extras = {}
-    for key, value in report.extras.items():
-        if key == "ordering":
-            extras[key] = [_verdict_to_dict(v) for v in value]
-        elif key == "satt_vs_patt":
-            extras[key] = _verdict_to_dict(value) if value is not None else None
-        elif key == "psi_patt_se":
-            extras[key] = _se(value)
-        else:
-            extras[key] = value
+    # McKindStats' fields are in the report's key order.
+    per_kind = {kind.value: dataclasses.asdict(report.per_kind[kind]) for kind in KIND_ORDER}
+    for entry in per_kind.values():
+        entry["empirical_var_scaled_se"] = _se(entry["empirical_var_scaled_se"])
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "n": report.n,
@@ -429,7 +396,10 @@ def mc_report_to_dict(report: McReport) -> dict:
         "failed_reps": report.failed_reps,
         "failure_messages": list(report.failure_messages),
         "per_kind": per_kind,
-        "extras": extras,
+        "extras": {**report.extras,  # the replaced keys keep their places
+                   "ordering": [_verdict_to_dict(v) for v in report.extras["ordering"]],
+                   "satt_vs_patt": _verdict_to_dict(report.extras["satt_vs_patt"]),
+                   "psi_patt_se": _se(report.extras["psi_patt_se"])},
     }
 
 
