@@ -23,7 +23,7 @@ pass runs in the pool, its x-only pass only from ``X_POOL_DRAWS`` draws on.
 from __future__ import annotations
 
 import enum
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -146,16 +146,21 @@ class DgpSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DgpSpec":
-        """The spec of a parsed JSON object, whose ``d`` is a JSON integer,
-        ``exact_noise`` a JSON boolean and coefficient lists flat lists of JSON
-        numbers; nothing is coerced."""
+        """The spec of a parsed JSON object, whose ``schema_version`` is the
+        JSON integer 1, ``d`` a JSON integer, ``exact_noise`` a JSON boolean
+        and coefficient lists flat lists of JSON numbers; nothing is coerced,
+        and a key that names no field is refused."""
         if not isinstance(data, dict):
             raise ValidationError("DGP spec must be a JSON object")
         version = data.get("schema_version")
-        if version != SCHEMA_VERSION:
+        if type(version) is not int or version != SCHEMA_VERSION:  # not True, not 1.0
             raise ValidationError(
                 f"unsupported DGP spec schema_version {version!r}, expected {SCHEMA_VERSION}"
             )
+        known = {"schema_version", *(f.name for f in fields(cls))}
+        unknown = [name for name in data if name not in known]
+        if unknown:
+            raise ValidationError(f"unknown DGP spec fields {unknown}")
         try:
             d, coeffs = data["d"], {name: data[name] for name in _COEFF_FIELDS}
             exact_noise = data.get("exact_noise", False)

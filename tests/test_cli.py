@@ -913,7 +913,7 @@ _OVERFLOWING = [1e308, -1e308, 1.7976931348623157e308]
 # Fields of a JSON type that the spec format refuses.
 _BAD_FIELDS = [("d", None), ("d", 1.0), ("d", True), ("exact_noise", "false"),
                ("exact_noise", 0), ("mu0_coeffs", "1"), ("mu1_coeffs", [[1.0]]),
-               ("propensity_coeffs", [10 ** 400])]
+               ("propensity_coeffs", [10 ** 400]), ("schema_version", True)]
 
 
 @st.composite
@@ -1056,6 +1056,26 @@ def test_spec_field_of_another_type_exit1(tmp_path, capsys, field, value, messag
         assert captured.out == ""
         assert captured.err.splitlines() == [json.dumps(
             {"error_code": "ParseError", "message": f"bad DGP spec field: {message}"})]
+
+
+def test_spec_unknown_field_exit1(tmp_path, capsys):
+    # A misspelt field is not ignored: the spec it meant would read differently
+    # (here without its 0.05 sd floor), so simulate and oracle refuse it
+    # with one ParseError line that names every unknown key.
+    spec = _spec_json()
+    del spec["exact_noise"]
+    spec["exact_nosie"] = True
+    spec["comment"] = "d = 1"
+    spec_path = _write(tmp_path, "spec.json", json.dumps(spec))
+    for argv in (["simulate", "--spec", spec_path, "--n", "50", "--reps", "2",
+                  "--patt-draws", "100"],
+                 ["oracle", "--spec", spec_path, "--draws", "100"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [json.dumps(
+            {"error_code": "ParseError",
+             "message": "unknown DGP spec fields ['exact_nosie', 'comment']"})]
 
 
 # ---------------------------------------------------------------------------

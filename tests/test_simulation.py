@@ -962,11 +962,15 @@ def test_spec_roundtrip_through_dict():
     assert back.to_dict() == data
 
 
-def test_spec_rejects_bad_schema_version():
+@pytest.mark.parametrize("version", [99, True, 1.0, "1"])
+def test_spec_rejects_bad_schema_version(version):
+    # Only the JSON integer 1 is version 1: a bool, float or string equal to
+    # it is refused too.
     data = _d1_spec().to_dict()
-    data["schema_version"] = 99
-    with pytest.raises(ValidationError):
+    data["schema_version"] = version
+    with pytest.raises(ValidationError) as refused:
         DgpSpec.from_dict(data)
+    assert str(refused.value) == f"unsupported DGP spec schema_version {version!r}, expected 1"
 
 
 def test_spec_rejects_bad_lengths():
