@@ -175,33 +175,25 @@ class NuisanceValues:
     def __post_init__(self, _owned):
         if not 0.0 < self.clip_eps < 0.5:
             raise ValidationError(f"clip_eps must be in (0, 0.5), got {self.clip_eps}")
-        pi = _frozen_array(self.pi_hat, owned=_owned)
-        mu0 = _frozen_array(self.mu0_hat, owned=_owned)
-        object.__setattr__(self, "pi_hat", pi)
-        object.__setattr__(self, "mu0_hat", mu0)
-        n = pi.shape[0]
-        for name in ("mu1_hat", "sigma0_hat", "sigma1_hat"):
+        # mu0_hat, which every set has, comes last: a pi_hat of the wrong length
+        # is reported against the first optional array present.
+        for name in ("pi_hat", "mu1_hat", "sigma0_hat", "sigma1_hat", "mu0_hat"):
             v = getattr(self, name)
-            if v is not None:
-                v = _frozen_array(v, owned=_owned)
-                object.__setattr__(self, name, v)
-                if v.shape[0] != n:
-                    raise LengthMismatchError(f"{name} has length {v.shape[0]}, expected {n}")
-        if mu0.shape[0] != n:
-            raise LengthMismatchError(f"mu0_hat has length {mu0.shape[0]}, expected {n}")
-        for name in ("pi_hat", "mu0_hat", "mu1_hat", "sigma0_hat", "sigma1_hat"):
-            v = getattr(self, name)
-            if v is not None and not np.isfinite(v).all():
+            if v is None and name not in ("pi_hat", "mu0_hat"):
+                continue
+            v = _frozen_array(v, owned=_owned)
+            object.__setattr__(self, name, v)
+            if v.shape[0] != self.n:  # pi_hat's length, once it is frozen
+                raise LengthMismatchError(f"{name} has length {v.shape[0]}, expected {self.n}")
+            if not np.isfinite(v).all():
                 raise NonFiniteError(f"{name} must be finite")
-        lo, hi = self.clip_eps, 1.0 - self.clip_eps
+            if name.startswith("sigma") and v.size and v.min() < 0:
+                raise ValidationError(f"{name} must be nonnegative")
+        pi, lo, hi = self.pi_hat, self.clip_eps, 1.0 - self.clip_eps
         if pi.size and (pi.min() < lo or pi.max() > hi):
             raise ValidationError(
                 f"pi_hat must lie within [{lo}, {hi}]; range is [{pi.min()}, {pi.max()}]"
             )
-        for name in ("sigma0_hat", "sigma1_hat"):
-            v = getattr(self, name)
-            if v is not None and v.size and v.min() < 0:
-                raise ValidationError(f"{name} must be nonnegative")
 
     @property
     def n(self) -> int:
