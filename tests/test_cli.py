@@ -877,7 +877,8 @@ def _run_keeping_the_contract(argv):
     and one JSON line with an error_code to stderr, with 3 exactly for a
     numeric error; a success writes JSON with a null only at a path that
     README documents. A warning would reach stderr in the command, so a
-    failure raises none."""
+    failure raises none. Returns the exit code, stdout and stderr, with each
+    warning as the command would print it."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
@@ -885,23 +886,35 @@ def _run_keeping_the_contract(argv):
         code = main(argv)
     assert code in (0, 1, 2, 3)
     event(f"exit {code}")
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                    for w in caught)
     if code == 0:
         assert undocumented_nulls(json.loads(out.getvalue())) == []
-        return
+        return code, out.getvalue(), err.getvalue() + shown
     assert out.getvalue() == ""
     lines = err.getvalue().splitlines()
-    assert len(lines) == 1 and not caught, (err.getvalue(), [str(w.message) for w in caught])
+    assert len(lines) == 1 and not caught, (err.getvalue(), shown)
     payload = json.loads(lines[0])
     assert (code == 3) == (payload["error_code"] in _NUMERIC_CODES), payload
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=100, deadline=None)
 @given(run=_estimate_run())
 def test_estimate_keeps_the_exit_code_contract(csv_path, run):
-    # Whatever the file and flags, the command keeps the contract.
+    # Whatever the file and flags, the command keeps the contract. The same
+    # flags give the same exit code, stdout and stderr when run again, and on
+    # 2 workers with the reader's ranges and the fold fits on the pool.
     text, flags = run
     csv_path.write_text(text, encoding="utf-8", newline="")
-    _run_keeping_the_contract(["estimate", "--input", str(csv_path), *flags])
+    argv = ["estimate", "--input", str(csv_path), *flags]
+    first = _run_keeping_the_contract(argv)
+    assert _run_keeping_the_contract(argv) == first
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(treated.cli, "INGEST_POOL_BYTES", 0)
+        patch.setattr(treated.nuisance, "FOLD_POOL_ROWS", 0)
+        patch.setattr(treated.mathutil, "_worker_count", lambda count: 2)
+        assert _run_keeping_the_contract(argv) == first
 
 
 # ---------------------------------------------------------------------------
