@@ -896,7 +896,7 @@ def _run_keeping_the_contract(argv):
     assert len(lines) == 1 and not caught, (err.getvalue(), shown)
     payload = json.loads(lines[0])
     assert (code == 3) == (payload["error_code"] in _NUMERIC_CODES), payload
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue() + shown
 
 
 @settings(max_examples=100, deadline=None)

@@ -964,8 +964,8 @@ def test_spec_roundtrip_through_dict():
 
 @pytest.mark.parametrize("version", [99, True, 1.0, "1"])
 def test_spec_rejects_bad_schema_version(version):
-    # Only the JSON integer 1 is version 1: a bool, float or string equal to
-    # it is refused too.
+    # Only the JSON integer 1 is version 1: true, 1.0 or "1" in its place is
+    # refused too.
     data = _d1_spec().to_dict()
     data["schema_version"] = version
     with pytest.raises(ValidationError) as refused:
