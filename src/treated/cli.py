@@ -30,7 +30,7 @@ import numpy as np
 from .data_model import Dataset, EstimandKind, EstimateReport, NuisanceValues, OutcomeKind, KIND_ORDER
 from .errors import NonFiniteEstimateError, NumericError, TreatedError, ValidationError
 from .mathutil import _chunked, shared_empty
-from .nuisance import NuisanceConfig
+from .nuisance import HeavyResidualWarning, NuisanceConfig
 from .estimator import estimate_all
 from .simulation import (
     DgpSpec,
@@ -487,6 +487,10 @@ def cmd_estimate(args) -> int:
 def cmd_simulate(args) -> int:
     spec = _load_spec(args.spec)
     config = NuisanceConfig(folds=args.folds, clip_eps=args.clip_eps, seed=args.seed)
+    # A pool worker's warnings are lost when it exits; so that stderr does not
+    # depend on the worker count, no replication's heavy-residual warning shows.
+    # The workers inherit this filter, and main's catch_warnings restores it.
+    warnings.simplefilter("ignore", HeavyResidualWarning)
     report = run_monte_carlo(
         spec, n=args.n, reps=args.reps, seed=args.seed,
         nuisance_config=None if args.oracle_nuisances else config,

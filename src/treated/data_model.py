@@ -24,17 +24,18 @@ from .errors import (
 )
 
 
-def _frozen_array(values, dtype=float, ndim=1, owned=False) -> np.ndarray:
-    """A read-only C-contiguous copy of ``values`` as a ``ndim``-d array of
-    ``dtype``; when ``owned``, ``values`` itself, a C-contiguous array of that
-    dtype and shape which the caller has just allocated and gives up."""
-    out = values if owned else np.array(values, dtype=dtype, copy=True, order="C")
-    if ndim == 1 and out.ndim != 1:
-        out = out.reshape(-1)
-    elif ndim == 2 and out.ndim == 1:
+def _frozen_array(values, name: str, ndim=1, owned=False) -> np.ndarray:
+    """A read-only C-contiguous float copy of ``values`` as a ``ndim``-d array;
+    when ``owned``, ``values`` itself, a C-contiguous float array which the
+    caller has just allocated and gives up. ``None`` is refused; a 1-d array
+    is one column where two dimensions are asked for, and no other is reshaped."""
+    if values is None:
+        raise ValidationError(f"{name} is required, got None")
+    out = values if owned else np.array(values, dtype=float, copy=True, order="C")
+    if ndim == 2 and out.ndim == 1:
         out = out.reshape(-1, 1)
     if out.ndim != ndim:
-        raise LengthMismatchError(f"expected a {ndim}-d array, got shape {out.shape}")
+        raise LengthMismatchError(f"{name} must be a {ndim}-d array, got shape {out.shape}")
     out.flags.writeable = False
     return out
 
@@ -88,7 +89,7 @@ class Dataset:
     y : array of shape (n,)
         Outcome; may be 0/1-coded when ``outcome_kind`` is BINARY.
     a : array of shape (n,)
-        Treatment indicator, every entry exactly 0 or 1.
+        Treatment indicator, stored as floats, every entry exactly 0.0 or 1.0.
     x : array of shape (n, d)
         Covariates; ``d = 0`` is allowed (intercept-only nuisance models).
         Stored C-contiguous, so every fit sums its columns in one order.
@@ -101,24 +102,11 @@ class Dataset:
     a: np.ndarray
     x: np.ndarray
     outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS
-    _owned: InitVar[bool] = False  # package-private; a must then be int64
+    _owned: InitVar[bool] = False  # package-private
 
     def __post_init__(self, _owned):
-        y = _frozen_array(self.y, owned=_owned)
-        a_raw = self.a if _owned else np.array(self.a, dtype=float, copy=True).reshape(-1)
-        x = _frozen_array(self.x, ndim=2, owned=_owned)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "x", x)
-        # An owned a is int64: min and max decide {0, 1} faster than isin.
-        if _owned:
-            binary = a_raw.min() >= 0 and a_raw.max() <= 1
-        else:
-            binary = np.isin(a_raw, (0.0, 1.0)).all()
-        if not binary:
-            raise ValidationError("treatment indicator a must contain only 0 or 1")
-        a = a_raw if _owned else a_raw.astype(np.int64)
-        a.flags.writeable = False
-        object.__setattr__(self, "a", a)
+        for name, ndim in (("y", 1), ("a", 1), ("x", 2)):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), name, ndim, _owned))
         validate(self)
 
     @property
@@ -141,6 +129,8 @@ def validate(dataset: Dataset) -> Dataset:
         raise LengthMismatchError(
             f"y, a, x must share length: got {n}, {a.shape[0]}, {x.shape[0]}"
         )
+    if not np.isin(a, (0.0, 1.0)).all():
+        raise ValidationError("treatment indicator a must contain only 0 or 1")
     if not np.isfinite(y).all():
         raise NonFiniteError("y contains non-finite values")
     if x.size and not np.isfinite(x).all():
@@ -181,7 +171,7 @@ class NuisanceValues:
             v = getattr(self, name)
             if v is None and name not in ("pi_hat", "mu0_hat"):
                 continue
-            v = _frozen_array(v, owned=_owned)
+            v = _frozen_array(v, name, owned=_owned)
             object.__setattr__(self, name, v)
             if v.shape[0] != self.n:  # pi_hat's length, once it is frozen
                 raise LengthMismatchError(f"{name} has length {v.shape[0]}, expected {self.n}")
@@ -243,6 +233,15 @@ def check_seed(seed) -> None:
     entries = seed if isinstance(seed, (list, tuple)) else (seed,)
     if any(isinstance(s, (int, np.integer)) and s < 0 for s in entries):
         raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
+def check_count(name: str, value) -> None:
+    """Raise ``ValidationError`` unless ``value`` is an int (Python or numpy, not a
+    bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)

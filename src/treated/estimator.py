@@ -38,6 +38,7 @@ from .data_model import (
     OutcomeKind,
     KIND_ORDER,
     check_ci_level,
+    check_count,
 )
 from .errors import (
     LengthMismatchError,
@@ -73,10 +74,9 @@ class _Columns:
             raise LengthMismatchError(
                 f"nuisance values have length {nuis.n}, dataset has {dataset.n}"
             )
-        a = dataset.a.astype(float)
-        return cls(dataset.y, a, nuis.pi_hat, nuis.mu0_hat, nuis.mu1_hat, nuis.sigma0_hat,
+        return cls(dataset.y, dataset.a, nuis.pi_hat, nuis.mu0_hat, nuis.mu1_hat, nuis.sigma0_hat,
                    nuis.sigma1_hat, binary=dataset.outcome_kind is OutcomeKind.BINARY,
-                   a_bar=float(a.mean()), psi=psi)
+                   a_bar=float(dataset.a.mean()), psi=psi)
 
     @cached_property
     def terms(self):
@@ -197,6 +197,7 @@ def var_fh_binary(c: _Columns) -> float:
 def confidence_interval(psi_hat: float, variance: float, n: int, level: float):
     """Wald interval ``psi_hat +/- z_{(1+level)/2} sqrt(variance / n)``."""
     check_ci_level(level)
+    check_count("n", n)
     if not variance >= 0:
         raise ValidationError(f"variance must be nonnegative, got {variance}")
     z = norm_quantile(0.5 * (1.0 + level))

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data_model import Dataset, NuisanceValues, OutcomeKind, check_seed
+from .data_model import Dataset, NuisanceValues, OutcomeKind, check_count, check_seed
 from .errors import (
     FoldTooSmallError,
     InsufficientArmDataError,
@@ -62,8 +62,7 @@ class NuisanceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.folds < 1:
-            raise ValidationError(f"folds must be >= 1, got {self.folds}")
+        check_count("folds", self.folds)
         if not 0.0 < self.clip_eps < 0.5:
             raise ValidationError(f"clip_eps must be in (0, 0.5), got {self.clip_eps}")
         check_seed(self.seed)
@@ -138,7 +137,6 @@ def _design(x: np.ndarray):
 def _fit_logistic(a: np.ndarray, x: np.ndarray, config: NuisanceConfig) -> PropensityModel:
     mean, scale, design = _design(x)
     d = design.shape[1] - 1
-    a = a.astype(float)
 
     def penalized_ll(beta):
         eta = blocked_matmul(design, beta)
@@ -158,8 +156,9 @@ def _fit_logistic(a: np.ndarray, x: np.ndarray, config: NuisanceConfig) -> Prope
         hess = blocked_crossprod(design, design * w[:, None])
         grad[1:] -= _RIDGE * beta[1:]
         hess.flat[d + 2::d + 2] += _RIDGE  # the slopes' diagonal
-        # Levenberg-style floor keeps the solve well-posed under saturation.
-        hess.flat[::d + 2] += max(_RIDGE, 1e-10)
+        # A floor on every diagonal entry, the intercept's too, keeps the solve
+        # well-posed under saturation.
+        hess.flat[::d + 2] += _RIDGE
         try:
             delta = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .data_model import (Dataset, EstimandKind, NuisanceValues, OutcomeKind, KIND_ORDER,
-                         _frozen_array, check_ci_level, check_seed)
+                         _frozen_array, check_ci_level, check_count, check_seed)
 from .errors import LengthMismatchError, NonFiniteEstimateError, TreatedError, ValidationError
 from .estimator import _Columns, estimate_all
 from .mathutil import _chunked, blocked_matmul, expit, select
@@ -197,7 +197,7 @@ class PotentialDataset:
 
     def __post_init__(self, _owned):
         for name in ("y0", "y1"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name), owned=_owned))
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), name, owned=_owned))
         n = self.dataset.n
         for name, length in (("y0", self.y0.shape[0]), ("y1", self.y1.shape[0]),
                              ("true_nuisances", self.true_nuisances.n)):
@@ -260,13 +260,12 @@ def generate(spec: DgpSpec, n: int, seed) -> PotentialDataset:
     outcome is exactly a*y1 + (1-a)*y0. Every array is allocated here and
     handed over uncopied; the constructors still check all of them.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    check_count("n", n)
     check_seed(seed)
     x, true, a, y0, y1 = _draw_units(spec, n, np.random.default_rng(seed))
     # The exact nuisances; clip_eps matches PI_CLIP.
     nu = NuisanceValues(*true, clip_eps=PI_CLIP[0], _owned=True)
-    dataset = Dataset(y=select(a, y1, y0), a=a.astype(np.int64), x=x,
+    dataset = Dataset(y=select(a, y1, y0), a=a.astype(float), x=x,
                       outcome_kind=spec.outcome_kind, _owned=True)
     return PotentialDataset(dataset=dataset, y0=y0, y1=y1, true_nuisances=nu, _owned=True)
 
@@ -274,9 +273,8 @@ def generate(spec: DgpSpec, n: int, seed) -> PotentialDataset:
 def true_sample_estimands(pd: PotentialDataset, psi_patt_true: float) -> dict:
     """Per-replication realized values of all six estimands with TRUE nuisances."""
     ds = pd.dataset
-    a = ds.a.astype(float)
     nuis = pd.true_nuisances
-    n_treated = a.sum()
+    n_treated = ds.a.sum()
     pi = nuis.pi_hat
     delta_mu = nuis.mu1_hat - nuis.mu0_hat
     delta_y = pd.y1 - pd.y0
@@ -284,9 +282,9 @@ def true_sample_estimands(pd: PotentialDataset, psi_patt_true: float) -> dict:
         EstimandKind.PATT: float(psi_patt_true),
         EstimandKind.ACTT: float((pi * delta_mu).sum() / pi.sum()),
         EstimandKind.SWATT: float((pi * delta_y).sum() / pi.sum()),
-        EstimandKind.CATT: float((a * delta_mu).sum() / n_treated),
-        EstimandKind.SATT: float((a * (ds.y - pd.y0)).sum() / n_treated),
-        EstimandKind.MATT: float((a * (ds.y - nuis.mu0_hat)).sum() / n_treated),
+        EstimandKind.CATT: float((ds.a * delta_mu).sum() / n_treated),
+        EstimandKind.SATT: float((ds.a * (ds.y - pd.y0)).sum() / n_treated),
+        EstimandKind.MATT: float((ds.a * (ds.y - nuis.mu0_hat)).sum() / n_treated),
     }
 
 
@@ -302,8 +300,7 @@ def psi_tilde(pd: PotentialDataset) -> float:
 def _batch_sizes(draws: int):
     """Batch lengths covering ``draws``: ``BATCH_DRAWS`` each, fewer when that
     leaves under 16 batches."""
-    if draws < 1:
-        raise ValidationError("draws must be >= 1")
+    check_count("draws", draws)
     batch_size = min(BATCH_DRAWS, max(1, draws // 16))
     sizes = [batch_size] * (draws // batch_size)
     if draws % batch_size:
@@ -603,10 +600,8 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
     items of one pool, are aggregated in index order, so the report depends
     neither on the number of workers nor on whether ``psi_patt`` was given.
     """
-    if reps < 1:
-        raise ValidationError("reps must be >= 1")
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    check_count("reps", reps)
+    check_count("n", n)
     check_ci_level(ci_level)
     check_seed(seed)
 

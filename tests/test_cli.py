@@ -787,6 +787,52 @@ def test_warning_is_shown_only_with_a_report(tmp_path, capsys, fails):
         assert [w.category for w in shown] == [treated.nuisance.HeavyResidualWarning]
 
 
+@pytest.mark.parametrize("argv", [["--nuisance", "fitted", "--folds", "2"],
+                                  ["--nuisance", "oracle"]], ids=["fitted", "oracle"])
+def test_negative_zero_treatment_writes_the_bytes_of_zero(tmp_path, capsys, argv):
+    # a is stored as read: every control's -0.0 must score as 0.0 does.
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(60)
+    pi = 1.0 / (1.0 + np.exp(-0.5 * x))
+    a = np.arange(60) % 3 == 0
+    y = 1.0 + x + a + rng.standard_normal(60)
+    reports = []
+    for zero in ("0", "-0"):
+        rows = [f"{y[i]:.17g},{'1' if a[i] else zero},{x[i]:.17g},{pi[i]:.17g},{x[i]:.17g},"
+                f"{x[i] + 1:.17g},1,1" for i in range(60)]
+        text = "y,a,x1,pi,mu0,mu1,sigma0,sigma1\n" + "\n".join(rows) + "\n"
+        assert main(["estimate", "--input", _write(tmp_path, "d.csv", text), *argv]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+_HEAVY_SD_SPEC = {"schema_version": 1, "d": 1, "propensity_coeffs": [0.0, 0.5],
+                  "mu0_coeffs": [0.0, 1.0], "mu1_coeffs": [1.0, 1.0],
+                  "noise0_sd_coeffs": [0.05, 3.0], "noise1_sd_coeffs": [0.05, 3.0]}
+
+
+@pytest.mark.parametrize("workers, reps, verdicts", [
+    (1, 4, "matt<=catt:ok; catt<=actt:ok; actt<=patt:ok; swatt<=actt:ok"),
+    (2, 4, "matt<=catt:ok; catt<=actt:ok; actt<=patt:ok; swatt<=actt:ok"),
+    (None, 1, "n/a (single replication)"),
+], ids=["1 worker", "2 workers", "one replication"])
+def test_simulate_stderr_does_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch,
+                                                             workers, reps, verdicts):
+    # The sds grow steeply in x, so fitted replications see heavy residuals. A
+    # pool worker's warnings are lost when it exits, so simulate shows none:
+    # shown from its own process only, stderr would depend on the worker count.
+    if workers is not None:
+        monkeypatch.setattr(treated.mathutil, "_worker_count", lambda count: workers)
+    spec_path = _write(tmp_path, "spec.json", json.dumps(_HEAVY_SD_SPEC))
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("default")  # as in the command
+        code = main(["simulate", "--spec", spec_path, "--n", "400", "--reps", str(reps),
+                     "--seed", "1", "--patt-draws", "1000"])
+    out, err = capsys.readouterr()
+    assert code == 0 and json.loads(out)
+    assert (err, shown) == (f"ordering verdicts: {verdicts}\n", [])
+
+
 # ---------------------------------------------------------------------------
 # estimate: the exit-code contract as a property.
 

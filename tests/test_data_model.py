@@ -128,3 +128,55 @@ def test_nuisance_length_mismatch_rejected():
     with pytest.raises(LengthMismatchError):
         NuisanceValues(pi_hat=[0.5, 0.5], mu0_hat=[0.0, 0.0], mu1_hat=[0.0])
 
+
+
+@pytest.mark.parametrize("name", ["y", "a", "x"])
+def test_dataset_refuses_a_missing_array_by_name(name):
+    arrays = {"y": [1.0, 2.0], "a": [1, 0], "x": np.zeros((2, 1)), name: None}
+    with pytest.raises(ValidationError, match=f"^{name} is required, got None$"):
+        Dataset(**arrays)
+
+
+@pytest.mark.parametrize("name", ["pi_hat", "mu0_hat"])
+def test_nuisance_values_refuse_a_missing_required_array_by_name(name):
+    # Not read as one NaN: refused as missing.
+    arrays = {"pi_hat": [0.5, 0.5], "mu0_hat": [0.0, 0.0], name: None}
+    with pytest.raises(ValidationError, match=f"^{name} is required, got None$"):
+        NuisanceValues(**arrays)
+
+
+def test_two_column_outcome_is_refused_not_flattened():
+    # 25 rows of 2 columns flattened to 50 would pass as n = 50 and mix units.
+    rng = np.random.default_rng(0)
+    a = np.tile([1, 0], 25)
+    with pytest.raises(LengthMismatchError, match=r"^y must be a 1-d array, got shape \(25, 2\)$"):
+        Dataset(y=rng.standard_normal((25, 2)), a=a, x=np.zeros((50, 1)))
+
+
+def test_row_shaped_nuisance_is_refused_not_flattened():
+    message = r"^mu0_hat must be a 1-d array, got shape \(1, 3\)$"
+    with pytest.raises(LengthMismatchError, match=message):
+        NuisanceValues(pi_hat=[0.5, 0.5, 0.5], mu0_hat=[[0.0, 0.0, 0.0]])
+
+
+def test_scalar_outcome_is_refused():
+    with pytest.raises(LengthMismatchError, match="y must be a 1-d array"):
+        Dataset(y=1.0, a=[1], x=np.zeros((1, 0)))
+
+
+def test_one_dimensional_x_is_one_covariate():
+    ds = Dataset(y=[1.0, 2.0, 3.0], a=[1, 0, 1], x=[0.5, -1.0, 2.0])
+    assert ds.x.shape == (3, 1) and ds.d == 1
+    assert ds.x[:, 0].tolist() == [0.5, -1.0, 2.0]
+
+
+def test_treatment_is_a_read_only_float_column():
+    ds = Dataset(y=[1.0, 2.0, 3.0], a=np.array([True, False, True]), x=np.zeros((3, 1)))
+    assert ds.a.dtype == np.float64 and ds.a.tolist() == [1.0, 0.0, 1.0]
+    assert not ds.a.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [0.5, -1, np.nan, 1.0 + 2**-52])
+def test_treatment_outside_zero_one_is_refused(bad):
+    with pytest.raises(ValidationError, match="a must contain only 0 or 1"):
+        Dataset(y=[1.0, 2.0, 3.0], a=[1, 0, bad], x=np.zeros((3, 1)))

@@ -310,6 +310,15 @@ def test_ci_rejects_bad_level_and_variance(level, variance):
         confidence_interval(0.0, variance, 10, level)
 
 
+@pytest.mark.parametrize("n, message", [(0, "n must be >= 1"), (-4, "n must be >= 1"),
+                                        (True, "n must be an int, got True"),
+                                        (2.0, "n must be an int, got 2.0")])
+def test_ci_rejects_a_bad_sample_size(n, message):
+    # n = 0 divided by zero, and n = -4 gave (nan, nan).
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        confidence_interval(0.0, 1.0, n, 0.95)
+
+
 # ---------------------------------------------------------------------------
 # Property tests.
 

@@ -12,12 +12,14 @@ from treated import (
     EstimandKind,
     FoldTooSmallError,
     InsufficientArmDataError,
+    IrlsDivergedError,
     MissingOracleError,
     NonFiniteEstimateError,
     NuisanceConfig,
     NuisanceValues,
     OutcomeKind,
     SingularSystemError,
+    ValidationError,
     compute_nuisances,
     estimate_all,
 )
@@ -241,6 +243,16 @@ def test_sd_regression_recovers_linear_variance_pattern():
 # ---------------------------------------------------------------------------
 # compute_nuisances.
 
+@pytest.mark.parametrize("folds, message", [(2.5, "folds must be an int, got 2.5"),
+                                            (True, "folds must be an int, got True"),
+                                            (0, "folds must be >= 1")])
+def test_config_refuses_a_non_integer_fold_count(folds, message):
+    # 2.5 ran and was reported as "folds": 2.5; True ran one fold, reported as true.
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        NuisanceConfig(folds=folds)
+    assert NuisanceConfig(folds=np.int64(2)).folds == 2
+
+
 def test_oracle_passthrough_with_clipping():
     ds = _dataset(n=20, seed=1)
     oracle = NuisanceValues(
@@ -361,12 +373,24 @@ def test_fold_too_small():
 
 
 def test_singular_least_squares_is_a_numeric_error(monkeypatch):
-    # Without the ridge term a duplicated covariate makes the normal
-    # equations exactly singular; numpy's LinAlgError must not escape.
+    # Without the ridge term a covariate duplicated on the control rows makes
+    # arm 0's normal equations exactly singular; numpy's LinAlgError must not
+    # escape. The treated rows keep the propensity fit's own system regular.
+    base = _dataset(n=80, d=1, seed=5)
+    x2 = np.where(base.a == 0, base.x[:, 0], np.random.default_rng(6).standard_normal(80))
+    ds = Dataset(y=base.y, a=base.a, x=np.column_stack([base.x, x2]))
+    monkeypatch.setattr(nuisance, "_RIDGE", 0.0)
+    with pytest.raises(SingularSystemError):
+        estimate_all(ds, NuisanceConfig())
+
+
+def test_singular_irls_system_is_a_numeric_error(monkeypatch):
+    # The IRLS diagonal carries _RIDGE alone: without it a covariate duplicated
+    # on every row makes the propensity fit's system exactly singular.
     base = _dataset(n=80, d=1, seed=5)
     ds = Dataset(y=base.y, a=base.a, x=np.column_stack([base.x, base.x]))
     monkeypatch.setattr(nuisance, "_RIDGE", 0.0)
-    with pytest.raises(SingularSystemError):
+    with pytest.raises(IrlsDivergedError, match="singular IRLS system"):
         estimate_all(ds, NuisanceConfig())
 
 

@@ -104,7 +104,7 @@ def test_generate_arrays_are_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.5
-    assert pd.dataset.a.dtype == np.int64
+    assert pd.dataset.a.dtype == np.float64
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -136,6 +136,22 @@ def test_generate_rejects_nonpositive_n():
     for n in (-1, 0):
         with pytest.raises(ValidationError, match="n must be >= 1"):
             generate(_d1_spec(), n, seed=0)
+
+
+def test_counts_must_be_ints():
+    # A float count reached numpy as a raw TypeError; a bool read as 1.
+    spec = _d1_spec()
+    calls = [
+        ("n", lambda: generate(spec, 2.5, seed=0)),
+        ("n", lambda: run_monte_carlo(spec, n=50.0, reps=3, seed=0, psi_patt=McValue(1.0, 0.0))),
+        ("reps", lambda: run_monte_carlo(spec, n=50, reps=True, seed=0)),
+        ("draws", lambda: psi_patt_true(spec, draws=1e3, seed=0)),
+        ("draws", lambda: oracle_asymptotic_variances(spec, draws=1000.0, seed=0)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValidationError, match=f"^{name} must be an int, got "):
+            call()
+    assert generate(spec, np.int64(20), seed=0).dataset.n == 20
 
 
 def test_negative_seed_is_a_validation_error():
