@@ -30,7 +30,7 @@ import numpy as np
 from .data_model import Dataset, EstimandKind, EstimateReport, NuisanceValues, OutcomeKind, KIND_ORDER
 from .errors import NonFiniteEstimateError, NumericError, TreatedError, ValidationError
 from .mathutil import _chunked, shared_empty
-from .nuisance import HeavyResidualWarning, NuisanceConfig
+from .nuisance import NuisanceConfig
 from .estimator import estimate_all
 from .simulation import (
     DgpSpec,
@@ -487,10 +487,6 @@ def cmd_estimate(args) -> int:
 def cmd_simulate(args) -> int:
     spec = _load_spec(args.spec)
     config = NuisanceConfig(folds=args.folds, clip_eps=args.clip_eps, seed=args.seed)
-    # A pool worker's warnings are lost when it exits; so that stderr does not
-    # depend on the worker count, no replication's heavy-residual warning shows.
-    # The workers inherit this filter, and main's catch_warnings restores it.
-    warnings.simplefilter("ignore", HeavyResidualWarning)
     report = run_monte_carlo(
         spec, n=args.n, reps=args.reps, seed=args.seed,
         nuisance_config=None if args.oracle_nuisances else config,
@@ -566,15 +562,12 @@ def _emit_error(code: str, message: str):
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # Overflow surfaces as a checked non-finite value; numpy's warnings would
-        # only add stderr lines. Forked pool workers inherit this state. Other
-        # warnings are shown only once the command has succeeded: an error
-        # writes its one line alone.
-        with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as shown:
-            code = args.func(args)
-        for w in shown:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-        return code
+        # Overflow surfaces as a checked non-finite value, and the report carries
+        # the diagnostics: warnings, numpy's or any other, would only add stderr
+        # lines. Forked pool workers inherit this state.
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return args.func(args)
     except SystemExit as exc:
         # Only --help exits, once argparse has printed the text.
         return exc.code

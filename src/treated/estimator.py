@@ -49,7 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .mathutil import norm_quantile, select
-from .nuisance import NuisanceConfig, compute_nuisances
+from .nuisance import NuisanceConfig, _residual_diagnostic, compute_nuisances
 
 class _Columns:
     """The formula table: per-unit columns of one sample and every quantity
@@ -227,7 +227,8 @@ def estimate_all(dataset: Dataset, config: Optional[NuisanceConfig] = None,
     ``ValidationError``. mu1 is needed only when a requesting kind is present; conditional
     sds only when swatt is requested, and oracle values without sds skip the
     sigma variant. The swatt interval uses the smallest available
-    conservative variance.
+    conservative variance. With fitted nuisances the diagnostics list, as
+    ``heavy_residual_arms``, the arms whose mean leaves heavy residuals.
     """
     check_ci_level(ci_level)
     if config is None:
@@ -261,6 +262,13 @@ def estimate_all(dataset: Dataset, config: Optional[NuisanceConfig] = None,
         "clip_eps": config.clip_eps,
         "seed": config.seed,
     }
+    if oracle is None:
+        heavy = diagnostics["heavy_residual_arms"] = []
+        # |y - mu| <= 1 for 0/1 outcomes, so the tail rule says nothing there.
+        for arm, mu in enumerate(() if cols.binary else (nuis.mu0_hat, nuis.mu1_hat)):
+            rows = dataset.a == arm
+            if mu is not None and _residual_diagnostic(dataset.y[rows], mu[rows]):
+                heavy.append(arm)
 
     for kind in kinds:
         if kind is EstimandKind.SWATT:

@@ -10,13 +10,12 @@ degrade gracefully instead of erroring. Fitting is a pure function of
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .data_model import Dataset, NuisanceValues, OutcomeKind, check_count, check_seed
+from .data_model import Dataset, NuisanceValues, check_count, check_seed
 from .errors import (
     FoldTooSmallError,
     InsufficientArmDataError,
@@ -47,10 +46,6 @@ _RIDGE = 1e-8
 # 277 ms serial against 294 ms pooled at 20,000 rows, 341-420 against 336-366 ms
 # at 40,000 and 442-456 against 427-462 ms at 60,000: none won 9 pairs of 10.
 FOLD_POOL_ROWS = 50_000
-
-
-class HeavyResidualWarning(UserWarning):
-    """Max outcome residual far exceeds the residual interquartile range."""
 
 
 @dataclass(frozen=True)
@@ -310,25 +305,19 @@ def _quartiles(values: np.ndarray):
     return (*quartiles, ordered[-1])
 
 
-def _residual_diagnostic(y, rows, mu_at_rows) -> bool:
-    resid = np.abs(y[rows] - mu_at_rows)
+def _residual_diagnostic(y, mu) -> bool:
+    """Whether one arm's largest absolute residual ``|y - mu|`` exceeds the
+    upper residual quartile by more than 10x the residual IQR: heavy residuals
+    strain the bounded residual moments behind the variance theory."""
+    resid = np.abs(y - mu)
     if resid.size == 0:
         return False
     q75, q25, top = _quartiles(resid)
     iqr = q75 - q25
     # An exact fit leaves residuals of the ridge term's and rounding's size,
     # about 1e-9 |y|, and an IQR as small: the floor keeps it quiet.
-    floor = np.sqrt(np.finfo(float).eps) * np.abs(y[rows]).max()
-    if top > q75 + 10.0 * max(iqr, floor):
-        warnings.warn(
-            "max outcome residual exceeds the upper residual quartile by more "
-            "than 10x the residual IQR; the bounded-residual condition behind "
-            "the variance theory may be strained",
-            HeavyResidualWarning,
-            stacklevel=3,
-        )
-        return True
-    return False
+    floor = np.sqrt(np.finfo(float).eps) * np.abs(y).max()
+    return bool(top > q75 + 10.0 * max(iqr, floor))
 
 
 def compute_nuisances(dataset: Dataset, config: NuisanceConfig,
@@ -390,9 +379,4 @@ def compute_nuisances(dataset: Dataset, config: NuisanceConfig,
     for name, values in fitted.items():
         if not np.isfinite(values).all():
             raise NonFiniteEstimateError(f"fitted {name} has non-finite values")
-    if dataset.outcome_kind is not OutcomeKind.BINARY:
-        # |y - mu| <= 1 for 0/1 outcomes, so the tail rule says nothing there.
-        for arm in (0, 1) if need_mu1 else (0,):
-            rows = np.flatnonzero(a == arm)
-            _residual_diagnostic(y, rows, fitted[f"mu{arm}_hat"][rows])
     return NuisanceValues(**fitted, clip_eps=eps, _owned=True)

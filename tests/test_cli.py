@@ -765,26 +765,27 @@ def test_negative_seed_exit2(tmp_path, capsys, monkeypatch, command):
 
 @pytest.mark.parametrize("fails", [False, True], ids=["report", "error"])
 def test_warning_is_shown_only_with_a_report(tmp_path, capsys, fails):
-    # One outcome far from the others warns of heavy residuals. A covariate
-    # near 1e154 then overflows the actt variance: the command fails, and its
-    # error line is the only thing on stderr.
+    # One outcome far from the others leaves heavy treated residuals, which the
+    # report's diagnostics name. A covariate near 1e154 then overflows the actt
+    # variance: the command fails, and its error line is the only thing on stderr.
     if fails:
-        rows = ["0,1,0"] * 9 + ["2,1,1"] + ["0,0,0"] * 3 + ["1,0,0", "0,0,1.3878399718096036e+154"]
+        rows = _OVERFLOW_ROWS
     else:
         rows = [f"{1e4 if i == 3 else (i * 7 % 5 - 2) * 0.3},{i % 2},{(i * 3 % 7 - 3) * 0.4}"
                 for i in range(40)]
     path = _write(tmp_path, "heavy.csv", "y,a,x1\n" + "\n".join(rows) + "\n")
     with warnings.catch_warnings(record=True) as shown:
-        warnings.simplefilter("default")  # as in the command
+        warnings.simplefilter("always")
         code = main(["estimate", "--input", path, "--nuisance", "fitted"])
     out, err = capsys.readouterr()
+    assert shown == []
     if fails:
-        assert (code, out, shown) == (3, "", [])
+        assert (code, out) == (3, "")
         assert json.loads(err) == {"error_code": "NonFiniteEstimate",
                                    "message": "actt: non-finite variance=inf"}
     else:
-        assert code == 0 and json.loads(out)
-        assert [w.category for w in shown] == [treated.nuisance.HeavyResidualWarning]
+        assert (code, err) == (0, "")
+        assert json.loads(out)["diagnostics"]["heavy_residual_arms"] == [1]
 
 
 @pytest.mark.parametrize("argv", [["--nuisance", "fitted", "--folds", "2"],
@@ -818,19 +819,58 @@ _HEAVY_SD_SPEC = {"schema_version": 1, "d": 1, "propensity_coeffs": [0.0, 0.5],
 ], ids=["1 worker", "2 workers", "one replication"])
 def test_simulate_stderr_does_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch,
                                                              workers, reps, verdicts):
-    # The sds grow steeply in x, so fitted replications see heavy residuals. A
-    # pool worker's warnings are lost when it exits, so simulate shows none:
-    # shown from its own process only, stderr would depend on the worker count.
+    # The sds grow steeply in x, so fitted replications see heavy residuals.
+    # Wherever a replication runs, in this process or in a pool worker, stderr
+    # is the verdict line alone.
     if workers is not None:
         monkeypatch.setattr(treated.mathutil, "_worker_count", lambda count: workers)
     spec_path = _write(tmp_path, "spec.json", json.dumps(_HEAVY_SD_SPEC))
     with warnings.catch_warnings(record=True) as shown:
-        warnings.simplefilter("default")  # as in the command
+        warnings.simplefilter("always")
         code = main(["simulate", "--spec", spec_path, "--n", "400", "--reps", str(reps),
                      "--seed", "1", "--patt-draws", "1000"])
     out, err = capsys.readouterr()
     assert code == 0 and json.loads(out)
     assert (err, shown) == (f"ordering verdicts: {verdicts}\n", [])
+
+
+_OVERFLOW_ROWS = ["0,1,0"] * 9 + ["2,1,1"] + ["0,0,0"] * 3 + ["1,0,0",
+                                                           "0,0,1.3878399718096036e+154"]
+
+
+@pytest.mark.parametrize("command, code, stderr", [
+    (["estimate", "--nuisance", "fitted"], 0, ""),
+    (["estimate", "--nuisance", "fitted", "overflow"], 3,
+     '{"error_code": "NonFiniteEstimate", "message": "actt: non-finite variance=inf"}\n'),
+    (["simulate", "--n", "200", "--reps", "4", "--folds", "2"], 0,
+     "ordering verdicts: matt<=catt:ok; catt<=actt:ok; actt<=patt:ok; swatt<=actt:ok\n"),
+    (["simulate", "--n", "40", "--reps", "4", "--folds", "50"], 2,
+     '{"error_code": "Validation", "message": "every replication failed; nothing to aggregate '
+     '(first: rep 0: 50 folds exceed the smaller arm (18 treated, 22 controls))"}\n'),
+], ids=["estimate report", "estimate error", "simulate report", "simulate error"])
+def test_a_stage_warning_leaves_stderr_to_the_command(tmp_path, command, code, stderr):
+    # The nuisance stage of every estimate, each replication's included, issues
+    # a UserWarning before it fits. Neither the command's own process nor a
+    # forked pool worker shows it: stderr is empty on an estimate, the verdict
+    # line on a study, and the error line on a failure. A child process, so
+    # that workers write to its stderr.
+    if command[0] == "estimate":
+        rows = (_OVERFLOW_ROWS if command[-1] == "overflow" else
+                [f"{(i * 7 % 5 - 2) * 0.3},{i % 2},{(i * 3 % 7 - 3) * 0.4}" for i in range(40)])
+        command = [*command[:3], "--input",
+                   _write(tmp_path, "data.csv", "y,a,x1\n" + "\n".join(rows) + "\n")]
+    else:
+        command = [*command, "--spec", _write(tmp_path, "spec.json", json.dumps(_spec_json())),
+                   "--seed", "1", "--patt-draws", "1000"]
+    run = ("import sys, warnings, treated.cli, treated.estimator, treated.mathutil; "
+           "stage = treated.estimator.compute_nuisances; "
+           "treated.estimator.compute_nuisances = "
+           "lambda *args, **kwargs: warnings.warn('stage warning') or stage(*args, **kwargs); "
+           "treated.mathutil._worker_count = lambda count: 2; "
+           "sys.exit(treated.cli.main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", run, *command], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (code, stderr)
+    assert bool(proc.stdout) == (code == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -922,9 +962,9 @@ def _run_keeping_the_contract(argv):
     an exit code in 0..3 and no exception; a failure writes nothing to stdout
     and one JSON line with an error_code to stderr, with 3 exactly for a
     numeric error; a success writes JSON with a null only at a path that
-    README documents. A warning would reach stderr in the command, so a
-    failure raises none. Returns the exit code, stdout and stderr, with each
-    warning as the command would print it."""
+    README documents. The command shows no warning, whether it fails or
+    succeeds, so none reaches the caller. Returns the exit code, stdout and
+    stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
@@ -932,17 +972,16 @@ def _run_keeping_the_contract(argv):
         code = main(argv)
     assert code in (0, 1, 2, 3)
     event(f"exit {code}")
-    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
-                    for w in caught)
+    assert caught == [], [str(w.message) for w in caught]
     if code == 0:
         assert undocumented_nulls(json.loads(out.getvalue())) == []
-        return code, out.getvalue(), err.getvalue() + shown
+        return code, out.getvalue(), err.getvalue()
     assert out.getvalue() == ""
     lines = err.getvalue().splitlines()
-    assert len(lines) == 1 and not caught, (err.getvalue(), shown)
+    assert len(lines) == 1, err.getvalue()
     payload = json.loads(lines[0])
     assert (code == 3) == (payload["error_code"] in _NUMERIC_CODES), payload
-    return code, out.getvalue(), err.getvalue() + shown
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=100, deadline=None)

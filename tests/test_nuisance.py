@@ -415,9 +415,7 @@ def test_mu1_skipped_when_not_needed():
     assert out.mu1_hat is None and out.sigma0_hat is None
 
 
-def test_heavy_residual_warning():
-    from treated.nuisance import HeavyResidualWarning
-
+def test_extreme_control_residual_is_reported():
     rng = np.random.default_rng(4)
     n = 60
     x = rng.standard_normal((n, 1))
@@ -426,8 +424,10 @@ def test_heavy_residual_warning():
     a[:5] = 1
     y[-1] += 500.0  # one extreme control residual
     ds = Dataset(y=y, a=a, x=x)
-    with pytest.warns(HeavyResidualWarning):
-        compute_nuisances(ds, NuisanceConfig(), need_mu1=False, need_sigma=False)
+    # These estimands fit no treated-arm mean, so only the control arm is checked.
+    report = estimate_all(ds, NuisanceConfig(),
+                          estimands=[EstimandKind.PATT, EstimandKind.SATT, EstimandKind.MATT])
+    assert report.diagnostics["heavy_residual_arms"] == [0]
 
 
 def test_exact_fit_raises_no_heavy_residual_warning():
@@ -437,28 +437,24 @@ def test_exact_fit_raises_no_heavy_residual_warning():
                  x=[[0.0], [1.0], [0.0], [1.0], [3.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        compute_nuisances(ds, NuisanceConfig())
+        report = estimate_all(ds, NuisanceConfig())
+    assert report.diagnostics["heavy_residual_arms"] == []
 
 
-def test_one_outlier_among_exact_residuals_warns():
-    from treated.nuisance import HeavyResidualWarning, _residual_diagnostic
+def test_one_outlier_among_exact_residuals_is_heavy():
+    from treated.nuisance import _residual_diagnostic
 
     # Nine residuals at the ridge term's size, an IQR of 5e-11, and one of 1.0.
     y = np.arange(1.0, 11.0)
     mu = y - np.linspace(5e-9, 5.1e-9, y.size)
     mu[-1] -= 1.0
-    with pytest.warns(HeavyResidualWarning):
-        assert _residual_diagnostic(y, np.arange(y.size), mu)
-    # Nine exact residuals leave an IQR of 0; the outlier still warns.
+    assert _residual_diagnostic(y, mu)
+    # Nine exact residuals leave an IQR of 0; the outlier is still heavy.
     y = np.zeros(10)
     y[-1] = 1.0
-    with pytest.warns(HeavyResidualWarning):
-        assert _residual_diagnostic(y, np.arange(y.size), np.zeros(10))
+    assert _residual_diagnostic(y, np.zeros(10))
     # Two equal residuals are no outlier.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert not _residual_diagnostic(np.array([1.0, 0.0]), np.arange(2),
-                                        np.array([0.0, 1.0]))
+    assert not _residual_diagnostic(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
 def test_residual_quartiles_match_numpys_percentile_bit_for_bit():
@@ -484,7 +480,11 @@ def test_binary_outcome_raises_no_heavy_residual_warning():
     ds = Dataset(y=y, a=a, x=x, outcome_kind=OutcomeKind.BINARY)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        compute_nuisances(ds, NuisanceConfig())
+        report = estimate_all(ds, NuisanceConfig())
+    assert report.diagnostics["heavy_residual_arms"] == []
+    # The bare rule would flag an arm of this outcome.
+    mu = compute_nuisances(ds, NuisanceConfig()).mu0_hat
+    assert nuisance._residual_diagnostic(y[a == 0], mu[a == 0])
 
 
 @settings(max_examples=20, deadline=None)
@@ -492,16 +492,10 @@ def test_binary_outcome_raises_no_heavy_residual_warning():
 @example(seed=300734144)  # both seeds draw a heavy residual in one arm
 @example(seed=522869530)
 def test_fitted_nuisances_deterministic_and_clipped(seed):
-    from treated.nuisance import HeavyResidualWarning
-
     ds = _dataset(n=40, d=2, seed=seed)
     config = NuisanceConfig()
-    # About 0.1% of seeds warn about heavy residuals; that is not what this
-    # test checks, so the warning is recorded rather than raised.
-    with warnings.catch_warnings(record=True):
-        warnings.simplefilter("always", HeavyResidualWarning)
-        a_out = compute_nuisances(ds, config)
-        b_out = compute_nuisances(ds, config)
+    a_out = compute_nuisances(ds, config)
+    b_out = compute_nuisances(ds, config)
     assert np.array_equal(a_out.pi_hat, b_out.pi_hat)
     assert np.array_equal(a_out.mu0_hat, b_out.mu0_hat)
     assert a_out.pi_hat.min() >= config.clip_eps
