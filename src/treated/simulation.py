@@ -298,14 +298,12 @@ def psi_tilde(pd: PotentialDataset) -> float:
 # Brute-force oracles for the population constants and asymptotic variances.
 
 def _batch_sizes(draws: int):
-    """Batch lengths covering ``draws``: ``BATCH_DRAWS`` each, fewer when that
-    leaves under 16 batches."""
+    """``(batch_size, count)``: ``count`` batches cover ``draws``, batch k of
+    ``min(batch_size, draws - k * batch_size)`` draws. The size is
+    ``BATCH_DRAWS``, less when that leaves under 16 batches."""
     check_count("draws", draws)
     batch_size = min(BATCH_DRAWS, max(1, draws // 16))
-    sizes = [batch_size] * (draws // batch_size)
-    if draws % batch_size:
-        sizes.append(draws % batch_size)
-    return sizes
+    return batch_size, -(-draws // batch_size)
 
 
 def _mc_value(batch_values) -> McValue:
@@ -325,22 +323,23 @@ def _child_seed(seed, *tail):
     return base + [int(t) for t in tail]
 
 
-def _x_batches(spec: DgpSpec, sizes, seed, lo, hi):
+def _x_batches(spec: DgpSpec, draws, batch_size, seed, lo, hi):
     """Yield the sums of pi, pi (mu1 - mu0) and pi mu0 over each batch k in
-    [lo, hi): ``sizes[k]`` x-only draws from the (seed, 1, k) stream."""
+    [lo, hi) of ``draws``: its x-only draws from the (seed, 1, k) stream."""
     for k in range(lo, hi):
-        x = _draw_x(spec, sizes[k], np.random.default_rng(_child_seed(seed, 1, k)))
+        x = _draw_x(spec, min(batch_size, draws - k * batch_size),
+                    np.random.default_rng(_child_seed(seed, 1, k)))
         pi = spec.propensity(x)
         mu0 = spec.mu(0, x)
         yield (float(pi.sum()), float((pi * (spec.mu(1, x) - mu0)).sum()),
                float((pi * mu0).sum()))
 
 
-def _joint_batches(spec: DgpSpec, sizes, seed, consts, lo, hi):
-    """Yield ``_oracle_functionals`` for each batch k in [lo, hi): ``sizes[k]``
-    complete draws from the (seed, 2, k) stream."""
+def _joint_batches(spec: DgpSpec, draws, batch_size, seed, consts, lo, hi):
+    """Yield ``_oracle_functionals`` for each batch k in [lo, hi) of ``draws``:
+    its complete draws from the (seed, 2, k) stream."""
     for k in range(lo, hi):
-        true, a, y0, y1 = _draw_units(spec, sizes[k],
+        true, a, y0, y1 = _draw_units(spec, min(batch_size, draws - k * batch_size),
                                       np.random.default_rng(_child_seed(seed, 2, k)))[1:]
         yield _oracle_functionals(spec, consts, *true, a.astype(float), y0, y1,
                                   select(a, y1, y0))
@@ -358,10 +357,10 @@ def _x_constants(spec: DgpSpec, draws: int, seed, *, pooled: bool) -> _XConstant
     ``pooled`` rule holds."""
     check_seed(seed)
     import secrets  # before the pools fork, as in run_monte_carlo
-    sizes = _batch_sizes(draws)
+    batch_size, count = _batch_sizes(draws)
     s_pi = s_pidelta = s_pimu0 = 0.0
     psi_batches, tau_batches = [], []
-    for b_pi, b_pidelta, b_pimu0 in _chunked(_x_batches, (spec, sizes, seed), len(sizes),
+    for b_pi, b_pidelta, b_pimu0 in _chunked(_x_batches, (spec, draws, batch_size, seed), count,
                                              pooled=pooled):
         s_pi += b_pi
         s_pidelta += b_pidelta
@@ -455,9 +454,10 @@ def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000,
         raise NonFiniteEstimateError(f"oracle pass 1: non-finite {', '.join(bad)}")
 
     # Pass 2: joint draws, per-batch functionals, in batch order.
-    sizes = _batch_sizes(draws)
+    batch_size, count = _batch_sizes(draws)
     batches: dict = {}
-    for out in _chunked(_joint_batches, (spec, sizes, seed, consts), len(sizes), pooled=True):
+    for out in _chunked(_joint_batches, (spec, draws, batch_size, seed, consts), count,
+                        pooled=True):
         for key, value in out.items():
             batches.setdefault(key, []).append(value)
 

@@ -785,6 +785,21 @@ def test_population_constants_do_not_depend_on_worker_count(monkeypatch):
     assert results[0] == results[1]
 
 
+def test_batches_are_described_not_listed():
+    # Batch k has min(batch_size, draws - k * batch_size) draws: the sizes of
+    # the list this description replaced, full batches then the remainder.
+    for draws in (1, 15, 16, 17, 1000, 64_000, 16 * 65_536, 16 * 65_536 + 1, 10 ** 7 + 3):
+        batch_size, count = simulation._batch_sizes(draws)
+        full = min(simulation.BATCH_DRAWS, max(1, draws // 16))
+        listed = [full] * (draws // full) + ([draws % full] if draws % full else [])
+        assert [min(batch_size, draws - k * batch_size) for k in range(count)] == listed, draws
+    # 10**13 draws are two numbers, not a list of 152,587,891 sizes; the last
+    # batch holds the 40,960 draws left over.
+    batch_size, count = simulation._batch_sizes(10 ** 13)
+    assert (batch_size, count) == (65_536, 152_587_891)
+    assert 10 ** 13 - (count - 1) * batch_size == 40_960
+
+
 @pytest.mark.parametrize("name", ["continuous_spec.json", "binary_spec.json"])
 def test_one_oracle_batch_peaks_under_20_columns(name):
     # Each pool worker holds one joint-pass batch at a time, so one batch of
@@ -793,7 +808,8 @@ def test_one_oracle_batch_peaks_under_20_columns(name):
     path = pathlib.Path(__file__).parent / "golden" / name
     spec = DgpSpec.from_dict(json.loads(path.read_text()))
     consts = simulation._x_constants(spec, 64_000, 0, pooled=False)
-    batch = simulation._joint_batches(spec, [simulation.BATCH_DRAWS], 0, consts, 0, 1)
+    batch = simulation._joint_batches(spec, simulation.BATCH_DRAWS, simulation.BATCH_DRAWS, 0,
+                                      consts, 0, 1)
     tracemalloc.start()
     try:
         next(batch)
