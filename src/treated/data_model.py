@@ -10,6 +10,7 @@ every check still runs.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
@@ -31,7 +32,10 @@ def _frozen_array(values, name: str, ndim=1, owned=False) -> np.ndarray:
     is one column where two dimensions are asked for, and no other is reshaped."""
     if values is None:
         raise ValidationError(f"{name} is required, got None")
-    out = values if owned else np.array(values, dtype=float, copy=True, order="C")
+    try:
+        out = values if owned else np.array(values, dtype=float, copy=True, order="C")
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be an array of numbers: {exc}") from exc
     if ndim == 2 and out.ndim == 1:
         out = out.reshape(-1, 1)
     if out.ndim != ndim:
@@ -163,8 +167,7 @@ class NuisanceValues:
     _owned: InitVar[bool] = False  # package-private, as for Dataset
 
     def __post_init__(self, _owned):
-        if not 0.0 < self.clip_eps < 0.5:
-            raise ValidationError(f"clip_eps must be in (0, 0.5), got {self.clip_eps}")
+        check_clip_eps(self.clip_eps)
         # mu0_hat, which every set has, comes last: a pi_hat of the wrong length
         # is reported against the first optional array present.
         for name in ("pi_hat", "mu1_hat", "sigma0_hat", "sigma1_hat", "mu0_hat"):
@@ -218,30 +221,43 @@ class KindInference:
 
 
 def check_ci_level(level: float) -> None:
-    """Raise ``ValidationError`` unless the interval level lies in (0, 1) and the
-    level of its normal quantile, (1 + level) / 2, rounds below 1."""
-    if not 0.0 < level < 1.0:
+    """Raise ``ValidationError`` unless the interval level is a number in (0, 1)
+    and the level of its normal quantile, (1 + level) / 2, rounds below 1."""
+    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
         raise ValidationError(f"ci_level must be in (0, 1), got {level}")
     if 0.5 * (1.0 + level) == 1.0:
         raise ValidationError(f"ci_level {level!r} gives no finite interval: (1 + ci_level) / 2 "
                               f"rounds to 1")
 
 
+def _is_int(value) -> bool:
+    """An int, Python or numpy, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_seed(seed) -> None:
-    """Raise ``ValidationError`` for a negative seed or a seed list with a negative
-    entry, which numpy's generators would refuse with a bare ``ValueError``."""
+    """Raise ``ValidationError`` unless ``seed`` is a non-negative int or a
+    non-empty list or tuple of them; numpy's generators would refuse anything
+    else with a bare ``TypeError`` or ``ValueError``, or take a float."""
     entries = seed if isinstance(seed, (list, tuple)) else (seed,)
-    if any(isinstance(s, (int, np.integer)) and s < 0 for s in entries):
+    if not entries or not all(map(_is_int, entries)):
+        raise ValidationError(f"seed must be an int or a non-empty list of ints, got {seed!r}")
+    if any(s < 0 for s in entries):
         raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
 def check_count(name: str, value) -> None:
-    """Raise ``ValidationError`` unless ``value`` is an int (Python or numpy, not a
-    bool) of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """Raise ``ValidationError`` unless ``value`` is an int of at least 1."""
+    if not _is_int(value):
         raise ValidationError(f"{name} must be an int, got {value!r}")
     if value < 1:
         raise ValidationError(f"{name} must be >= 1")
+
+
+def check_clip_eps(clip_eps) -> None:
+    """Raise ``ValidationError`` unless ``clip_eps`` is a number in (0, 0.5)."""
+    if not (isinstance(clip_eps, numbers.Real) and 0.0 < clip_eps < 0.5):
+        raise ValidationError(f"clip_eps must be in (0, 0.5), got {clip_eps}")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ concurrently.
 
 from __future__ import annotations
 
+import numbers
 from functools import cached_property
 from typing import Optional
 
@@ -198,7 +199,7 @@ def confidence_interval(psi_hat: float, variance: float, n: int, level: float):
     """Wald interval ``psi_hat +/- z_{(1+level)/2} sqrt(variance / n)``."""
     check_ci_level(level)
     check_count("n", n)
-    if not variance >= 0:
+    if not (isinstance(variance, numbers.Real) and variance >= 0):
         raise ValidationError(f"variance must be nonnegative, got {variance}")
     z = norm_quantile(0.5 * (1.0 + level))
     half = z * np.sqrt(variance / n)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data_model import Dataset, NuisanceValues, check_count, check_seed
+from .data_model import Dataset, NuisanceValues, check_clip_eps, check_count, check_seed
 from .errors import (
     FoldTooSmallError,
     InsufficientArmDataError,
@@ -58,8 +58,7 @@ class NuisanceConfig:
 
     def __post_init__(self):
         check_count("folds", self.folds)
-        if not 0.0 < self.clip_eps < 0.5:
-            raise ValidationError(f"clip_eps must be in (0, 0.5), got {self.clip_eps}")
+        check_clip_eps(self.clip_eps)
         check_seed(self.seed)
 
 

@@ -316,10 +316,7 @@ def _mc_value(batch_values) -> McValue:
 def _child_seed(seed, *tail):
     """Flat entropy list for a derived stream: pure function of (seed, tail)."""
     check_seed(seed)
-    if isinstance(seed, (int, np.integer)):
-        base = [int(seed)]
-    else:
-        base = [int(s) for s in seed]
+    base = [int(s) for s in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
     return base + [int(t) for t in tail]
 
 

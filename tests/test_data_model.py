@@ -10,6 +10,7 @@ from treated import (
     LengthMismatchError,
     NonBinaryOutcomeError,
     NonFiniteError,
+    NuisanceConfig,
     NuisanceValues,
     OutcomeKind,
     Taxonomy,
@@ -180,3 +181,23 @@ def test_treatment_is_a_read_only_float_column():
 def test_treatment_outside_zero_one_is_refused(bad):
     with pytest.raises(ValidationError, match="a must contain only 0 or 1"):
         Dataset(y=[1.0, 2.0, 3.0], a=[1, 0, bad], x=np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("bad", [["a"] * 3, [object()] * 3, [[1.0], [2.0, 3.0], [4.0]]],
+                         ids=["strings", "objects", "ragged"])
+def test_an_array_of_non_numbers_is_refused_by_name(bad):
+    # numpy's conversion raised a bare ValueError or TypeError.
+    with pytest.raises(ValidationError, match="^y must be an array of numbers: "):
+        Dataset(y=bad, a=[1, 0, 1], x=np.zeros((3, 1)))
+    with pytest.raises(ValidationError, match="^sigma1_hat must be an array of numbers: "):
+        NuisanceValues(pi_hat=[0.5] * 3, mu0_hat=[0.0] * 3, sigma1_hat=bad)
+
+
+@pytest.mark.parametrize("clip_eps", [None, "0.1", [0.1], 0.0, 0.5, float("nan")])
+def test_config_and_values_refuse_clip_eps_by_one_rule(clip_eps):
+    # A clip_eps that is not a number was a bare TypeError.
+    message = r"^clip_eps must be in \(0, 0\.5\), got "
+    with pytest.raises(ValidationError, match=message):
+        NuisanceConfig(clip_eps=clip_eps)
+    with pytest.raises(ValidationError, match=message):
+        NuisanceValues(pi_hat=[0.5], mu0_hat=[0.0], clip_eps=clip_eps)

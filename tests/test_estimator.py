@@ -310,6 +310,15 @@ def test_ci_rejects_bad_level_and_variance(level, variance):
         confidence_interval(0.0, variance, 10, level)
 
 
+@pytest.mark.parametrize("level, variance, name", [("x", 1.0, "ci_level"), (None, 1.0, "ci_level"),
+                                                   (0.95, None, "variance"),
+                                                   (0.95, "1", "variance")])
+def test_ci_refuses_a_non_number_by_name(level, variance, name):
+    # Each was a bare TypeError from a comparison.
+    with pytest.raises(ValidationError, match=f"^{name} must be "):
+        confidence_interval(0.0, variance, 10, level)
+
+
 @pytest.mark.parametrize("n, message", [(0, "n must be >= 1"), (-4, "n must be >= 1"),
                                         (True, "n must be an int, got True"),
                                         (2.0, "n must be an int, got 2.0")])

@@ -171,6 +171,30 @@ def test_negative_seed_is_a_validation_error():
             call()
 
 
+@pytest.mark.parametrize("seed", [1.5, None, True, "3", [], (), [1, 1.5], [True], np.float64(2.0)],
+                         ids=["float", "None", "bool", "string", "empty list", "empty tuple",
+                              "float entry", "bool entry", "numpy float"])
+def test_a_seed_that_is_not_an_int_or_a_list_of_ints_is_a_validation_error(seed):
+    # numpy takes a float or a bool as a seed and raises a bare TypeError on
+    # None or a string; every seeded entry point refuses each by name.
+    spec = _d1_spec()
+    calls = [
+        lambda: generate(spec, 10, seed),
+        lambda: NuisanceConfig(seed=seed),
+        lambda: psi_patt_true(spec, draws=1000, seed=seed),
+        lambda: oracle_asymptotic_variances(spec, draws=1000, seed=seed),
+        lambda: run_monte_carlo(spec, n=50, reps=3, seed=seed, psi_patt=McValue(1.0, 0.0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="^seed must be an int or a non-empty list of "):
+            call()
+    # A numpy int and a tuple of ints are seeds, the tuple the same as its list.
+    def outcomes(seed):
+        return generate(spec, 10, seed).dataset.y.tolist()
+
+    assert outcomes(np.int64(3)) == outcomes(3) and outcomes((3, 1)) == outcomes([3, 1])
+
+
 def test_generate_treated_share_matches_oracle():
     # E[pi(X)] by a 1e7-draw oracle; empirical share within 3 binomial SEs.
     spec = _d1_spec()
