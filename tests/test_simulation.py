@@ -809,6 +809,21 @@ def test_population_constants_do_not_depend_on_worker_count(monkeypatch):
     assert results[0] == results[1]
 
 
+@pytest.mark.parametrize("ratio, holds", [(2.5, True), (3.5, False)])
+def test_ordering_verdict_holds_up_to_three_paired_standard_errors(ratio, holds):
+    # Both kinds' errors are +-e by turns, so their means are 0. The small
+    # kind's squared errors are 1 and 3, the large kind's a constant b^2: the
+    # paired differences e_small^2 - b^2 have a standard error that b does not
+    # move, and b puts their mean at ``ratio`` standard errors.
+    squares = np.tile([1.0, 1.0, 3.0, 3.0], 10)
+    signs = np.tile([1.0, -1.0], 20)
+    b2 = squares.mean() - ratio * squares.std(ddof=1) / np.sqrt(squares.size)
+    errors = {EstimandKind.MATT: signs * np.sqrt(squares), EstimandKind.CATT: signs * np.sqrt(b2)}
+    verdict = simulation._paired_verdict(errors, EstimandKind.MATT, EstimandKind.CATT, 100)
+    assert verdict.scaled_diff / verdict.scaled_se == pytest.approx(ratio, rel=1e-12)
+    assert verdict.holds is holds
+
+
 def test_batches_are_described_not_listed():
     # Batch k has min(batch_size, draws - k * batch_size) draws: the sizes of
     # the list this description replaced, full batches then the remainder.
