@@ -303,18 +303,13 @@ def test_ci_degenerate_variance():
     assert lo == hi == 1.5
 
 
-@pytest.mark.parametrize("level, variance", [(1.5, 1.0), (0.95, -1.0), (0.95, float("nan"))],
-                         ids=["level", "negative", "nan"])
+@pytest.mark.parametrize("level, variance", [(1.5, 1.0), (0.95, -1.0), (0.95, float("nan")),
+                                             ("x", 1.0), (None, 1.0), (0.95, None), (0.95, "1")],
+                         ids=["level", "negative", "nan", "level string", "level None",
+                              "variance None", "variance string"])
 def test_ci_rejects_bad_level_and_variance(level, variance):
-    with pytest.raises(ValidationError):
-        confidence_interval(0.0, variance, 10, level)
-
-
-@pytest.mark.parametrize("level, variance, name", [("x", 1.0, "ci_level"), (None, 1.0, "ci_level"),
-                                                   (0.95, None, "variance"),
-                                                   (0.95, "1", "variance")])
-def test_ci_refuses_a_non_number_by_name(level, variance, name):
-    # Each was a bare TypeError from a comparison.
+    # A level or variance that is not a number was a bare TypeError.
+    name = "variance" if level == 0.95 else "ci_level"
     with pytest.raises(ValidationError, match=f"^{name} must be "):
         confidence_interval(0.0, variance, 10, level)
 
