@@ -763,6 +763,11 @@ def test_negative_seed_exit2(tmp_path, capsys, monkeypatch, command):
     assert payload == {"error_code": "Validation", "message": "seed must be >= 0, got -1"}
 
 
+# A CSV whose covariate near 1e154 overflows the actt variance.
+_OVERFLOW_ROWS = ["0,1,0"] * 9 + ["2,1,1"] + ["0,0,0"] * 3 + ["1,0,0",
+                                                           "0,0,1.3878399718096036e+154"]
+
+
 @pytest.mark.parametrize("fails", [False, True], ids=["report", "error"])
 def test_warning_is_shown_only_with_a_report(tmp_path, capsys, fails):
     # One outcome far from the others leaves heavy treated residuals, which the
@@ -832,10 +837,6 @@ def test_simulate_stderr_does_not_depend_on_the_worker_count(tmp_path, capsys, m
     out, err = capsys.readouterr()
     assert code == 0 and json.loads(out)
     assert (err, shown) == (f"ordering verdicts: {verdicts}\n", [])
-
-
-_OVERFLOW_ROWS = ["0,1,0"] * 9 + ["2,1,1"] + ["0,0,0"] * 3 + ["1,0,0",
-                                                           "0,0,1.3878399718096036e+154"]
 
 
 @pytest.mark.parametrize("command, code, stderr", [
