@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .mathutil import (_chunked, bernoulli_loglik, blocked_crossprod, blocked_matmul, expit,
-                       shared_empty)
+                       row_blocks, shared_empty)
 
 # IRLS takes at most this many Newton steps.
 _MAX_IRLS_ITER = 100
@@ -70,9 +70,14 @@ class _AffineModel:
     scale: np.ndarray
     coef: np.ndarray  # (d+1,): intercept then standardized-column slopes
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        z = (np.asarray(x, dtype=float) - self.mean) / self.scale
+    def standardize(self, x: np.ndarray) -> np.ndarray:
+        return (np.asarray(x, dtype=float) - self.mean) / self.scale
+
+    def at(self, z: np.ndarray) -> np.ndarray:  # z: rows already standardized
         return self.coef[0] + blocked_matmul(z, self.coef[1:])
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return self.at(self.standardize(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,8 +97,11 @@ class SdModel:
 
     affine: _AffineModel
 
+    def at(self, z: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.maximum(0.0, self.affine.at(z)))
+
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.maximum(0.0, self.affine.predict(x)))
+        return self.at(self.affine.standardize(x))
 
 
 def _design(x: np.ndarray):
@@ -129,25 +137,32 @@ def _design(x: np.ndarray):
 
 
 def _fit_logistic(a: np.ndarray, x: np.ndarray, config: NuisanceConfig) -> PropensityModel:
+    """``fit_propensity`` on arrays. Each Newton candidate takes one sweep over the design's
+    ``row_blocks``, adding the blocks' gradients and Hessians in block order with the
+    products of ``blocked_crossprod``; an accepted candidate's sweep serves the next step."""
     mean, scale, design = _design(x)
     d = design.shape[1] - 1
+    blocks = row_blocks(design.shape[0])
 
-    def penalized_ll(beta):
-        eta = blocked_matmul(design, beta)
-        ll = bernoulli_loglik(a, eta)
-        ll -= 0.5 * _RIDGE * float(beta[1:] @ beta[1:])
-        return ll, eta
+    def sweep(beta):  # the penalized ll, and the unpenalized gradient and Hessian
+        ll = 0.0
+        for rows in blocks:
+            z, a_b = design[rows], a[rows]
+            eta = z @ beta
+            ll += bernoulli_loglik(a_b, eta)
+            p = expit(eta)
+            w = p * (1.0 - p)
+            g, h = z.T @ (a_b - p), z.T @ (z * w[:, None])
+            grad, hess = (g, h) if rows.start == 0 else (grad + g, hess + h)
+        return ll - 0.5 * _RIDGE * float(beta[1:] @ beta[1:]), grad, hess
 
     beta = np.zeros(d + 1)
-    ll, eta = penalized_ll(beta)
+    ll, grad, hess = sweep(beta)
     trace = [ll]
     for _ in range(_MAX_IRLS_ITER):
-        p = expit(eta)
-        w = p * (1.0 - p)
-        if not np.isfinite(w).all():
+        # The design's first column is ones: hess[0, 0] sums the weights, each in [0, 1/4].
+        if not np.isfinite(hess[0, 0]):
             raise IrlsDivergedError("non-finite working weights in IRLS")
-        grad = blocked_crossprod(design, a - p)
-        hess = blocked_crossprod(design, design * w[:, None])
         grad[1:] -= _RIDGE * beta[1:]
         hess.flat[d + 2::d + 2] += _RIDGE  # the slopes' diagonal
         # A floor on every diagonal entry, the intercept's too, keeps the solve
@@ -164,42 +179,34 @@ def _fit_logistic(a: np.ndarray, x: np.ndarray, config: NuisanceConfig) -> Prope
         step = 1.0
         for _ in range(60):
             cand = beta + step * delta
-            cand_ll, cand_eta = penalized_ll(cand)
-            if np.isfinite(cand_ll) and cand_ll >= floor:
+            swept = sweep(cand)
+            if np.isfinite(swept[0]) and swept[0] >= floor:
                 break
             step *= 0.5
         else:
             break  # step-halving cannot improve: numerically stationary
-        # The accepted candidate's linear predictor is the next iteration's.
-        beta, ll, eta = cand, cand_ll, cand_eta
+        beta, (ll, grad, hess) = cand, swept
         trace.append(ll)
         if last:
             break
     else:
-        raise IrlsDivergedError(
-            f"IRLS did not converge in {_MAX_IRLS_ITER} iterations"
-        )
+        raise IrlsDivergedError(f"IRLS did not converge in {_MAX_IRLS_ITER} iterations")
     return PropensityModel(_AffineModel(mean, scale, beta), config.clip_eps, tuple(trace))
 
 
 def fit_propensity(dataset: Dataset, config: NuisanceConfig) -> PropensityModel:
-    """Ridge-penalized logistic regression of a on (1, x) via IRLS.
-
-    The penalized log-likelihood does not decrease across accepted iterations
-    beyond rounding (step-halving on decrease). The fit stops after the full
-    Newton step taken once the Newton decrement is negligible, so the
-    coefficients are resolved to rounding. Predictions are clipped to
-    ``[clip_eps, 1 - clip_eps]``.
-    """
+    """Ridge-penalized logistic regression of a on (1, x) via IRLS. The penalized
+    log-likelihood does not decrease across accepted iterations beyond rounding
+    (step-halving on decrease). The fit stops after the full Newton step taken once
+    the Newton decrement is negligible, so the coefficients are resolved to rounding.
+    Predictions are clipped to ``[clip_eps, 1 - clip_eps]``."""
     return _fit_logistic(dataset.a, dataset.x, config)
 
 
 class _ArmDesign:
-    """One arm's rows, their standardized design and its ridge Gram matrix.
-
-    The arm's mean fit and its sd fit are both ridge least squares on this
-    design, so they share it; only the target differs.
-    """
+    """One arm's rows, their standardized design and its ridge Gram matrix, which the
+    arm's mean fit and its sd fit share: both are ridge least squares on this design,
+    of y and of the mean fit's squared residuals."""
 
     def __init__(self, y: np.ndarray, x: np.ndarray, rows: np.ndarray, arm: int):
         d = x.shape[1]
@@ -224,7 +231,9 @@ class _ArmDesign:
         return self._solve(self.y)
 
     def fit_sd(self, mean_model: _AffineModel) -> SdModel:
-        return SdModel(self._solve((self.y - mean_model.predict(self.x)) ** 2))
+        own = mean_model.mean is self.mean  # a fit on this design: read it off the design
+        fitted = mean_model.at(self.design[:, 1:]) if own else mean_model.predict(self.x)
+        return SdModel(self._solve((self.y - fitted) ** 2))
 
 
 def fit_outcome_mean(dataset: Dataset, arm: int, config: NuisanceConfig) -> _AffineModel:
@@ -242,11 +251,12 @@ def fit_conditional_sd(dataset: Dataset, arm: int, mean_model: _AffineModel,
 def _fold_layout(n: int, folds: int, seed: int) -> list:
     """Each fold's (train, test) rows. One fold is ``[:]`` twice: its fits read
     views of the data. K >= 2 folds cut a seeded shuffle into blocks with sizes
-    differing by <= 1, the test rows, and train on a mask of the others."""
+    differing by <= 1, the test rows, sorted (predictions are row by row) so that their
+    gathers and scatters run in memory order, and train on a mask of the others."""
     if folds == 1:
         return [(slice(None), slice(None))]
     layout = []
-    for test in np.array_split(np.random.default_rng(seed).permutation(n), folds):
+    for test in map(np.sort, np.array_split(np.random.default_rng(seed).permutation(n), folds)):
         train = np.ones(n, dtype=bool)
         train[test] = False
         layout.append((train, test))
@@ -256,24 +266,25 @@ def _fold_layout(n: int, folds: int, seed: int) -> list:
 def _fold_fits(y, a, x, fits, columns, config, lo, hi):
     """Run ``fits[lo:hi]``, (train, test, arm) triples, yielding None after each:
     fit the propensity (arm None) or the arm's outcome models on the training
-    rows, and write their predictions at the test rows into those ``columns`` that exist."""
+    rows, and write their predictions at the test rows into those ``columns`` that exist.
+    An arm's mean and sd fits share its design, and their predictions one standardized x[test]."""
     for train, test, arm in fits[lo:hi]:
-        a_c = a[train]
         if arm is None:
+            a_c = a[train]
             if a_c.sum() == 0 or a_c.sum() == a_c.size:
                 raise FoldTooSmallError("a fold complement lacks one treatment arm")
             # compress copies a K-fold mask's rows several times faster than x[train].
             x_c = x[train] if isinstance(train, slice) else x.compress(train, axis=0)
             columns["pi_hat"][test] = _fit_logistic(a_c, x_c, config).predict(x[test])
         else:
-            # The arm's training rows, as row numbers of the data.
-            arm_design = _ArmDesign(y, x, np.arange(a.shape[0])[train][a_c == arm], arm)
+            rows = np.flatnonzero(a == arm if isinstance(train, slice) else (a == arm) & train)
+            arm_design = _ArmDesign(y, x, rows, arm)
             mean_fit = arm_design.fit_mean()
-            x_test = x[test]
+            z_test = mean_fit.standardize(x[test])
             if f"mu{arm}_hat" in columns:
-                columns[f"mu{arm}_hat"][test] = mean_fit.predict(x_test)
+                columns[f"mu{arm}_hat"][test] = mean_fit.at(z_test)
             if f"sigma{arm}_hat" in columns:
-                columns[f"sigma{arm}_hat"][test] = arm_design.fit_sd(mean_fit).predict(x_test)
+                columns[f"sigma{arm}_hat"][test] = arm_design.fit_sd(mean_fit).at(z_test)
         yield
 
 

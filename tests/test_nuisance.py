@@ -394,6 +394,18 @@ def test_singular_irls_system_is_a_numeric_error(monkeypatch):
         estimate_all(ds, NuisanceConfig())
 
 
+@pytest.mark.parametrize("x", [[[1e308], [1e308], [-1e308], [1e308]],
+                               [[1e308, 0.0], [1e308, 1.0], [1e308, 2.0], [-1e308, 0.5]]])
+def test_overflowing_standardization_is_a_non_finite_weight_error(x):
+    # The column mean overflows, so the design, the logits and the working
+    # weights at the starting point are NaN.
+    ds = Dataset(y=np.zeros(4), a=[1, 0, 1, 0], x=x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(IrlsDivergedError, match="^non-finite working weights in IRLS$"):
+            fit_propensity(ds, NuisanceConfig())
+
+
 def test_overflowing_fitted_sd_is_a_numeric_error():
     # Outcomes near 1e200 are finite, but their squared residuals overflow,
     # so the fitted conditional sds come out NaN.
@@ -659,6 +671,153 @@ def test_shared_arm_design_matches_the_separate_fits_bit_for_bit(folds, d, kind)
         assert mean_fit.coef.tobytes() == mean_ref[2].tobytes()
         sd_fit = fit_conditional_sd(ds, arm, mean_fit, config)
         assert sd_fit.affine.coef.tobytes() == sd_ref[2].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Many row blocks: the fits against the two-pass IRLS they replaced, in which
+# every Newton step took one pass for the candidate's log-likelihood and another
+# for the weights, gradient and Hessian over whole n-length arrays, built on
+# the blocked products; and against the unsorted fold rows and the arm rows
+# selected through a[train].
+
+def _two_pass_fit_logistic(a, x):
+    mean, scale, design = nuisance._design(x)
+    d = design.shape[1] - 1
+    lam = nuisance._RIDGE
+
+    def penalized_ll(beta):
+        eta = mathutil.blocked_matmul(design, beta)
+        return bernoulli_loglik(a, eta) - 0.5 * lam * float(beta[1:] @ beta[1:]), eta
+
+    beta = np.zeros(d + 1)
+    ll, eta = penalized_ll(beta)
+    trace = [ll]
+    for _ in range(nuisance._MAX_IRLS_ITER):
+        p = expit(eta)
+        w = p * (1.0 - p)
+        grad = mathutil.blocked_crossprod(design, a - p)
+        hess = mathutil.blocked_crossprod(design, design * w[:, None])
+        grad[1:] -= lam * beta[1:]
+        hess[np.arange(1, d + 1), np.arange(1, d + 1)] += lam
+        hess[np.diag_indices_from(hess)] += lam
+        delta = np.linalg.solve(hess, grad)
+        last = 0.5 * float(grad @ delta) <= nuisance._FINAL_DECREMENT * (1.0 + abs(ll))
+        floor = ll - nuisance._LL_ROUNDING * (1.0 + abs(ll))
+        step = 1.0
+        for _ in range(60):
+            cand = beta + step * delta
+            cand_ll, cand_eta = penalized_ll(cand)
+            if np.isfinite(cand_ll) and cand_ll >= floor:
+                break
+            step *= 0.5
+        else:
+            break
+        beta, ll, eta = cand, cand_ll, cand_eta
+        trace.append(ll)
+        if last:
+            break
+    return (mean, scale, beta), trace
+
+
+def _blocked_affine(model, x):
+    mean, scale, coef = model
+    return coef[0] + mathutil.blocked_matmul((x - mean) / scale, coef[1:])
+
+
+def _two_pass_compute_nuisances(ds, config):
+    y, a, x, n, lam = ds.y, ds.a, ds.x, ds.n, nuisance._RIDGE
+    fitted = {name: np.empty(n) for name in ("pi_hat", "mu0_hat", "mu1_hat", "sigma0_hat",
+                                             "sigma1_hat")}
+    blocks = np.array_split(np.random.default_rng(config.seed).permutation(n), config.folds)
+    for test in blocks if config.folds > 1 else [np.arange(n)]:
+        train = np.ones(n, dtype=bool)
+        train[test] = config.folds == 1
+        propensity, _ = _two_pass_fit_logistic(a[train], x[train])
+        fitted["pi_hat"][test] = np.clip(expit(_blocked_affine(propensity, x[test])),
+                                         config.clip_eps, 1.0 - config.clip_eps)
+        for arm in (0, 1):
+            rows = np.arange(n)[train][a[train] == arm]
+            x_r, y_r = x[rows], y[rows]
+            mean, scale, design = nuisance._design(x_r)
+            gram = mathutil.blocked_crossprod(design, design)
+            gram[np.arange(1, design.shape[1]), np.arange(1, design.shape[1])] += lam
+            mean_fit = (mean, scale,
+                        np.linalg.solve(gram, mathutil.blocked_crossprod(design, y_r)))
+            sq_resid = (y_r - _blocked_affine(mean_fit, x_r)) ** 2
+            sd_fit = (mean, scale,
+                      np.linalg.solve(gram, mathutil.blocked_crossprod(design, sq_resid)))
+            fitted[f"mu{arm}_hat"][test] = _blocked_affine(mean_fit, x[test])
+            fitted[f"sigma{arm}_hat"][test] = np.sqrt(np.maximum(0.0, _blocked_affine(sd_fit,
+                                                                                      x[test])))
+    return fitted
+
+
+@pytest.mark.parametrize("n", [2_056, 4_103, 20_003])
+def test_blocked_irls_matches_the_two_pass_fit_bit_for_bit(n):
+    # 2,056 rows: a full block and one of 8; 4,103: a last block of 2,055 that
+    # keeps its 7 extra rows; 20,003: nine full blocks and a short one.
+    ds = _dataset(n=n, d=2, seed=n, slope=1.5)
+    model = fit_propensity(ds, NuisanceConfig())
+    (mean, scale, beta), trace = _two_pass_fit_logistic(ds.a, ds.x)
+    for got, expected in ((model.affine.mean, mean), (model.affine.scale, scale),
+                          (model.affine.coef, beta)):
+        assert got.tobytes() == expected.tobytes()
+    # The log-likelihood is summed block by block, not over the whole array.
+    assert len(model.ll_trace) == len(trace)
+    tolerance = n * np.finfo(float).eps * (1.0 + np.abs(trace))
+    assert np.all(np.abs(np.array(model.ll_trace) - trace) <= tolerance)
+    for folds in (1, 3):
+        config = NuisanceConfig(folds=folds, seed=n % 7)
+        got = compute_nuisances(ds, config)
+        for name, expected in _two_pass_compute_nuisances(ds, config).items():
+            assert getattr(got, name).tobytes() == expected.tobytes(), (folds, name)
+
+
+@pytest.mark.parametrize("folds", [1, 2, 5])
+@pytest.mark.parametrize("n, seed", [(10, 0), (257, 3), (4_103, 11)])
+def test_fold_rows_are_sorted_blocks_and_arm_rows_their_complements(monkeypatch, n, seed,
+                                                                    folds):
+    layout = nuisance._fold_layout(n, folds, seed)
+    blocks = np.array_split(np.random.default_rng(seed).permutation(n), folds)
+    if folds == 1:
+        assert layout == [(slice(None), slice(None))]
+    else:
+        assert len(layout) == folds
+        for (train, test), block in zip(layout, blocks):
+            assert test.tobytes() == np.sort(block).tobytes()
+            assert train.dtype == bool and np.array_equal(np.flatnonzero(~train), test)
+        assert np.array_equal(np.sort(np.concatenate([test for _, test in layout])),
+                              np.arange(n))
+    # Each arm fit gets the row numbers the training mask selects in that arm.
+    arm_rows = []
+
+    class Recording(nuisance._ArmDesign):
+        def __init__(self, y, x, rows, arm):
+            arm_rows.append((arm, rows))
+            super().__init__(y, x, rows, arm)
+
+    monkeypatch.setattr(nuisance, "_ArmDesign", Recording)
+    ds = _dataset(n=n, d=1, seed=seed)
+    compute_nuisances(ds, NuisanceConfig(folds=folds, seed=seed))
+    expected = [(arm, np.arange(n)[train][ds.a[train] == arm])
+                for train, _ in layout for arm in (0, 1)]
+    assert len(arm_rows) == len(expected)
+    for (arm, rows), (expected_arm, expected_rows) in zip(arm_rows, expected):
+        assert arm == expected_arm and rows.tobytes() == expected_rows.tobytes()
+
+
+def test_bernoulli_loglik_softplus_is_within_4_ulp_of_logaddexp():
+    # One element at a time with a = 0, so the log-likelihood is -log(1 + e^eta).
+    edges = [0.0, 1e-300, 30.0, 36.7, 745.0, 1e300, 5e-324]
+    grid = np.concatenate([edges, np.negative(edges),
+                           np.random.default_rng(0).standard_normal(500) * 20.0,
+                           np.linspace(-800.0, 800.0, 161)])
+    for eta in grid:
+        expected = np.logaddexp(0.0, eta)
+        got = -bernoulli_loglik(np.zeros(1), np.array([eta]))
+        assert abs(got - expected) <= 4 * np.spacing(expected), eta
+    # A NaN logit is a NaN log-likelihood, which the line search refuses.
+    assert np.isnan(bernoulli_loglik(np.array([1.0, 0.0]), np.array([0.5, np.nan])))
 
 
 # ---------------------------------------------------------------------------
