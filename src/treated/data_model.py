@@ -211,10 +211,13 @@ class KindInference:
     variance_used: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("ci_lower", "ci_upper"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValidationError(f"{name} must be a number, got {getattr(self, name)!r}")
         for name in ("variance", "conservative_simple", "conservative_sigma",
                      "conservative_fh", "variance_used"):
             v = getattr(self, name)
-            if v is not None and not v >= 0.0:
+            if v is not None and not (isinstance(v, numbers.Real) and v >= 0.0):
                 raise ValidationError(f"{name} must be nonnegative, got {v}")
         if not self.ci_lower <= self.ci_upper:
             raise ValidationError("ci_lower must not exceed ci_upper")

@@ -199,6 +199,8 @@ def confidence_interval(psi_hat: float, variance: float, n: int, level: float):
     """Wald interval ``psi_hat +/- z_{(1+level)/2} sqrt(variance / n)``."""
     check_ci_level(level)
     check_count("n", n)
+    if not isinstance(psi_hat, numbers.Real):
+        raise ValidationError(f"psi_hat must be a number, got {psi_hat!r}")
     if not (isinstance(variance, numbers.Real) and variance >= 0):
         raise ValidationError(f"variance must be nonnegative, got {variance}")
     z = norm_quantile(0.5 * (1.0 + level))

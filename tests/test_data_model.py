@@ -7,6 +7,7 @@ from treated import (
     Dataset,
     DegenerateTreatmentError,
     EstimandKind,
+    KindInference,
     LengthMismatchError,
     NonBinaryOutcomeError,
     NonFiniteError,
@@ -144,6 +145,19 @@ def test_nuisance_values_refuse_a_missing_required_array_by_name(name):
     arrays = {"pi_hat": [0.5, 0.5], "mu0_hat": [0.0, 0.0], name: None}
     with pytest.raises(ValidationError, match=f"^{name} is required, got None$"):
         NuisanceValues(**arrays)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"ci_lower": 0.0, "ci_upper": 1.0, "variance": "x"}, "^variance must be nonnegative, got x$"),
+    ({"ci_lower": None, "ci_upper": 1.0, "variance": 1.0}, "^ci_lower must be a number, got None$"),
+    ({"ci_lower": 0.0, "ci_upper": "1", "variance": 1.0}, "^ci_upper must be a number, got '1'$"),
+    ({"ci_lower": 0.0, "ci_upper": 1.0, "variance_used": [1.0]},
+     r"^variance_used must be nonnegative, got \[1.0\]$"),
+], ids=["variance string", "lower None", "upper string", "variance_used list"])
+def test_kind_inference_refuses_a_non_number_by_name(fields, message):
+    # Each was a bare TypeError from a comparison.
+    with pytest.raises(ValidationError, match=message):
+        KindInference(**fields)
 
 
 def test_two_column_outcome_is_refused_not_flattened():

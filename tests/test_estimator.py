@@ -314,6 +314,14 @@ def test_ci_rejects_bad_level_and_variance(level, variance):
         confidence_interval(0.0, variance, 10, level)
 
 
+@pytest.mark.parametrize("psi_hat", ["x", None, [0.5]])
+def test_ci_rejects_a_non_number_estimate(psi_hat):
+    # A string was numpy's UFuncTypeError, and None a bare TypeError.
+    with pytest.raises(ValidationError) as raised:
+        confidence_interval(psi_hat, 1.0, 10, 0.95)
+    assert str(raised.value) == f"psi_hat must be a number, got {psi_hat!r}"
+
+
 @pytest.mark.parametrize("n, message", [(0, "n must be >= 1"), (-4, "n must be >= 1"),
                                         (True, "n must be an int, got True"),
                                         (2.0, "n must be an int, got 2.0")])
