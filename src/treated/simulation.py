@@ -12,12 +12,12 @@ Replication r of a study draws from a stream that is a pure function of
 (seed, r), batch k of the oracle's x-only pass from (seed, 1, k) and batch k
 of its joint pass from (seed, 2, k), so runs are reproducible regardless of
 execution order and worker count; aggregation happens in index order. A
-study first computes its population effect, unless given, as pass 1 of an
-oracle seeded (seed, 2**31); its items, in one fork pool
+study first computes its population effect, unless given, by
+``psi_patt_true`` seeded (seed, 2**31); its items, in one fork pool
 (``mathutil._chunked``), are then its replications, and each replication
 scores the sample/mixed estimands against their realized values and the
-population effect against that fixed Monte Carlo truth. The oracle's joint
-pass runs in the pool, its x-only pass only from ``X_POOL_DRAWS`` draws on.
+population effect against that fixed Monte Carlo truth. Both oracle passes
+run their batches in the pool at every size.
 """
 
 from __future__ import annotations
@@ -39,13 +39,6 @@ SCHEMA_VERSION = 1
 PI_CLIP = (0.02, 0.98)
 BINARY_MEAN_CLAMP = (0.02, 0.98)
 NOISE_SD_FLOOR = 0.05
-# Fewest draws for which the oracle's x-only pass (and psi_patt_true) runs its
-# batches in a fork pool of their own; below it a pool's start costs about what
-# it saves. A one-replication study computes its PATT truth by this rule.
-# `treated oracle` on the d = 2 spec (2 vCPUs, medians of 10 alternating pairs)
-# took 320 ms serial against 303 ms pooled at 5e5 draws, 405 against 377 ms at
-# 1e6 and 594 against 499 ms at 2e6; none won more than 7 pairs of 10.
-X_POOL_DRAWS = 2_000_000
 # Draws per oracle batch. The batch size decides the streams, so
 # psi_patt_true shares it to stay the oracle's pass 1, and it is a constant:
 # one derived from the machine would make the bytes depend on it. `treated
@@ -348,17 +341,16 @@ class _XConstants(NamedTuple):
     tau: McValue  # E[pi mu0] / E[pi]
 
 
-def _x_constants(spec: DgpSpec, draws: int, seed, *, pooled: bool) -> _XConstants:
+def _x_constants(spec: DgpSpec, draws: int, seed) -> _XConstants:
     """Population constants from x-only draws, with batch-means errors, added
-    in batch order; the batches run in the fork pool when the caller's
-    ``pooled`` rule holds."""
+    in batch order; the batches run in the fork pool."""
     check_seed(seed)
     import secrets  # before the pools fork, as in run_monte_carlo
     batch_size, count = _batch_sizes(draws)
     s_pi = s_pidelta = s_pimu0 = 0.0
     psi_batches, tau_batches = [], []
     for b_pi, b_pidelta, b_pimu0 in _chunked(_x_batches, (spec, draws, batch_size, seed), count,
-                                             pooled=pooled):
+                                             pooled=True):
         s_pi += b_pi
         s_pidelta += b_pidelta
         s_pimu0 += b_pimu0
@@ -374,7 +366,7 @@ def _x_constants(spec: DgpSpec, draws: int, seed, *, pooled: bool) -> _XConstant
 def psi_patt_true(spec: DgpSpec, draws: int = 10_000_000, seed=0) -> McValue:
     """Brute-force Monte Carlo of E[pi (mu1 - mu0)] / E[pi] over x draws: pass 1
     of ``oracle_asymptotic_variances``, with its streams and pool."""
-    return _x_constants(spec, draws, seed, pooled=draws >= X_POOL_DRAWS).psi
+    return _x_constants(spec, draws, seed).psi
 
 
 def _oracle_functionals(spec: DgpSpec, consts: _XConstants, pi, mu0, mu1, sigma0, sigma1, a,
@@ -438,13 +430,12 @@ def oracle_asymptotic_variances(spec: DgpSpec, draws: int = 10_000_000,
     the identified conditional-variance terms, and aggregates per batch; values
     are batch means and the attached standard errors are batch-means errors.
     Each pass runs its batches in one forked worker process per CPU in the
-    affinity mask, each on a contiguous block of batches; pass 1 does so from
-    ``X_POOL_DRAWS`` draws on and runs in this process below that. Batch k of
-    pass p draws from its own (seed, p, k) stream and the batches are
-    aggregated in order, so the result does not depend on the number of
-    workers. A non-finite population constant stops the oracle before pass 2.
+    affinity mask, each on a contiguous block of batches. Batch k of pass p
+    draws from its own (seed, p, k) stream and the batches are aggregated in
+    order, so the result does not depend on the number of workers. A
+    non-finite population constant stops the oracle before pass 2.
     """
-    consts = _x_constants(spec, draws, seed, pooled=draws >= X_POOL_DRAWS)
+    consts = _x_constants(spec, draws, seed)
     named = (("p_a", consts.p_a), ("psi_patt", consts.psi.value), ("tau", consts.tau.value))
     bad = [f"{name}={value}" for name, value in named if not np.isfinite(value)]
     if bad:
@@ -590,12 +581,11 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
     true nuisances, clipped at the default eps; with one it fits them.
     Replications that raise are counted and reported, never silently dropped.
 
-    Without ``psi_patt`` the study first computes the population effect as
-    ``psi_patt_true`` does (``patt_draws`` draws, seed (seed, 2**31)). Its
-    batches run in a pool of their own when the study has two or more
-    replications, and otherwise by the pool rule of pass 1. The replications,
-    items of one pool, are aggregated in index order, so the report depends
-    neither on the number of workers nor on whether ``psi_patt`` was given.
+    Without ``psi_patt`` the study first computes the population effect by
+    ``psi_patt_true`` (``patt_draws`` draws, seed (seed, 2**31)), whose
+    batches run in a pool of their own. The replications, items of one pool,
+    are aggregated in index order, so the report depends neither on the number
+    of workers nor on whether ``psi_patt`` was given.
     """
     check_count("reps", reps)
     check_count("n", n)
@@ -604,11 +594,7 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
 
     import secrets  # numpy.random's: loads libcrypto once here, not in every pool worker
     if psi_patt is None:
-        # Pass 1 pools at any size in a study of two or more replications: run here, it
-        # raised this process's peak RSS to 40.8 MiB from 34.9 (`simulate --n 2000 --reps 200
-        # --oracle-nuisances --patt-draws 1000000`, 2 vCPUs), the study's largest process.
-        psi_patt = _x_constants(spec, patt_draws, _child_seed(seed, 2 ** 31),
-                                pooled=reps > 1 or patt_draws >= X_POOL_DRAWS).psi
+        psi_patt = psi_patt_true(spec, patt_draws, _child_seed(seed, 2 ** 31))
     items = _chunked(_replications, (spec, n, seed, nuisance_config, ci_level, psi_patt.value),
                      reps, pooled=True)
     failures = [record for record in items if isinstance(record, str)]

@@ -1378,7 +1378,6 @@ def test_pool_workers_send_back_only_small_items(tmp_path, monkeypatch):
     monkeypatch.setattr(treated.mathutil, "_run_chunk", _run_small_chunk)
     monkeypatch.setattr(treated.cli, "INGEST_POOL_BYTES", 0)
     monkeypatch.setattr(treated.nuisance, "FOLD_POOL_ROWS", 0)
-    monkeypatch.setattr(treated.simulation, "X_POOL_DRAWS", 0)
     rng = np.random.default_rng(5)
     n = 2000
     a = rng.integers(0, 2, n)
@@ -1431,8 +1430,7 @@ def test_cli_import_leaves_the_pool_modules_unloaded(tmp_path):
             "code = treated.cli.main(sys.argv[1:]); "
             "print(code, pools, sorted({{'concurrent.futures', 'multiprocessing'}} & set(sys.modules)))")
     pooled = ("treated.mathutil._worker_count = lambda count: pools.append(count) or 2; "
-              "treated.cli.INGEST_POOL_BYTES = treated.nuisance.FOLD_POOL_ROWS = 0; "
-              "treated.simulation.X_POOL_DRAWS = 0; ")
+              "treated.cli.INGEST_POOL_BYTES = treated.nuisance.FOLD_POOL_ROWS = 0; ")
     golden = pathlib.Path(__file__).parent / "golden"
     estimate = ["estimate", "--input", str(golden / "continuous.csv"), "--folds", "5"]
     for patch, args, pools in [

@@ -568,11 +568,11 @@ def test_failed_replications_counted_not_dropped(workers, monkeypatch):
 
 
 def test_pooled_patt_truth_gives_the_report_of_a_given_one(monkeypatch):
-    # Without psi_patt each replication carries its share of the x-only batches
-    # of the PATT truth; given the same truth, the study has no batches. This
-    # process scores both studies once and must write the same report bytes,
-    # at any worker count, failed replication included. At 3 workers the 16
-    # batches fall unevenly on the 9 replications and on the chunks.
+    # Without psi_patt the study first computes the PATT truth by
+    # psi_patt_true; given the same truth, it draws no x-only batches. Both
+    # studies must write the same report bytes at any worker count, failed
+    # replication included. At 3 workers the 16 batches and the 9 replications
+    # fall unevenly on the chunks.
     from treated.cli import dumps_canonical, mc_report_to_dict
 
     real_generate = simulation.generate
@@ -710,7 +710,6 @@ from treated import McValue, oracle_asymptotic_variances, run_monte_carlo, simul
 forks, real_fork = [], os.fork
 os.fork = lambda: forks.append("secrets" in sys.modules) or real_fork()
 os.sched_getaffinity = lambda pid: {0, 1}
-simulation.X_POOL_DRAWS = 0
 spec = simulation.DgpSpec.from_dict(json.loads(open(sys.argv[1]).read()))
 for call in [
         lambda: oracle_asymptotic_variances(spec, draws=140_000, seed=1),
@@ -728,13 +727,13 @@ print(forks)
 
 
 def test_single_replication_runs_in_process(monkeypatch, tmp_path):
-    # One replication is too little work for a pool: given its PATT truth, or
-    # with one below X_POOL_DRAWS, the study runs in this process. Each
-    # generate and _x_batches call appends its pid to a file, which a forked
-    # worker's write reaches too. From X_POOL_DRAWS draws on the study pools its
-    # PATT batches, as pass 1 would, runs the replication here and writes the
-    # in-process report's bytes. A study of two replications pools its PATT
-    # batches below X_POOL_DRAWS too, so nothing draws in this process.
+    # One replication is too little work for a pool: given its PATT truth, the
+    # study runs in this process. Each generate and _x_batches call appends its
+    # pid to a file, which a forked worker's write reaches too. Without the
+    # truth the study pools its PATT batches, as psi_patt_true does at any
+    # size, runs the replication here and writes the bytes of the study given
+    # that truth. A study of two replications also pools them, so nothing
+    # draws in this process.
     from treated.cli import dumps_canonical, mc_report_to_dict
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
@@ -762,19 +761,17 @@ def test_single_replication_runs_in_process(monkeypatch, tmp_path):
         return calls.read_text(encoding="utf-8").split(), dumps_canonical(mc_report_to_dict(rep))
 
     here = str(os.getpid())
-    assert study(psi_patt=McValue(1.0, 0.0))[0] == [here]
-    pids, report = study(patt_draws=100_000)
-    assert pids == [here] * 2
-    # 16 batches on four workers, each calling _x_batches, then two replications
-    # on two more.
-    pids = study(reps=2, patt_draws=100_000)[0]
-    assert len(pids) == 6 and here not in pids
-    monkeypatch.setattr(simulation, "X_POOL_DRAWS", 100_000)
+    truth = psi_patt_true(_d1_spec(), draws=100_000, seed=_child_seed(4, 2 ** 31))
+    pids, report = study(psi_patt=truth)
+    assert pids == [here]
     pids, pooled_report = study(patt_draws=100_000)
     # 16 batches on four workers, each calling _x_batches, then the replication here.
     assert len(pids) == 5 and len(set(pids)) == 5 and pids[-1] == here
     assert here not in pids[:4]
     assert pooled_report == report
+    # 16 batches on four workers, then two replications on two more.
+    pids = study(reps=2, patt_draws=100_000)[0]
+    assert len(pids) == 6 and here not in pids
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -795,11 +792,10 @@ def test_unexpected_replication_error_reaches_caller(workers, monkeypatch):
 
 
 def test_population_constants_do_not_depend_on_worker_count(monkeypatch):
-    # With the threshold at 0 the x-only pass runs its batches in the pool at
-    # every size. Batch k draws from its own (seed, 1, k) stream and the sums
-    # are added in batch order, so the constants and everything pass 2 builds
-    # on them are bit for bit the same at any worker count.
-    monkeypatch.setattr(simulation, "X_POOL_DRAWS", 0)
+    # The x-only pass runs its batches in the pool at every size. Batch k draws
+    # from its own (seed, 1, k) stream and the sums are added in batch order,
+    # so the constants and everything pass 2 builds on them are bit for bit the
+    # same at any worker count.
     spec = _d1_spec()
     results = []
     for workers in (1, 2):
@@ -846,7 +842,7 @@ def test_one_oracle_batch_peaks_under_20_columns(name):
     # 65,536 draws, 10 MiB.
     path = pathlib.Path(__file__).parent / "golden" / name
     spec = DgpSpec.from_dict(json.loads(path.read_text()))
-    consts = simulation._x_constants(spec, 64_000, 0, pooled=False)
+    consts = simulation._x_constants(spec, 64_000, 0)
     batch = simulation._joint_batches(spec, simulation.BATCH_DRAWS, simulation.BATCH_DRAWS, 0,
                                       consts, 0, 1)
     tracemalloc.start()
