@@ -109,6 +109,7 @@ class Dataset:
     _owned: InitVar[bool] = False  # package-private
 
     def __post_init__(self, _owned):
+        check_type("outcome_kind", self.outcome_kind, OutcomeKind)
         for name, ndim in (("y", 1), ("a", 1), ("x", 2)):
             object.__setattr__(self, name, _frozen_array(getattr(self, name), name, ndim, _owned))
         validate(self)
@@ -255,6 +256,12 @@ def check_count(name: str, value) -> None:
         raise ValidationError(f"{name} must be an int, got {value!r}")
     if value < 1:
         raise ValidationError(f"{name} must be >= 1")
+
+
+def check_type(name: str, value, kind: type) -> None:
+    """Raise ``ValidationError`` unless ``value`` is an instance of ``kind``."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be of type {kind.__name__}, got {value!r}")
 
 
 def check_clip_eps(clip_eps) -> None:

@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .data_model import Dataset, NuisanceValues, check_clip_eps, check_count, check_seed
+from .data_model import (Dataset, NuisanceValues, check_clip_eps, check_count, check_seed,
+                         check_type)
 from .errors import (
     FoldTooSmallError,
     InsufficientArmDataError,
@@ -351,6 +352,7 @@ def compute_nuisances(dataset: Dataset, config: NuisanceConfig,
     and write into ``shared_empty`` columns; the result does not depend on
     the number of workers.
     """
+    check_type("config", config, NuisanceConfig)
     n = dataset.n
     eps = config.clip_eps
     if oracle is not None:

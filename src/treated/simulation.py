@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .data_model import (Dataset, EstimandKind, NuisanceValues, OutcomeKind, KIND_ORDER,
-                         _frozen_array, check_ci_level, check_count, check_seed)
+                         _frozen_array, check_ci_level, check_count, check_seed, check_type)
 from .errors import LengthMismatchError, NonFiniteEstimateError, TreatedError, ValidationError
 from .estimator import _Columns, estimate_all
 from .mathutil import _chunked, blocked_matmul, expit, select
@@ -86,8 +86,15 @@ class DgpSpec:
     exact_noise: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.d, int) or isinstance(self.d, bool):
+            raise ValidationError("d must be an integer")
         if self.d < 0:
             raise ValidationError("covariate dimension must be nonnegative")
+        if not isinstance(self.exact_noise, bool):
+            raise ValidationError("exact_noise must be true or false")
+        for name, kind in (("x_dist", XDist), ("dependence", Dependence),
+                           ("outcome_kind", OutcomeKind)):
+            check_type(name, getattr(self, name), kind)
         for name in _COEFF_FIELDS:
             v = np.array(getattr(self, name), dtype=float, copy=True).reshape(-1)
             if v.shape[0] != self.d + 1:
@@ -156,22 +163,14 @@ class DgpSpec:
             raise ValidationError(f"unknown DGP spec fields {unknown}")
         try:
             d, coeffs = data["d"], {name: data[name] for name in _COEFF_FIELDS}
-            exact_noise = data.get("exact_noise", False)
-            if not isinstance(d, int) or isinstance(d, bool):
-                raise ValueError("d must be an integer")
-            if not isinstance(exact_noise, bool):
-                raise ValueError("exact_noise must be true or false")
             for name, v in coeffs.items():
                 if not (isinstance(v, list) and all(
                         isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)):
                     raise ValueError(f"{name} must be a list of numbers")
-            return cls(
-                d=d, **coeffs,
-                x_dist=XDist(data.get("x_dist", "std_normal")),
-                dependence=Dependence(data.get("dependence", "independent")),
-                outcome_kind=OutcomeKind(data.get("outcome_kind", "continuous")),
-                exact_noise=exact_noise,
-            )
+            return cls(d=d, **coeffs, exact_noise=data.get("exact_noise", False),
+                       x_dist=XDist(data.get("x_dist", "std_normal")),
+                       dependence=Dependence(data.get("dependence", "independent")),
+                       outcome_kind=OutcomeKind(data.get("outcome_kind", "continuous")))
         except KeyError as exc:
             raise ValidationError(f"DGP spec is missing field {exc}") from exc
         except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float
@@ -253,6 +252,7 @@ def generate(spec: DgpSpec, n: int, seed) -> PotentialDataset:
     outcome is exactly a*y1 + (1-a)*y0. Every array is allocated here and
     handed over uncopied; the constructors still check all of them.
     """
+    check_type("spec", spec, DgpSpec)
     check_count("n", n)
     check_seed(seed)
     x, true, a, y0, y1 = _draw_units(spec, n, np.random.default_rng(seed))
@@ -344,6 +344,7 @@ class _XConstants(NamedTuple):
 def _x_constants(spec: DgpSpec, draws: int, seed) -> _XConstants:
     """Population constants from x-only draws, with batch-means errors, added
     in batch order; the batches run in the fork pool."""
+    check_type("spec", spec, DgpSpec)
     check_seed(seed)
     import secrets  # before the pools fork, as in run_monte_carlo
     batch_size, count = _batch_sizes(draws)
@@ -587,6 +588,9 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
     are aggregated in index order, so the report depends neither on the number
     of workers nor on whether ``psi_patt`` was given.
     """
+    check_type("spec", spec, DgpSpec)
+    if nuisance_config is not None:
+        check_type("nuisance_config", nuisance_config, NuisanceConfig)
     check_count("reps", reps)
     check_count("n", n)
     check_ci_level(ci_level)

@@ -22,6 +22,7 @@ from treated import (
     estimate_all,
     generate,
 )
+from treated import estimator
 from treated.estimator import (_Columns, estimate_psi_hat, if_components, var_actt, var_catt,
                                var_fh_binary, var_matt, var_patt, var_satt, var_sigma_bound)
 from treated.mathutil import norm_quantile
@@ -281,6 +282,17 @@ def test_var_swatt_conservative_combinations():
     assert diag_both["v_sigma_bound"] > 0.0 and diag_both["v_fh_bound"] > 0.0
     assert both.conservative_sigma == both.conservative_fh == 0.0
     assert diag_both["swatt_sigma_floored"] and diag_both["swatt_fh_floored"]
+
+
+
+def test_a_sigma_bound_equal_to_actt_is_no_floor(monkeypatch):
+    # A bound exactly at v_actt leaves the sigma variant at zero unfloored: the
+    # flag is raised only by a negative difference. _Columns calls the formula
+    # by its module-level name.
+    monkeypatch.setattr(estimator, "var_sigma_bound", lambda c: c.v_actt)
+    fields, diagnostics = _Columns.of(_BINARY_DS, _BINARY_NU).swatt
+    assert fields["conservative_sigma"] == 0.0
+    assert diagnostics["swatt_sigma_floored"] is False
 
 
 # ---------------------------------------------------------------------------

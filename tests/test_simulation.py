@@ -16,6 +16,8 @@ from treated import (
     Dependence,
     DgpSpec,
     EstimandKind,
+    EstimateReport,
+    KindInference,
     LengthMismatchError,
     NuisanceConfig,
     NonFiniteError,
@@ -193,6 +195,26 @@ def test_a_seed_that_is_not_an_int_or_a_list_of_ints_is_a_validation_error(seed)
         return generate(spec, 10, seed).dataset.y.tolist()
 
     assert outcomes(np.int64(3)) == outcomes(3) and outcomes((3, 1)) == outcomes([3, 1])
+
+
+@pytest.mark.parametrize("entry", ["estimate_all", "compute_nuisances", "run_monte_carlo",
+                                   "generate", "psi_patt_true", "oracle_asymptotic_variances"])
+def test_a_wrong_typed_config_or_spec_is_refused_by_name(entry):
+    # Each was a raw AttributeError where the argument was first read; a study
+    # refuses its config up front, not once per replication.
+    spec, ds = _d1_spec(), generate(_d1_spec(), 50, seed=0).dataset
+    call, message = {
+        "estimate_all": (lambda: estimate_all(ds, config="x"), "config"),
+        "compute_nuisances": (lambda: nuisance.compute_nuisances(ds, None), "config"),
+        "run_monte_carlo": (lambda: run_monte_carlo(spec, n=50, reps=3, seed=0,
+                                                    nuisance_config="x"), "nuisance_config"),
+        "generate": (lambda: generate("spec", 10, 0), "spec"),
+        "psi_patt_true": (lambda: psi_patt_true("spec", draws=1000), "spec"),
+        "oracle_asymptotic_variances": (lambda: oracle_asymptotic_variances(["spec"], draws=1000),
+                                        "spec"),
+    }[entry]
+    with pytest.raises(ValidationError, match=f"^{message} must be of type "):
+        call()
 
 
 def test_generate_treated_share_matches_oracle():
@@ -548,6 +570,20 @@ def test_monte_carlo_bit_identical_reports():
 
 def _with_workers(monkeypatch, workers):
     monkeypatch.setattr(mathutil, "_worker_count", lambda reps: workers)
+
+
+@pytest.mark.parametrize("bound", ["ci_lower", "ci_upper"])
+def test_a_truth_on_an_interval_bound_is_covered(bound, monkeypatch):
+    # Coverage counts closed intervals: every truth sits exactly on one bound
+    # of its kind's interval, and each is a hit.
+    interval = {"ci_lower": 1.0, "ci_upper": 2.0}
+    report = EstimateReport(psi_hat=1.5, n=50, p_n_a=0.5, ci_level=0.95, per_kind=dict.fromkeys(
+        KIND_ORDER, KindInference(**interval, variance=1.0)))
+    monkeypatch.setattr(simulation, "true_sample_estimands",
+                        lambda pd, psi_patt: dict.fromkeys(KIND_ORDER, interval[bound]))
+    monkeypatch.setattr(simulation, "estimate_all", lambda *args, **kwargs: report)
+    rep = run_monte_carlo(_d1_spec(), n=50, reps=2, seed=0, psi_patt=McValue(1.0, 0.0))
+    assert [stats.coverage for stats in rep.per_kind.values()] == [1.0] * 6
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1066,3 +1102,27 @@ def test_spec_from_dict_coerces_no_field(field, value, message):
     with pytest.raises(ValidationError) as refused:
         DgpSpec.from_dict(data)
     assert str(refused.value) == f"bad DGP spec field: {message}"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("x_dist", "std_normal", "^x_dist must be of type XDist, got 'std_normal'$"),
+    ("dependence", "antitone", "^dependence must be of type Dependence, got 'antitone'$"),
+    ("outcome_kind", "binary", "^outcome_kind must be of type OutcomeKind, got 'binary'$"),
+    ("exact_noise", "false", "^exact_noise must be true or false$"),
+    ("d", None, "^d must be an integer$"),
+    ("d", "1", "^d must be an integer$"),
+    ("d", True, "^d must be an integer$"),
+    ("d", 1.0, "^d must be an integer$"),
+])
+def test_spec_refuses_a_field_of_the_wrong_type_by_name(field, value, message):
+    # Each was accepted and drew from another DGP (a string enum matched no
+    # branch; "false" is truthy; True and 1.0 passed as d = 1), or was a raw
+    # TypeError (d of None or "1").
+    with pytest.raises(ValidationError, match=message):
+        _d1_spec(**{field: value})
+
+
+def test_dataset_refuses_a_string_outcome_kind():
+    # "binary" was estimated as continuous: no 0/1 check and no FH bound.
+    with pytest.raises(ValidationError, match="^outcome_kind must be of type OutcomeKind, got "):
+        Dataset(y=[0.0, 1.0], a=[0.0, 1.0], x=np.zeros((2, 1)), outcome_kind="binary")
