@@ -29,7 +29,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .data_model import (Dataset, EstimandKind, NuisanceValues, OutcomeKind, KIND_ORDER,
-                         _frozen_array, check_ci_level, check_count, check_seed, check_type)
+                         _frozen_array, _is_int, check_ci_level, check_count, check_seed,
+                         check_type)
 from .errors import LengthMismatchError, NonFiniteEstimateError, TreatedError, ValidationError
 from .estimator import _Columns, estimate_all
 from .mathutil import _chunked, blocked_matmul, expit, select
@@ -86,7 +87,7 @@ class DgpSpec:
     exact_noise: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or isinstance(self.d, bool):
+        if not _is_int(self.d):
             raise ValidationError("d must be an integer")
         if self.d < 0:
             raise ValidationError("covariate dimension must be nonnegative")

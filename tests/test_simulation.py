@@ -1117,9 +1117,10 @@ def test_spec_from_dict_coerces_no_field(field, value, message):
 def test_spec_refuses_a_field_of_the_wrong_type_by_name(field, value, message):
     # Each was accepted and drew from another DGP (a string enum matched no
     # branch; "false" is truthy; True and 1.0 passed as d = 1), or was a raw
-    # TypeError (d of None or "1").
+    # TypeError (d of None or "1"). A numpy int is a d, as it is a count.
     with pytest.raises(ValidationError, match=message):
         _d1_spec(**{field: value})
+    assert _d1_spec(d=np.int64(1)).to_dict() == _d1_spec().to_dict()
 
 
 def test_dataset_refuses_a_string_outcome_kind():
