@@ -284,7 +284,6 @@ def test_var_swatt_conservative_combinations():
     assert diag_both["swatt_sigma_floored"] and diag_both["swatt_fh_floored"]
 
 
-
 def test_a_sigma_bound_equal_to_actt_is_no_floor(monkeypatch):
     # A bound exactly at v_actt leaves the sigma variant at zero unfloored: the
     # flag is raised only by a negative difference. _Columns calls the formula
