@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numbers
 from functools import cached_property
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
@@ -49,7 +50,7 @@ from .errors import (
     NotBinaryOutcomeError,
     ValidationError,
 )
-from .mathutil import norm_quantile, select
+from .mathutil import select
 from .nuisance import NuisanceConfig, _residual_diagnostic, compute_nuisances
 
 class _Columns:
@@ -203,7 +204,7 @@ def confidence_interval(psi_hat: float, variance: float, n: int, level: float):
         raise ValidationError(f"psi_hat must be a number, got {psi_hat!r}")
     if not (isinstance(variance, numbers.Real) and variance >= 0):
         raise ValidationError(f"variance must be nonnegative, got {variance}")
-    z = norm_quantile(0.5 * (1.0 + level))
+    z = NormalDist().inv_cdf(0.5 * (1.0 + level))  # check_ci_level keeps it inside (0.5, 1)
     half = z * np.sqrt(variance / n)
     return psi_hat - half, psi_hat + half
 

@@ -1,6 +1,7 @@
 """Small numerical helpers: stable logistic transforms, a branch-free select,
-the normal quantile, products computed in row blocks, and the fork pool that
-runs a generator in chunks and the shared arrays its workers write into."""
+products computed in row blocks with ``affine``, the one affine predictor of
+the true and the fitted nuisances, and the fork pool that runs a generator in
+chunks and the shared arrays its workers write into."""
 
 from __future__ import annotations
 
@@ -8,14 +9,12 @@ import mmap
 import os
 import pickle
 import signal
-from statistics import NormalDist
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ResourceError
 
-_STD_NORMAL = NormalDist()
 _in_worker = False  # set in a forked pool worker: pools never nest
 
 # Rows per block in the blocked products. A block stays in cache, and at the
@@ -103,11 +102,12 @@ def blocked_crossprod(x, y):
     return total
 
 
-def norm_quantile(p: float) -> float:
-    """Standard normal quantile, via the standard library's ``NormalDist``."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile level must be in (0, 1), got {p}")
-    return _STD_NORMAL.inv_cdf(p)
+def affine(coef, x) -> np.ndarray:
+    """``coef[0] + x @ coef[1:]``, bit for bit, computed in row blocks (see
+    ``blocked_matmul``), so a forked pool worker wakes no OpenBLAS helper thread."""
+    out = blocked_matmul(x, coef[1:])
+    out += coef[0]
+    return out
 
 
 def _worker_count(count: int) -> int:

@@ -26,8 +26,8 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .mathutil import (_chunked, bernoulli_loglik, blocked_crossprod, blocked_matmul, expit,
-                       row_blocks, shared_empty)
+from .mathutil import (_chunked, affine, bernoulli_loglik, blocked_crossprod, expit, row_blocks,
+                       shared_empty)
 
 # IRLS takes at most this many Newton steps.
 _MAX_IRLS_ITER = 100
@@ -75,7 +75,7 @@ class _AffineModel:
         return (np.asarray(x, dtype=float) - self.mean) / self.scale
 
     def at(self, z: np.ndarray) -> np.ndarray:  # z: rows already standardized
-        return self.coef[0] + blocked_matmul(z, self.coef[1:])
+        return affine(self.coef, z)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.at(self.standardize(x))
@@ -207,7 +207,8 @@ def fit_propensity(dataset: Dataset, config: NuisanceConfig) -> PropensityModel:
 class _ArmDesign:
     """One arm's rows, their standardized design and its ridge Gram matrix, which the
     arm's mean fit and its sd fit share: both are ridge least squares on this design,
-    of y and of the mean fit's squared residuals."""
+    of y and of the squared residuals from the mean values ``fit_sd`` is given at
+    these rows, which the caller computes by whichever mean model it holds."""
 
     def __init__(self, y: np.ndarray, x: np.ndarray, rows: np.ndarray, arm: int):
         d = x.shape[1]
@@ -231,9 +232,7 @@ class _ArmDesign:
     def fit_mean(self) -> _AffineModel:
         return self._solve(self.y)
 
-    def fit_sd(self, mean_model: _AffineModel) -> SdModel:
-        own = mean_model.mean is self.mean  # a fit on this design: read it off the design
-        fitted = mean_model.at(self.design[:, 1:]) if own else mean_model.predict(self.x)
+    def fit_sd(self, fitted: np.ndarray) -> SdModel:
         return SdModel(self._solve((self.y - fitted) ** 2))
 
 
@@ -245,8 +244,8 @@ def fit_outcome_mean(dataset: Dataset, arm: int, config: NuisanceConfig) -> _Aff
 def fit_conditional_sd(dataset: Dataset, arm: int, mean_model: _AffineModel,
                        config: NuisanceConfig) -> SdModel:
     """Regress squared residuals on (1, x) within the arm; predict sqrt(max(0, fit))."""
-    rows = np.flatnonzero(dataset.a == arm)
-    return _ArmDesign(dataset.y, dataset.x, rows, arm).fit_sd(mean_model)
+    arm_design = _ArmDesign(dataset.y, dataset.x, np.flatnonzero(dataset.a == arm), arm)
+    return arm_design.fit_sd(mean_model.predict(arm_design.x))
 
 
 def _fold_layout(n: int, folds: int, seed: int) -> list:
@@ -285,7 +284,8 @@ def _fold_fits(y, a, x, fits, columns, config, lo, hi):
             if f"mu{arm}_hat" in columns:
                 columns[f"mu{arm}_hat"][test] = mean_fit.at(z_test)
             if f"sigma{arm}_hat" in columns:
-                columns[f"sigma{arm}_hat"][test] = arm_design.fit_sd(mean_fit).at(z_test)
+                fitted = mean_fit.at(arm_design.design[:, 1:])
+                columns[f"sigma{arm}_hat"][test] = arm_design.fit_sd(fitted).at(z_test)
         yield
 
 

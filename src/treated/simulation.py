@@ -33,7 +33,7 @@ from .data_model import (Dataset, EstimandKind, NuisanceValues, OutcomeKind, KIN
                          check_type)
 from .errors import LengthMismatchError, NonFiniteEstimateError, TreatedError, ValidationError
 from .estimator import _Columns, estimate_all
-from .mathutil import _chunked, blocked_matmul, expit, select
+from .mathutil import _chunked, affine, expit, select
 from .nuisance import NuisanceConfig
 
 SCHEMA_VERSION = 1
@@ -97,27 +97,18 @@ class DgpSpec:
                            ("outcome_kind", OutcomeKind)):
             check_type(name, getattr(self, name), kind)
         for name in _COEFF_FIELDS:
-            v = np.array(getattr(self, name), dtype=float, copy=True).reshape(-1)
+            v = _frozen_array(getattr(self, name), name)
             if v.shape[0] != self.d + 1:
                 raise ValidationError(f"{name} must have length d+1={self.d + 1}")
             if not np.isfinite(v).all():
                 raise ValidationError(f"{name} must be finite")
-            v.flags.writeable = False
             object.__setattr__(self, name, v)
 
-    def _affine(self, coeffs, x):
-        """``coeffs[0] + x @ coeffs[1:]``, bit for bit, computed in row blocks
-        (see ``mathutil.blocked_matmul``), so the oracle's forked workers wake
-        no OpenBLAS helper thread."""
-        out = blocked_matmul(x, coeffs[1:])
-        out += coeffs[0]
-        return out
-
     def propensity(self, x) -> np.ndarray:
-        return np.clip(expit(self._affine(self.propensity_coeffs, x)), *PI_CLIP)
+        return np.clip(expit(affine(self.propensity_coeffs, x)), *PI_CLIP)
 
     def mu(self, arm: int, x) -> np.ndarray:
-        raw = self._affine(self.mu1_coeffs if arm == 1 else self.mu0_coeffs, x)
+        raw = affine(self.mu1_coeffs if arm == 1 else self.mu0_coeffs, x)
         if self.outcome_kind is OutcomeKind.BINARY:
             return np.clip(raw, *BINARY_MEAN_CLAMP)
         return raw
@@ -127,7 +118,7 @@ class DgpSpec:
         if self.outcome_kind is OutcomeKind.BINARY:
             p = self.mu(arm, x)
             return np.sqrt(p * (1.0 - p))
-        raw = self._affine(self.noise1_sd_coeffs if arm == 1 else self.noise0_sd_coeffs, x)
+        raw = affine(self.noise1_sd_coeffs if arm == 1 else self.noise0_sd_coeffs, x)
         return np.maximum(0.0 if self.exact_noise else NOISE_SD_FLOOR, raw)
 
     def to_dict(self) -> dict:
@@ -211,11 +202,6 @@ def _draw_x(spec: DgpSpec, n: int, rng) -> np.ndarray:
     return rng.random((n, spec.d))
 
 
-def _true_arrays(spec: DgpSpec, x: np.ndarray):
-    """True (pi, mu0, mu1, sigma0, sigma1) at each row of x."""
-    return spec.propensity(x), spec.mu(0, x), spec.mu(1, x), spec.sigma(0, x), spec.sigma(1, x)
-
-
 def _draw_potentials(spec: DgpSpec, rng, mu0, mu1, sigma0, sigma1):
     """Draw (y0, y1) from the arm means and sds under the spec's dependence
     regime: e1 then e0, uniforms for binary outcomes and normals for
@@ -239,7 +225,7 @@ def _draw_units(spec: DgpSpec, n: int, rng):
     (pi, mu0, mu1, sigma0, sigma1), the treatment, then (y0, y1). Returns
     ``(x, true, a, y0, y1)`` with ``a`` boolean."""
     x = _draw_x(spec, n, rng)
-    true = _true_arrays(spec, x)
+    true = spec.propensity(x), spec.mu(0, x), spec.mu(1, x), spec.sigma(0, x), spec.sigma(1, x)
     a = rng.random(n) < true[0]
     y0, y1 = _draw_potentials(spec, rng, *true[1:])
     return x, true, a, y0, y1

@@ -25,7 +25,6 @@ from treated import (
 from treated import estimator
 from treated.estimator import (_Columns, estimate_psi_hat, if_components, var_actt, var_catt,
                                var_fh_binary, var_matt, var_patt, var_satt, var_sigma_bound)
-from treated.mathutil import norm_quantile
 
 from conftest import STD_SPEC, make_worked_example, random_dataset_with_nuisances
 
@@ -298,9 +297,10 @@ def test_a_sigma_bound_equal_to_actt_is_no_floor(monkeypatch):
 # Confidence intervals.
 
 def test_quantile_against_erfinv_oracle():
+    # At variance 1 and n = 1 the interval's half-width is the quantile itself.
     for level in (0.8, 0.9, 0.95, 0.99):
         expected = math.sqrt(2.0) * float(special.erfinv(level))
-        assert abs(norm_quantile((1 + level) / 2) - expected) < 1e-9
+        assert abs(confidence_interval(0.0, 1.0, 1, level)[1] - expected) < 1e-9
 
 
 def test_ci_halfwidth_095():

@@ -673,6 +673,27 @@ def test_shared_arm_design_matches_the_separate_fits_bit_for_bit(folds, d, kind)
         assert sd_fit.affine.coef.tobytes() == sd_ref[2].tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("n", [150, 5_000])
+def test_sd_fit_on_a_mean_model_of_another_sample_matches_the_reference(n, d):
+    # A mean model fitted on another sample carries another standardization:
+    # the sd fit regresses the squared residuals of that model's predictions
+    # at this arm's rows, not of this arm's own mean fit.
+    ds, other = _dataset(n=n, d=d, seed=60 + d), _dataset(n=n // 2, d=d, seed=70 + d)
+    other = Dataset(y=other.y * 3.0 - 2.0, a=other.a, x=other.x * 2.0 + 1.0)
+    config = NuisanceConfig()
+    for arm in (0, 1):
+        rows = np.flatnonzero(ds.a == arm)
+        mean_ref = _reference_fit_linear(other.x[other.a == arm], other.y[other.a == arm],
+                                         nuisance._RIDGE)
+        sq_resid = (ds.y[rows] - _reference_linear(mean_ref, ds.x[rows])) ** 2
+        sd_ref = _reference_fit_linear(ds.x[rows], sq_resid, nuisance._RIDGE)
+        mean_fit = fit_outcome_mean(other, arm, config)
+        assert mean_fit.scale.tobytes() != _reference_design(ds.x[rows])[1].tobytes()
+        sd_fit = fit_conditional_sd(ds, arm, mean_fit, config)
+        np.testing.assert_allclose(sd_fit.affine.coef, sd_ref[2], rtol=1e-9, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Many row blocks: the fits against the two-pass IRLS they replaced, in which
 # every Newton step took one pass for the candidate's log-likelihood and another

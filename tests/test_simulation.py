@@ -992,12 +992,11 @@ def test_double_robustness_single_misspecification(std_oracle):
 
 @pytest.mark.parametrize("d", range(7))
 def test_blocked_affine_equals_whole_product(d):
-    # DgpSpec._affine and the fitted models' predictions multiply in row
-    # blocks. simulate's golden bytes rest on the blocks giving the whole
-    # product bit for bit; a BLAS build that breaks this fails here, naming
-    # the cause, before it fails the golden files.
+    # mathutil.affine, which the true and the fitted nuisances evaluate,
+    # multiplies in row blocks. simulate's golden bytes rest on the blocks
+    # giving the whole product bit for bit; a BLAS build that breaks this fails
+    # here, naming the cause, before it fails the golden files.
     rng = np.random.default_rng(d)
-    spec = DgpSpec(d, *[np.zeros(d + 1)] * 5)
     unit = rng.standard_normal((500_001, d))
     scaled = unit * 10.0 ** rng.uniform(-8, 8, d)
     coeffs = rng.standard_normal(d + 1) * 10.0 ** rng.uniform(-4, 4, d + 1)
@@ -1005,7 +1004,7 @@ def test_blocked_affine_equals_whole_product(d):
         for x in (unit[:n], scaled[:n]):
             product = x @ coeffs[1:]
             assert mathutil.blocked_matmul(x, coeffs[1:]).tobytes() == product.tobytes(), (d, n)
-            assert spec._affine(coeffs, x).tobytes() == (coeffs[0] + product).tobytes(), (d, n)
+            assert mathutil.affine(coeffs, x).tobytes() == (coeffs[0] + product).tobytes(), (d, n)
 
 
 def test_blocked_reductions_match_whole_product_to_rounding():
@@ -1113,11 +1112,15 @@ def test_spec_from_dict_coerces_no_field(field, value, message):
     ("d", "1", "^d must be an integer$"),
     ("d", True, "^d must be an integer$"),
     ("d", 1.0, "^d must be an integer$"),
+    ("propensity_coeffs", "x", "^propensity_coeffs must be an array of numbers: "),
+    ("propensity_coeffs", [[0.0, 0.5]], r"^propensity_coeffs must be a 1-d array, got shape "
+                                        r"\(1, 2\)$"),
 ])
 def test_spec_refuses_a_field_of_the_wrong_type_by_name(field, value, message):
     # Each was accepted and drew from another DGP (a string enum matched no
-    # branch; "false" is truthy; True and 1.0 passed as d = 1), or was a raw
-    # TypeError (d of None or "1"). A numpy int is a d, as it is a count.
+    # branch; "false" is truthy; True and 1.0 passed as d = 1; a nested list
+    # was flattened), or was a raw TypeError (d of None or "1") or ValueError
+    # (a string of coefficients). A numpy int is a d, as it is a count.
     with pytest.raises(ValidationError, match=message):
         _d1_spec(**{field: value})
     assert _d1_spec(d=np.int64(1)).to_dict() == _d1_spec().to_dict()
