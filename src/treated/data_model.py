@@ -128,6 +128,7 @@ def validate(dataset: Dataset) -> Dataset:
 
     Idempotent: a dataset that validates once validates again.
     """
+    check_type("dataset", dataset, Dataset)
     y, a, x = dataset.y, dataset.a, dataset.x
     n = y.shape[0]
     if a.shape[0] != n or x.shape[0] != n:
@@ -283,6 +284,11 @@ class EstimateReport:
 
     def __post_init__(self):
         check_ci_level(self.ci_level)
+        if not (isinstance(self.per_kind, dict) and all(
+                isinstance(k, EstimandKind) and isinstance(v, KindInference)
+                for k, v in self.per_kind.items())):
+            raise ValidationError(f"per_kind must be a dict from EstimandKind to KindInference, "
+                                  f"got {self.per_kind!r}")
         for kind, inf in self.per_kind.items():
             if not (inf.ci_lower <= self.psi_hat <= inf.ci_upper):
                 raise ValidationError(f"psi_hat outside the {kind} interval")

@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import data_model
 from .data_model import (Dataset, NuisanceValues, check_clip_eps, check_count, check_seed,
                          check_type)
 from .errors import (
@@ -352,10 +353,15 @@ def compute_nuisances(dataset: Dataset, config: NuisanceConfig,
     and write into ``shared_empty`` columns; the result does not depend on
     the number of workers.
     """
+    check_type("dataset", dataset, Dataset)
     check_type("config", config, NuisanceConfig)
+    check_type("need_mu1", need_mu1, bool)
+    check_type("need_sigma", need_sigma, bool)
     n = dataset.n
     eps = config.clip_eps
     if oracle is not None:
+        # data_model's class: the benchmark's tracer replaces this module's name.
+        check_type("oracle", oracle, data_model.NuisanceValues)
         if oracle.n != n:
             raise ValidationError(f"oracle has {oracle.n} rows, dataset has {n}")
         if need_mu1 and oracle.mu1_hat is None:

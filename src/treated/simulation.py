@@ -23,11 +23,13 @@ run their batches in the pool at every size.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import InitVar, dataclass, field, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import data_model
 from .data_model import (Dataset, EstimandKind, NuisanceValues, OutcomeKind, KIND_ORDER,
                          _frozen_array, _is_int, check_ci_level, check_count, check_seed,
                          check_type)
@@ -180,6 +182,9 @@ class PotentialDataset:
     _owned: InitVar[bool] = False  # package-private, as for Dataset
 
     def __post_init__(self, _owned):
+        # data_model's classes: the benchmark's tracer replaces this module's names.
+        check_type("dataset", self.dataset, data_model.Dataset)
+        check_type("true_nuisances", self.true_nuisances, data_model.NuisanceValues)
         for name in ("y0", "y1"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name), name, owned=_owned))
         n = self.dataset.n
@@ -252,6 +257,9 @@ def generate(spec: DgpSpec, n: int, seed) -> PotentialDataset:
 
 def true_sample_estimands(pd: PotentialDataset, psi_patt_true: float) -> dict:
     """Per-replication realized values of all six estimands with TRUE nuisances."""
+    check_type("pd", pd, PotentialDataset)
+    if not isinstance(psi_patt_true, numbers.Real):
+        raise ValidationError(f"psi_patt_true must be a number, got {psi_patt_true!r}")
     ds = pd.dataset
     nuis = pd.true_nuisances
     n_treated = ds.a.sum()
@@ -271,6 +279,7 @@ def true_sample_estimands(pd: PotentialDataset, psi_patt_true: float) -> dict:
 def psi_tilde(pd: PotentialDataset) -> float:
     """One-step functional with TRUE nuisances: the most precisely estimable
     sample variant; the estimator's point estimate on the exact nuisances."""
+    check_type("pd", pd, PotentialDataset)
     return _Columns.of(pd.dataset, pd.true_nuisances).psi
 
 
@@ -582,6 +591,9 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, seed: int,
     check_count("n", n)
     check_ci_level(ci_level)
     check_seed(seed)
+    if psi_patt is not None:
+        check_type("psi_patt", psi_patt, McValue)
+    check_count("draws", patt_draws)  # psi_patt_true's rule, even when psi_patt is given
 
     import secrets  # numpy.random's: loads libcrypto once here, not in every pool worker
     if psi_patt is None:

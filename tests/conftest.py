@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from treated import DgpSpec, ValidationError, oracle_asymptotic_variances
+from treated import DgpSpec, ValidationError, mathutil, oracle_asymptotic_variances
 
 # Selected with --hypothesis-profile=ci: the same examples on every run, so CI
 # results repeat exactly. Local runs keep the default profile and explore new
@@ -34,6 +34,12 @@ def std_spec():
 def std_oracle(std_spec):
     """Brute-force true asymptotic variances for the workhorse DGP."""
     return oracle_asymptotic_variances(std_spec, draws=ORACLE_DRAWS, seed=ORACLE_SEED)
+
+
+def with_workers(patch, workers):
+    """Through ``patch``, a pytest MonkeyPatch, give every fork pool ``workers``
+    workers, whatever the CPU count: 1 runs each pooled path in this process."""
+    patch.setattr(mathutil, "_worker_count", lambda count: workers)
 
 
 def make_worked_example():

@@ -27,8 +27,9 @@ from treated import (
     oracle_asymptotic_variances,
     run_monte_carlo,
 )
+from treated import mathutil
 from treated.estimator import _Columns, estimate_psi_hat, if_components, var_fh_binary, var_satt
-from treated.simulation import _child_seed
+from treated.simulation import _child_seed, true_sample_estimands
 
 from conftest import (STD_SPEC, fh_sharpness_oracle, make_worked_example,
                       random_dataset_with_nuisances)
@@ -187,18 +188,24 @@ def test_criterion_07_antitone_swatt_below_matt():
                    f"emp dev swatt {dev_sw:+.2%}, matt {dev_ma:+.2%}")
 
 
-def test_criterion_08_deterministic_cate_swatt_above_literal():
-    reps, n = 2_000, 5_000
-    errors = {k: [] for k in (EstimandKind.SWATT, EstimandKind.CATT, EstimandKind.SATT)}
-    from treated.simulation import true_sample_estimands
+_CRITERION_08_KINDS = (EstimandKind.SWATT, EstimandKind.CATT, EstimandKind.SATT)
 
-    for r in range(reps):
+
+def _deterministic_cate_errors(n, lo, hi):
+    """psi_hat less each of the swatt, catt and satt truths, for each replication
+    r in [lo, hi), seeded (23, r)."""
+    for r in range(lo, hi):
         pd = generate(DETERMINISTIC_CATE, n, seed=_child_seed(23, r))
         truths = true_sample_estimands(pd, psi_patt_true=0.0)
         psi = estimate_psi_hat(_Columns.of(pd.dataset, pd.true_nuisances))
-        for k in errors:
-            errors[k].append(psi - truths[k])
-    e = {k: np.asarray(v) for k, v in errors.items()}
+        yield tuple(psi - truths[k] for k in _CRITERION_08_KINDS)
+
+
+def test_criterion_08_deterministic_cate_swatt_above_literal():
+    reps, n = 2_000, 5_000
+    # The replications run on the fork pool, read back in index order.
+    rows = mathutil._chunked(_deterministic_cate_errors, (n,), reps, pooled=True)
+    e = {k: np.asarray(v) for k, v in zip(_CRITERION_08_KINDS, zip(*rows))}
     oks, details = [], []
     for other in (EstimandKind.CATT, EstimandKind.SATT):
         d = (e[EstimandKind.SWATT] - e[EstimandKind.SWATT].mean()) ** 2 \
@@ -227,14 +234,19 @@ def test_criterion_09_one_step_gap_shrinks_with_n():
                ok, ", ".join(f"n={k}: {v:.4f}" for k, v in rms.items()))
 
 
+def _fh_bounds(lo, hi):
+    """The FH bound on the true nuisances of each replication r in [lo, hi),
+    seeded (41, r), at n = 20,000."""
+    for r in range(lo, hi):
+        pd = generate(BINARY_COMONOTONE, 20_000, seed=_child_seed(41, r))
+        yield var_fh_binary(_Columns.of(pd.dataset, pd.true_nuisances))
+
+
 def test_criterion_10_fh_sharpness_and_consistency():
     grid = [round(0.1 * k, 10) for k in range(1, 10)]
     grid_exact = all(fh_sharpness_oracle(p, q) == min(p, q) for p in grid for q in grid)
     orc = oracle_asymptotic_variances(BINARY_COMONOTONE, draws=10_000_000, seed=7)
-    vals = []
-    for r in range(100):
-        pd = generate(BINARY_COMONOTONE, 20_000, seed=_child_seed(41, r))
-        vals.append(var_fh_binary(_Columns.of(pd.dataset, pd.true_nuisances)))
+    vals = mathutil._chunked(_fh_bounds, (), 100, pooled=True)
     dev = float(np.mean(vals)) / orc.fh_bound.value - 1.0
     ok = grid_exact and abs(dev) <= 0.05
     _criterion(10, "FH sharpness oracle equals min(p,q) exactly on the 81-point "
@@ -242,26 +254,32 @@ def test_criterion_10_fh_sharpness_and_consistency():
                ok, f"grid exact: {grid_exact}, V_FH dev {dev:+.2%}")
 
 
+def _misspecified_estimates(pairs, lo, hi):
+    """For each replication r in [lo, hi), one sample seeded (51, r) at
+    n = 20,000, and its estimate under each (propensity spec, mean spec) pair."""
+    for r in range(lo, hi):
+        pd = generate(STD_SPEC, 20_000, seed=_child_seed(51, r))
+        x = pd.dataset.x
+        yield tuple(estimate_psi_hat(_Columns.of(pd.dataset, NuisanceValues(
+            pi_hat=pi_spec.propensity(x), mu0_hat=mu_spec.mu(0, x), clip_eps=0.01)))
+            for pi_spec, mu_spec in pairs)
+
+
 def test_criterion_11_double_robustness(std_oracle):
     wrong_pi = dataclasses.replace(STD_SPEC, propensity_coeffs=[0.2, 0.0, 0.0])
     wrong_mu = dataclasses.replace(STD_SPEC, mu0_coeffs=[0.0, 0.0, 0.0])
     psi_true = std_oracle.psi_patt.value
-
-    def run(pi_spec, mu_spec, tag):
-        est = []
-        for r in range(200):
-            pd = generate(STD_SPEC, 20_000, seed=_child_seed(51, r))
-            nu = NuisanceValues(pi_hat=pi_spec.propensity(pd.dataset.x),
-                                mu0_hat=mu_spec.mu(0, pd.dataset.x), clip_eps=0.01)
-            est.append(estimate_psi_hat(_Columns.of(pd.dataset, nu)))
+    pairs = {"wrong mu0": (STD_SPEC, wrong_mu), "wrong pi": (wrong_pi, STD_SPEC),
+             "both wrong": (wrong_pi, wrong_mu)}
+    rows = mathutil._chunked(_misspecified_estimates, (tuple(pairs.values()),), 200,
+                             pooled=True)
+    results = []
+    for tag, est in zip(pairs, zip(*rows)):
         est = np.asarray(est)
         bias = est.mean() - psi_true
         se = est.std(ddof=1) / np.sqrt(est.size)
-        return bias, se, f"{tag}: bias {bias:+.5f} vs 3se {3 * se:.5f}"
-
-    b1, s1, d1 = run(STD_SPEC, wrong_mu, "wrong mu0")
-    b2, s2, d2 = run(wrong_pi, STD_SPEC, "wrong pi")
-    b3, s3, d3 = run(wrong_pi, wrong_mu, "both wrong")
+        results.append((bias, se, f"{tag}: bias {bias:+.5f} vs 3se {3 * se:.5f}"))
+    (b1, s1, d1), (b2, s2, d2), (b3, s3, d3) = results
     ok = abs(b1) < 3 * s1 and abs(b2) < 3 * s2 and abs(b3) > 3 * s3
     _criterion(11, "one misspecified nuisance leaves psi_hat unbiased (3 SE); "
                    "both misspecified produce detectable bias",

@@ -28,7 +28,7 @@ from treated.cli import CliParseError, dumps_canonical, main, read_csv_dataset, 
 from treated import (Dataset, IrlsDivergedError, NonFiniteEstimateError, OutcomeKind,
                      TreatedError, estimate_all)
 
-from conftest import make_worked_example
+from conftest import make_worked_example, with_workers
 from test_golden import undocumented_nulls
 
 WORKED_CSV = """y,a,x1,pi,mu0,mu1,sigma0,sigma1
@@ -367,7 +367,7 @@ def test_golden_csvs_take_the_loadtxt_path(monkeypatch):
 def _ranged_reader(workers):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(treated.cli, "INGEST_POOL_BYTES", 0)
-        patch.setattr(treated.mathutil, "_worker_count", lambda count: workers)
+        with_workers(patch, workers)
         yield
 
 
@@ -828,7 +828,7 @@ def test_simulate_stderr_does_not_depend_on_the_worker_count(tmp_path, capsys, m
     # Wherever a replication runs, in this process or in a pool worker, stderr
     # is the verdict line alone.
     if workers is not None:
-        monkeypatch.setattr(treated.mathutil, "_worker_count", lambda count: workers)
+        with_workers(monkeypatch, workers)
     spec_path = _write(tmp_path, "spec.json", json.dumps(_HEAVY_SD_SPEC))
     with warnings.catch_warnings(record=True) as shown:
         warnings.simplefilter("always")
@@ -999,7 +999,7 @@ def test_estimate_keeps_the_exit_code_contract(csv_path, run):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(treated.cli, "INGEST_POOL_BYTES", 0)
         patch.setattr(treated.nuisance, "FOLD_POOL_ROWS", 0)
-        patch.setattr(treated.mathutil, "_worker_count", lambda count: 2)
+        with_workers(patch, 2)
         assert _run_keeping_the_contract(argv) == first
 
 
@@ -1272,7 +1272,7 @@ def test_killed_study_worker_writes_one_stderr_line(tmp_path, monkeypatch, capsy
         return real_generate(spec, n, seed)
 
     monkeypatch.setattr(treated.simulation, "generate", killing_generate)
-    monkeypatch.setattr(treated.mathutil, "_worker_count", lambda count: 2)
+    with_workers(monkeypatch, 2)
     spec_path = _write(tmp_path, "spec.json", json.dumps(_spec_json()))
     code = main(["simulate", "--spec", spec_path, "--n", "200", "--reps", "4",
                  "--oracle-nuisances", "--patt-draws", "1000"])
@@ -1311,7 +1311,7 @@ def test_machine_limit_writes_one_stderr_line(tmp_path, monkeypatch, capsys, fai
         monkeypatch.setattr(treated.simulation, "_draw_x", failing_draw_x)
     else:
         monkeypatch.setattr(os, "fork", failing_fork)
-    monkeypatch.setattr(treated.mathutil, "_worker_count", lambda count: workers)
+    with_workers(monkeypatch, workers)
     spec_path = _write(tmp_path, "spec.json", json.dumps(_spec_json()))
     code = main(["simulate", "--spec", spec_path, "--n", "200", "--reps", "4",
                  "--oracle-nuisances", "--patt-draws", "1000"])

@@ -7,6 +7,7 @@ from treated import (
     Dataset,
     DegenerateTreatmentError,
     EstimandKind,
+    EstimateReport,
     KindInference,
     LengthMismatchError,
     NonBinaryOutcomeError,
@@ -215,3 +216,20 @@ def test_config_and_values_refuse_clip_eps_by_one_rule(clip_eps):
         NuisanceConfig(clip_eps=clip_eps)
     with pytest.raises(ValidationError, match=message):
         NuisanceValues(pi_hat=[0.5], mu0_hat=[0.0], clip_eps=clip_eps)
+
+
+def test_validate_refuses_a_non_dataset_by_name():
+    # It was a raw AttributeError on the missing .y.
+    with pytest.raises(ValidationError, match="^dataset must be of type Dataset, got 'x'$"):
+        validate("x")
+
+
+@pytest.mark.parametrize("per_kind", ["x", None, {"patt": KindInference(0.0, 1.0, 1.0)},
+                                      {EstimandKind.PATT: (0.0, 1.0)}],
+                         ids=["string", "None", "string key", "tuple value"])
+def test_report_refuses_a_per_kind_that_is_no_kind_table(per_kind):
+    # A string or None was a raw AttributeError on .items(), a tuple value one
+    # on .ci_lower, and a string key was taken.
+    with pytest.raises(ValidationError, match="^per_kind must be a dict from EstimandKind to "
+                                              "KindInference, got "):
+        EstimateReport(psi_hat=0.5, n=10, p_n_a=0.5, per_kind=per_kind, ci_level=0.95)

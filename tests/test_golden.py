@@ -13,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from treated import cli, mathutil, nuisance
+from treated import cli, nuisance
 from treated.cli import main
+
+from conftest import with_workers
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 README = GOLDEN.parent.parent / "README.md"
@@ -74,7 +76,7 @@ def test_golden_bytes(case, capsys):
 def test_simulate_golden_bytes_for_worker_count(case, workers, capsys, monkeypatch):
     # Replications run in a pool of forked workers; the report must not depend
     # on how many, so each count reproduces the same committed bytes.
-    monkeypatch.setattr(mathutil, "_worker_count", lambda reps: workers)
+    with_workers(monkeypatch, workers)
     _assert_golden(case, capsys)
 
 
@@ -83,7 +85,7 @@ def test_simulate_golden_bytes_for_worker_count(case, workers, capsys, monkeypat
 def test_oracle_golden_bytes_for_worker_count(case, workers, capsys, monkeypatch):
     # The oracle's joint pass runs its batches in the same pool; batch k draws
     # from its own stream, so each count reproduces the same committed bytes.
-    monkeypatch.setattr(mathutil, "_worker_count", lambda count: workers)
+    with_workers(monkeypatch, workers)
     _assert_golden(case, capsys)
 
 
@@ -95,7 +97,7 @@ def test_estimate_golden_bytes_for_worker_count(case, workers, capsys, monkeypat
     # takes the pool paths, and each count reproduces the same committed bytes.
     monkeypatch.setattr(nuisance, "FOLD_POOL_ROWS", 0)
     monkeypatch.setattr(cli, "INGEST_POOL_BYTES", 0)
-    monkeypatch.setattr(mathutil, "_worker_count", lambda count: workers)
+    with_workers(monkeypatch, workers)
     _assert_golden(case, capsys)
 
 

@@ -28,6 +28,9 @@ from treated.cli import main
 from treated.mathutil import bernoulli_loglik, expit, select
 from treated.nuisance import fit_conditional_sd, fit_outcome_mean, fit_propensity
 
+from conftest import with_workers
+
+
 def _expit_two_branch(t):
     """The masked two-branch logistic, the reference for ``expit``."""
     t = np.asarray(t, dtype=float)
@@ -848,7 +851,7 @@ def test_bernoulli_loglik_softplus_is_within_4_ulp_of_logaddexp():
 def _with_fold_pool(monkeypatch, workers):
     """Send every fold fit through the pool path, with ``workers`` workers."""
     monkeypatch.setattr(nuisance, "FOLD_POOL_ROWS", 0)
-    monkeypatch.setattr(mathutil, "_worker_count", lambda count: workers)
+    with_workers(monkeypatch, workers)
 
 
 def test_fold_pool_values_do_not_depend_on_worker_count(monkeypatch):

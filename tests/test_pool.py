@@ -15,6 +15,8 @@ import pytest
 from treated import mathutil
 from treated.errors import ResourceError
 
+from conftest import with_workers
+
 
 @contextmanager
 def _deadline(seconds):
@@ -36,17 +38,13 @@ def _assert_every_worker_reaped():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _with_workers(monkeypatch, workers):
-    monkeypatch.setattr(mathutil, "_worker_count", lambda count: workers)
-
-
 def _squares(lo, hi):
     yield from (i * i for i in range(lo, hi))
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_items_come_back_in_index_order(workers, monkeypatch):
-    _with_workers(monkeypatch, workers)
+    with_workers(monkeypatch, workers)
     with _deadline(30):
         assert mathutil._chunked(_squares, (), 10, pooled=True) == [i * i for i in range(10)]
     _assert_every_worker_reaped()
@@ -64,7 +62,7 @@ def test_worker_exiting_mid_chunk_raises(workers, monkeypatch):
     # A worker that exits, or is killed as the out-of-memory killer would, before
     # it writes its result: the error names the worker's first index and how it
     # ended, and is still a RuntimeError. The pid it reaps is not waited on again.
-    _with_workers(monkeypatch, workers)
+    with_workers(monkeypatch, workers)
     first = {2: 0, 3: 2}[workers]  # the first index of the chunk holding index 3
     for die, cause in [(lambda: os._exit(1), "exit status 1"),
                        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9")]:
@@ -94,7 +92,7 @@ def test_worker_that_cannot_start_raises(call, monkeypatch):
         time.sleep(60)
         yield from range(lo, hi)
 
-    _with_workers(monkeypatch, 3)
+    with_workers(monkeypatch, 3)
     monkeypatch.setattr(os, call, second_fails)
     with _deadline(30), pytest.raises(ResourceError) as info:
         mathutil._chunked(slow, (), 6, pooled=True)
@@ -129,7 +127,7 @@ def test_error_that_does_not_pickle_arrives_by_type_and_message(error, message, 
             raise error
         yield from range(lo, hi)
 
-    _with_workers(monkeypatch, 2)
+    with_workers(monkeypatch, 2)
     with _deadline(30), pytest.raises(RuntimeError) as info:
         mathutil._chunked(raising, (), 8, pooled=True)
     assert str(info.value) == message
@@ -146,7 +144,7 @@ def test_first_failing_chunk_error_wins(workers, monkeypatch):
             raise ValueError(f"chunk from index {lo}")
         yield from range(lo, hi)
 
-    _with_workers(monkeypatch, workers)
+    with_workers(monkeypatch, workers)
     with _deadline(30), pytest.raises(ValueError) as info:
         mathutil._chunked(failing, (), 2 * workers, pooled=True)
     assert str(info.value) == "chunk from index 0"
@@ -170,7 +168,7 @@ def test_caller_error_while_reading_kills_the_workers(monkeypatch):
     def interrupted(data):
         raise _ReadInterrupted
 
-    _with_workers(monkeypatch, 2)
+    with_workers(monkeypatch, 2)
     monkeypatch.setattr(pickle, "loads", interrupted)
     with _deadline(30), pytest.raises(_ReadInterrupted):
         mathutil._chunked(slow, (), 8, pooled=True)
@@ -183,7 +181,7 @@ def test_unpooled_call_never_forks(monkeypatch):
     forks = []
     real_fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
-    _with_workers(monkeypatch, 2)
+    with_workers(monkeypatch, 2)
     with _deadline(30):
         assert mathutil._chunked(_squares, (), 10, pooled=False) == [i * i for i in range(10)]
         assert forks == []
@@ -194,7 +192,7 @@ def test_unpooled_call_never_forks(monkeypatch):
 
 @pytest.mark.parametrize("pooled", [False, True])
 def test_both_paths_return_a_list(pooled, monkeypatch):
-    _with_workers(monkeypatch, 2)
+    with_workers(monkeypatch, 2)
     with _deadline(30):
         assert type(mathutil._chunked(_squares, (), 10, pooled=pooled)) is list
     _assert_every_worker_reaped()

@@ -39,7 +39,7 @@ from treated.data_model import KIND_ORDER
 from treated.estimator import _Columns, estimate_psi_hat
 from treated.simulation import McValue, PotentialDataset, _child_seed
 
-from conftest import STD_SPEC, fh_sharpness_oracle
+from conftest import STD_SPEC, fh_sharpness_oracle, with_workers
 
 
 def _d1_spec(**overrides):
@@ -215,6 +215,58 @@ def test_a_wrong_typed_config_or_spec_is_refused_by_name(entry):
     }[entry]
     with pytest.raises(ValidationError, match=f"^{message} must be of type "):
         call()
+
+
+_WRONG_ARGUMENTS = ["run_monte_carlo psi_patt", "compute_nuisances dataset",
+                    "compute_nuisances oracle", "compute_nuisances need_mu1",
+                    "compute_nuisances need_sigma", "estimate_all dataset", "estimate_all oracle",
+                    "psi_tilde pd", "true_sample_estimands pd",
+                    "true_sample_estimands string truth", "true_sample_estimands None truth",
+                    "PotentialDataset dataset", "PotentialDataset true_nuisances"]
+
+
+@pytest.mark.parametrize("entry", _WRONG_ARGUMENTS)
+def test_a_wrong_typed_argument_is_refused_by_name(entry, monkeypatch):
+    # Each was a raw AttributeError, TypeError or ValueError where the argument
+    # was first read; a study refuses its psi_patt before any pool starts.
+    monkeypatch.setattr(simulation, "_chunked", lambda *args, **kwargs: pytest.fail("pooled"))
+    spec = _d1_spec()
+    pd = generate(spec, 50, seed=0)
+    ds, config, compute = pd.dataset, NuisanceConfig(), nuisance.compute_nuisances
+    call, message = {
+        "run_monte_carlo psi_patt": (
+            lambda: run_monte_carlo(spec, n=50, reps=3, seed=0, psi_patt=1.0),
+            "psi_patt must be of type McValue, got 1.0"),
+        "compute_nuisances dataset": (lambda: compute("x", config),
+                                      "dataset must be of type Dataset, got 'x'"),
+        "compute_nuisances oracle": (lambda: compute(ds, config, oracle="x"),
+                                     "oracle must be of type NuisanceValues, got 'x'"),
+        "compute_nuisances need_mu1": (lambda: compute(ds, config, need_mu1=np.zeros(2)),
+                                       "need_mu1 must be of type bool, got array([0., 0.])"),
+        "compute_nuisances need_sigma": (lambda: compute(ds, config, need_sigma=1),
+                                         "need_sigma must be of type bool, got 1"),
+        "estimate_all dataset": (lambda: estimate_all(pd),
+                                 f"dataset must be of type Dataset, got {pd!r}"),
+        "estimate_all oracle": (lambda: estimate_all(ds, oracle="x"),
+                                "oracle must be of type NuisanceValues, got 'x'"),
+        "psi_tilde pd": (lambda: psi_tilde("x"), "pd must be of type PotentialDataset, got 'x'"),
+        "true_sample_estimands pd": (lambda: true_sample_estimands("x", 1.0),
+                                     "pd must be of type PotentialDataset, got 'x'"),
+        "true_sample_estimands string truth": (lambda: true_sample_estimands(pd, "x"),
+                                               "psi_patt_true must be a number, got 'x'"),
+        "true_sample_estimands None truth": (lambda: true_sample_estimands(pd, None),
+                                             "psi_patt_true must be a number, got None"),
+        "PotentialDataset dataset": (
+            lambda: PotentialDataset(dataset="x", y0=pd.y0, y1=pd.y1,
+                                     true_nuisances=pd.true_nuisances),
+            "dataset must be of type Dataset, got 'x'"),
+        "PotentialDataset true_nuisances": (
+            lambda: PotentialDataset(dataset=ds, y0=pd.y0, y1=pd.y1, true_nuisances="x"),
+            "true_nuisances must be of type NuisanceValues, got 'x'"),
+    }[entry]
+    with pytest.raises(ValidationError) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 def test_generate_treated_share_matches_oracle():
@@ -568,10 +620,6 @@ def test_monte_carlo_bit_identical_reports():
     assert dumps_canonical(mc_report_to_dict(a)) == dumps_canonical(mc_report_to_dict(b))
 
 
-def _with_workers(monkeypatch, workers):
-    monkeypatch.setattr(mathutil, "_worker_count", lambda reps: workers)
-
-
 @pytest.mark.parametrize("bound", ["ci_lower", "ci_upper"])
 def test_a_truth_on_an_interval_bound_is_covered(bound, monkeypatch):
     # Coverage counts closed intervals: every truth sits exactly on one bound
@@ -590,9 +638,9 @@ def test_a_truth_on_an_interval_bound_is_covered(bound, monkeypatch):
 def test_failed_replications_counted_not_dropped(workers, monkeypatch):
     spec = _d1_spec(propensity_coeffs=[-8.0, 0.0])  # pi clipped to 0.02
     kwargs = dict(n=10, reps=60, seed=3, psi_patt=McValue(1.0, 0.0))
-    _with_workers(monkeypatch, 1)
+    with_workers(monkeypatch, 1)
     serial = run_monte_carlo(spec, **kwargs)
-    _with_workers(monkeypatch, workers)
+    with_workers(monkeypatch, workers)
     rep = run_monte_carlo(spec, **kwargs)
     assert rep.failed_reps > 0
     assert rep.failed_reps < 60  # some replications still succeed
@@ -623,7 +671,7 @@ def test_pooled_patt_truth_gives_the_report_of_a_given_one(monkeypatch):
     truth = psi_patt_true(spec, draws=100_000, seed=_child_seed(8, 2 ** 31))
     reports = []
     for workers in (1, 2, 3):
-        _with_workers(monkeypatch, workers)
+        with_workers(monkeypatch, workers)
         for psi_patt in (None, truth):
             rep = run_monte_carlo(spec, n=200, reps=9, seed=8, psi_patt=psi_patt,
                                   patt_draws=100_000)
@@ -651,7 +699,7 @@ def test_study_scores_match_a_serial_reference(oracle, monkeypatch):
     spec, n, level = _d1_spec(), 300, 0.5
     reports = []
     for workers in (1, 2):
-        _with_workers(monkeypatch, workers)
+        with_workers(monkeypatch, workers)
         reports.append(run_monte_carlo(spec, n=n, reps=8, seed=6, ci_level=level,
                                        nuisance_config=None if oracle else NuisanceConfig(),
                                        patt_draws=100_000))
@@ -822,7 +870,7 @@ def test_unexpected_replication_error_reaches_caller(workers, monkeypatch):
         return real_generate(spec, n, seed)
 
     monkeypatch.setattr(simulation, "generate", broken_generate)
-    _with_workers(monkeypatch, workers)
+    with_workers(monkeypatch, workers)
     with pytest.raises(RuntimeError, match="broken replication"):
         run_monte_carlo(_d1_spec(), n=200, reps=8, seed=8, psi_patt=McValue(1.0, 0.0))
 
@@ -835,7 +883,7 @@ def test_population_constants_do_not_depend_on_worker_count(monkeypatch):
     spec = _d1_spec()
     results = []
     for workers in (1, 2):
-        _with_workers(monkeypatch, workers)
+        with_workers(monkeypatch, workers)
         results.append(repr((psi_patt_true(spec, draws=64_000, seed=3),
                              oracle_asymptotic_variances(spec, draws=64_000, seed=3))))
     assert results[0] == results[1]
@@ -902,7 +950,7 @@ def test_unexpected_oracle_error_reaches_caller(workers, monkeypatch):
         return real_child_seed(seed, *tail)
 
     monkeypatch.setattr(simulation, "_child_seed", broken_child_seed)
-    _with_workers(monkeypatch, workers)
+    with_workers(monkeypatch, workers)
     with pytest.raises(RuntimeError, match="broken batch"):
         oracle_asymptotic_variances(_d1_spec(), draws=16_000, seed=8)
 
@@ -914,7 +962,7 @@ def test_oracle_study_makes_no_psi_tilde_call(monkeypatch):
         raise AssertionError("psi_tilde called")
 
     monkeypatch.setattr(simulation, "psi_tilde", no_psi_tilde)
-    _with_workers(monkeypatch, 1)
+    with_workers(monkeypatch, 1)
     kwargs = dict(n=200, reps=3, seed=4, psi_patt=McValue(1.0, 0.0))
     rep = run_monte_carlo(_d1_spec(), **kwargs)
     assert rep.failed_reps == 0
