@@ -208,8 +208,8 @@ def fit_propensity(dataset: Dataset, config: NuisanceConfig) -> PropensityModel:
 class _ArmDesign:
     """One arm's rows, their standardized design and its ridge Gram matrix, which the
     arm's mean fit and its sd fit share: both are ridge least squares on this design,
-    of y and of the squared residuals from the mean values ``fit_sd`` is given at
-    these rows, which the caller computes by whichever mean model it holds."""
+    of y and of the squared residuals of the mean values at these rows that ``fit_sd``
+    is given: the caller computes them from whichever mean model it holds."""
 
     def __init__(self, y: np.ndarray, x: np.ndarray, rows: np.ndarray, arm: int):
         d = x.shape[1]

@@ -100,12 +100,13 @@ _SPEC = DgpSpec(d=1, propensity_coeffs=[0.3, 0.4], mu0_coeffs=[1.0, 1.0],
                 mu1_coeffs=[2.0, 1.5], noise0_sd_coeffs=[1.0, 0.2],
                 noise1_sd_coeffs=[0.8, 0.0])
 _NAN = float("nan")
-# Wrong in place of an int count or a seed, a number, a level in (0, 1) or a
-# variance, and a bool.
+# Wrong in place of an int count, a seed, a number, a variance, a level in
+# (0, 1) and a bool.
 _NOT_A_COUNT = [None, True, 2.0, "3", -1, _NAN, [[2]], np.ones((2, 2)), NuisanceConfig()]
 _NOT_A_SEED = [None, True, 1.5, "3", -1, _NAN, [[2]], [], np.ones((2, 2)), _SPEC]
 _NOT_A_NUMBER = [None, "0.5", [[0.5]], np.full((2, 2), 0.5), _SPEC]
-_NOT_A_LEVEL = [*_NOT_A_NUMBER, _NAN, -0.5, 1.0]
+_NOT_A_VARIANCE = [*_NOT_A_NUMBER, _NAN, -0.5]
+_NOT_A_LEVEL = [*_NOT_A_VARIANCE, 1.0]
 _NOT_A_BOOL = [None, 1, 1.0, "true", np.zeros(2), [[True]]]
 
 
@@ -136,7 +137,7 @@ def _arguments(pd, other):
         },
         "confidence_interval": {
             "psi_hat": (st.floats(-1e6, 1e6), _NOT_A_NUMBER),
-            "variance": (st.floats(0.0, 1e6), _NOT_A_LEVEL[:-1]),
+            "variance": (st.floats(0.0, 1e6), _NOT_A_VARIANCE),
             "n": (counts, _NOT_A_COUNT),
             "level": (levels, _NOT_A_LEVEL),
         },
@@ -185,9 +186,8 @@ def test_exported_functions_refuse_wrong_arguments_by_a_package_error(data, samp
     assert list(table) == PARAMETERS[name]
     kwargs, wrong = {}, []
     for param, (valid, bad) in table.items():
-        pick = data.draw(st.integers(-len(bad), 2), label=param)  # about half of them wrong
-        if pick < 0:
-            kwargs[param] = bad[pick]
+        if data.draw(st.booleans(), label=f"{param} wrong"):
+            kwargs[param] = bad[data.draw(st.integers(0, len(bad) - 1), label=param)]
             wrong.append(param)
         else:
             kwargs[param] = data.draw(valid, label=param)
